@@ -55,12 +55,11 @@ from .observables import (
     position_distribution,
 )
 from .state import (
-    BoundaryOverflowError,
-    PositionLattice,
     WalkerState,
     apply_coin_matrix,
     apply_controlled_coin,
     apply_position_update,
+    dense_positions,
     dense_round_matrix,
     dense_step_oracle,
     init_walker_state,
@@ -78,7 +77,6 @@ from .sweeps import (
 )
 
 __all__ = [
-    "BoundaryOverflowError",
     "ClassicalSeries",
     "ClassicalState",
     "CoinParams",
@@ -95,7 +93,6 @@ __all__ = [
     "PURE_B",
     "ParadoxReport",
     "PayoffSeries",
-    "PositionLattice",
     "RANDOM_MIX",
     "SEPARABLE",
     "SimulationConfig",
@@ -111,6 +108,7 @@ __all__ = [
     "classify_game",
     "coin_unitary",
     "cooperative_step",
+    "dense_positions",
     "dense_round_matrix",
     "dense_step_oracle",
     "detect_paradox",

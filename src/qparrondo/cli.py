@@ -93,6 +93,23 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file path")
 
 
+def _positive_int(text: str) -> int:
+    if not text.lstrip("-").isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _check_config_type(key: str, value, default) -> None:
+    """A config file value must have the JSON type of the flag's default;
+    probabilities that default to unset may also be null."""
+    kinds = {str: (str,), int: (int,)}.get(type(default), (int, float))
+    if isinstance(value, bool) or not (
+        isinstance(value, kinds) or (default is None and value is None)
+    ):
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"config field {key!r} must be {expected}, got {json.dumps(value)}")
+
+
 def _merge(defaults: dict, args: argparse.Namespace) -> tuple[dict, set]:
     """defaults <- config file <- explicit flags; also reports which keys
     were set explicitly (by either source)."""
@@ -102,9 +119,13 @@ def _merge(defaults: dict, args: argparse.Namespace) -> tuple[dict, set]:
     if config_path:
         with open(config_path) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON object")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_config_type(key, value, defaults[key])
         merged.update(loaded)
         explicit |= set(loaded)
     for key in defaults:
@@ -327,21 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_rho)
     p_rho.add_argument("--values", help="comma-separated rho4 values (default 0.1..0.9)")
     p_rho.add_argument("--schemes", help="comma-separated schemes (default a,b,periodic:2,2,mix)")
-    p_rho.add_argument("--workers", type=int, default=None)
+    p_rho.add_argument("--workers", type=_positive_int)
     p_rho.set_defaults(func=_cmd_sweep_rho4)
 
     p_phase = sub.add_parser("sweep-phase", help="map final gain over the (theta, phi) grid")
     _add_shared(p_phase)
     p_phase.add_argument("--step", type=float, help="grid step in radians (default pi/8)")
     p_phase.add_argument("--schemes", help="comma-separated schemes")
-    p_phase.add_argument("--workers", type=int, default=None)
+    p_phase.add_argument("--workers", type=_positive_int)
     p_phase.set_defaults(func=_cmd_sweep_phase)
 
     p_omega = sub.add_parser("sweep-omega", help="sweep the initial entanglement angle")
     _add_shared(p_omega)
     p_omega.add_argument("--omegas", help="comma-separated omega values (default 0..pi/2)")
     p_omega.add_argument("--schemes", help="comma-separated schemes")
-    p_omega.add_argument("--workers", type=int, default=None)
+    p_omega.add_argument("--workers", type=_positive_int)
     p_omega.set_defaults(func=_cmd_sweep_omega)
 
     p_disc = sub.add_parser("discriminate", help="label a coin state as GHZ-like or W-like")

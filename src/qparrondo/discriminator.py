@@ -11,14 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import W, CoinParams, coin_unitary, initial_coin_state
-from .observables import expected_position, position_distribution
-from .state import (
-    PositionLattice,
-    apply_coin_matrix,
-    apply_position_update,
-    init_walker_state,
-)
+from .coins import W, CoinParams, initial_coin_state
+from .engine import PURE_A, SimulationConfig, _walk
+from .observables import expected_positions, position_distribution
+from .state import WalkerState
 
 
 @dataclass(frozen=True)
@@ -28,19 +24,12 @@ class DiscriminationResult:
     threshold: float
 
 
-def _final_state(coin_state: np.ndarray, rounds: int, coin: CoinParams):
-    state = init_walker_state(coin_state, PositionLattice(rounds))
-    m = coin_unitary(coin)
-    for _ in range(rounds):
-        for player in (1, 2, 3):
-            state = apply_coin_matrix(state, player, m)
-        state = apply_position_update(state)
-    return state
+def _final_state(coin_state: np.ndarray, config: SimulationConfig) -> WalkerState:
+    return _walk(coin_state, ["A"] * config.rounds, config)
 
 
-def _payoff_sum(coin_state: np.ndarray, rounds: int, coin: CoinParams) -> float:
-    state = _final_state(coin_state, rounds, coin)
-    return sum(expected_position(state, axis) for axis in (1, 2, 3))
+def _payoff_sum(state: WalkerState) -> float:
+    return float(expected_positions(state).sum())
 
 
 def discriminate(
@@ -60,33 +49,28 @@ def discriminate(
     label is GHZ for |s| <= threshold, W for s < -threshold, else
     Inconclusive. Meaningful only for inputs promised to be GHZ or W.
     """
-    v = np.asarray(coin_state, dtype=complex).reshape(-1)
-    if v.shape != (8,):
-        raise ValueError(f"coin_state must have 8 components, got {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("coin_state must have unit norm")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     if mode not in ("expectation", "sampled"):
         raise ValueError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
-
-    threshold = abs(_payoff_sum(initial_coin_state(W), rounds, coin)) / 2.0
+    if mode == "sampled" and (shots is None or shots < 1):
+        raise ValueError(f"sampled mode requires shots >= 1, got {shots}")
+    # the fair game A every round, with the W state as the reference input;
+    # the config also bounds ``rounds`` by the memory its states need
+    config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds, coin_a=coin)
+    state = _final_state(coin_state, config)  # validates coin_state
+    threshold = abs(_payoff_sum(_final_state(initial_coin_state(W), config))) / 2.0
 
     if mode == "expectation":
-        statistic = _payoff_sum(v, rounds, coin)
+        statistic = _payoff_sum(state)
     else:
-        if shots is None or shots < 1:
-            raise ValueError(f"sampled mode requires shots >= 1, got {shots}")
-        state = _final_state(v, rounds, coin)
         probs = position_distribution(state).reshape(-1)
         probs = probs / probs.sum()
         if rng is None:
             rng = np.random.default_rng(0)
-        coords = state.lattice.coordinates
-        L = state.lattice.size
-        draws = rng.choice(L**3, size=shots, p=probs)
-        x1, x2, x3 = np.unravel_index(draws, (L, L, L))
-        statistic = float(np.mean(coords[x1] + coords[x2] + coords[x3]))
+        coords = state.coordinates
+        n = len(coords)
+        draws = rng.choice(n**3, size=shots, p=probs)
+        n1, n2, n3 = np.unravel_index(draws, (n, n, n))
+        statistic = float(np.mean(coords[n1] + coords[n2] + coords[n3]))
 
     if abs(statistic) <= threshold:
         label = "GHZ"

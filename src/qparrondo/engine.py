@@ -7,6 +7,7 @@ selected by the live coin states of its ring neighbors.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,8 +22,8 @@ from .coins import (
 )
 from .observables import PayoffSeries, expected_positions
 from .state import (
-    PositionLattice,
     WalkerState,
+    _apply_coin_register_op,
     apply_position_update,
     controlled_coin_operator,
     init_walker_state,
@@ -91,6 +92,15 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        # a state after t rounds holds 8 (t+1)^3 complex128 amplitudes, and a
+        # round's input, tossed and shifted states are alive at the same time
+        need = 3 * 8 * (self.rounds + 1) ** 3 * 16
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > physical:
+            raise ValueError(
+                f"rounds {self.rounds} needs {need / 2**30:.3g} GiB of walker state, "
+                f"more than the {physical / 2**30:.3g} GiB of physical memory"
+            )
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
 
@@ -141,21 +151,29 @@ def step_round(state: WalkerState, label: str, config: SimulationConfig) -> Walk
     coin-register operator before application.
     """
     op = _round_coin_operator(label, config.coin_a, config.game_b)
-    flat = state.tensor.reshape(8, -1)
-    tossed = WalkerState(state.lattice, (op @ flat).reshape(state.tensor.shape))
-    return apply_position_update(tossed)
+    return apply_position_update(_apply_coin_register_op(state, op))
+
+
+def _walk(
+    coin_state: np.ndarray, schedule: list[str], config: SimulationConfig, per_player=None
+) -> WalkerState:
+    """Play ``schedule`` from ``coin_state`` at the origin and return the
+    final state; row t of ``per_player``, when given, receives the expected
+    positions after round t."""
+    state = init_walker_state(coin_state)
+    for t, label in enumerate(schedule, start=1):
+        state = step_round(state, label, config)
+        if per_player is not None:
+            per_player[t] = expected_positions(state)
+    return state
 
 
 def _run_indexed(config: SimulationConfig, run_index: int) -> PayoffSeries:
     """One full simulation; the schedule rng is keyed by (seed, run_index)."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, run_index)))
     schedule = build_schedule(config.scheme, config.rounds, rng)
-    lattice = PositionLattice(config.rounds)
-    state = init_walker_state(initial_coin_state(config.initial), lattice)
     per_player = np.zeros((config.rounds + 1, 3))
-    for t, label in enumerate(schedule, start=1):
-        state = step_round(state, label, config)
-        per_player[t] = expected_positions(state)
+    _walk(initial_coin_state(config.initial), schedule, config, per_player)
     return PayoffSeries(per_player=per_player, average_gain=per_player.mean(axis=1))
 
 

@@ -15,7 +15,7 @@ DEFAULT_TOL = 1e-9
 def expected_positions(state: WalkerState) -> np.ndarray:
     """Mean positions (one per axis) from a single pass over the amplitudes."""
     joint = position_distribution(state)
-    coords = state.lattice.coordinates
+    coords = state.coordinates
     return np.array(
         [
             joint.sum(axis=tuple(a for a in range(3) if a != axis)) @ coords
@@ -37,7 +37,8 @@ def average_capital_gain(state: WalkerState) -> float:
 
 
 def position_distribution(state: WalkerState) -> np.ndarray:
-    """Joint position probability (L, L, L), coin register traced out."""
+    """Joint probability over step counts (t+1, t+1, t+1), coin register
+    traced out; index n of each axis is position ``state.coordinates[n]``."""
     a = np.abs(state.tensor)
     np.multiply(a, a, out=a)
     return a.sum(axis=0)

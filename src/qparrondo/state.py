@@ -1,19 +1,20 @@
 """Walker state storage and structured operator application.
 
-The walker lives on three finite position axes (one per player) with a
-three-qubit coin register. Amplitudes are stored densely as a complex
-array of shape (8, L, L, L) with L = 2*T + 1 sites per axis and the coin
-index convention c = 4*b1 + 2*b2 + b3 (b_i = 1 for |R>).
+After t rounds player i sits at x_i = 2*n_i - t, where n_i in [0, t]
+counts that player's |R> steps, so amplitudes are stored over step counts:
+a complex array of shape (8, t+1, t+1, t+1) with the coin index convention
+c = 4*b1 + 2*b2 + b3 (b_i = 1 for |R>). Every position update grows each
+count axis by one site, so amplitude can never leave the array.
 
 Coin operators are applied as 8x8 matrices on the coin axis; the position
-update shifts each axis by the corresponding coin bit. A dense Kronecker
-oracle assembles the full round matrix for small lattices so the
+update advances count axis i wherever coin bit b_i is set. A dense Kronecker
+oracle assembles the full round matrix on a small position lattice so the
 structured path can be verified against an independent implementation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,50 +30,21 @@ _P_L = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _P_R = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
-class BoundaryOverflowError(RuntimeError):
-    """Raised when a shift would push amplitude past the lattice edge.
+@dataclass
+class WalkerState:
+    """Amplitude tensor over (coin index, n1, n2, n3) after t rounds."""
 
-    Signals an undersized lattice; amplitude is never wrapped silently.
-    """
-
-
-@dataclass(frozen=True)
-class PositionLattice:
-    """Finite line of 2*T + 1 sites per axis, coordinates -T..T."""
-
-    half_extent: int
-
-    def __post_init__(self) -> None:
-        if self.half_extent < 1:
-            raise ValueError(f"lattice half_extent must be >= 1, got {self.half_extent}")
+    tensor: np.ndarray  # complex128, shape (8, t+1, t+1, t+1)
 
     @property
-    def size(self) -> int:
-        return 2 * self.half_extent + 1
+    def rounds(self) -> int:
+        return self.tensor.shape[1] - 1
 
     @property
     def coordinates(self) -> np.ndarray:
-        return np.arange(-self.half_extent, self.half_extent + 1)
-
-
-@dataclass
-class WalkerState:
-    """Dense amplitude tensor over (coin index, x1, x2, x3)."""
-
-    lattice: PositionLattice
-    tensor: np.ndarray  # complex128, shape (8, L, L, L)
-
-    def qubit_view(self) -> np.ndarray:
-        """View with the coin index split into per-player bits (2,2,2,L,L,L)."""
-        L = self.lattice.size
-        return self.tensor.reshape(2, 2, 2, L, L, L)
-
-    def copy(self) -> "WalkerState":
-        return WalkerState(self.lattice, self.tensor.copy())
-
-    def coin_marginal(self) -> np.ndarray:
-        """Probability of each coin basis state, positions traced out."""
-        return np.abs(self.tensor.reshape(8, -1)) ** 2 @ np.ones(self.lattice.size**3)
+        """Position x = 2n - t of each count index n along one axis."""
+        t = self.rounds
+        return 2 * np.arange(t + 1) - t
 
 
 def _check_coin_unitary(m: np.ndarray, label: str) -> np.ndarray:
@@ -94,12 +66,11 @@ def _kron3(ops: Sequence[np.ndarray]) -> np.ndarray:
     return np.kron(ops[0], np.kron(ops[1], ops[2]))
 
 
-def init_walker_state(coin_state: np.ndarray, lattice: PositionLattice) -> WalkerState:
-    """Place a unit-norm coin vector at the position origin.
+def init_walker_state(coin_state: np.ndarray) -> WalkerState:
+    """Place a unit-norm coin vector at the position origin (t = 0).
 
     Args:
         coin_state: 8-component complex vector, unit norm to 1e-10.
-        lattice: position lattice; must satisfy the caller's headroom needs.
 
     Raises:
         ValueError: non-normalized coin state or wrong length.
@@ -110,10 +81,7 @@ def init_walker_state(coin_state: np.ndarray, lattice: PositionLattice) -> Walke
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"coin_state must have unit norm, got {norm!r}")
-    L = lattice.size
-    t = np.zeros((8, L, L, L), dtype=complex)
-    t[:, lattice.half_extent, lattice.half_extent, lattice.half_extent] = v
-    return WalkerState(lattice, t)
+    return WalkerState(v.reshape(8, 1, 1, 1).copy())
 
 
 def state_norm(state: WalkerState) -> float:
@@ -123,7 +91,7 @@ def state_norm(state: WalkerState) -> float:
 
 def _apply_coin_register_op(state: WalkerState, op8: np.ndarray) -> WalkerState:
     flat = state.tensor.reshape(8, -1)
-    return WalkerState(state.lattice, (op8 @ flat).reshape(state.tensor.shape))
+    return WalkerState((op8 @ flat).reshape(state.tensor.shape))
 
 
 def lift_single_coin(m: np.ndarray, player: int) -> np.ndarray:
@@ -186,50 +154,18 @@ def apply_controlled_coin(
     return _apply_coin_register_op(state, controlled_coin_operator(player, *mats))
 
 
-# the position update is a fixed permutation of amplitudes; cache it per size
-_SHIFT_PERMUTATIONS: dict[int, np.ndarray] = {}
-
-
-def _shift_permutation(size: int) -> np.ndarray:
-    perm = _SHIFT_PERMUTATIONS.get(size)
-    if perm is None:
-        idx = np.arange(8 * size**3).reshape(8, size, size, size)
-        out = np.empty_like(idx)
-        for c in range(8):
-            shifts = tuple(1 if (c >> (2 - a)) & 1 else -1 for a in range(3))
-            out[c] = np.roll(idx[c], shift=shifts, axis=(0, 1, 2))
-        perm = out.reshape(-1)
-        _SHIFT_PERMUTATIONS[size] = perm
-    return perm
-
-
 def apply_position_update(state: WalkerState) -> WalkerState:
     """Shift axis i by +1 where player i's coin is |R> and -1 where |L>.
 
-    Raises:
-        BoundaryOverflowError: nonzero amplitude sits at the lattice edge
-            in the direction of its shift.
+    In count space the |R> branch of axis i advances n_i by one while the
+    |L> branch keeps it, and every axis grows by one site.
     """
-    t = state.qubit_view()
-    for axis in range(3):
-        # the slice about to leave the lattice must be empty
-        edge_lo = [slice(None)] * 6
-        edge_lo[axis] = 0
-        edge_lo[3 + axis] = 0
-        edge_hi = [slice(None)] * 6
-        edge_hi[axis] = 1
-        edge_hi[3 + axis] = -1
-        if np.any(t[tuple(edge_lo)] != 0):
-            raise BoundaryOverflowError(
-                f"amplitude at x{axis + 1} = -{state.lattice.half_extent} cannot shift down"
-            )
-        if np.any(t[tuple(edge_hi)] != 0):
-            raise BoundaryOverflowError(
-                f"amplitude at x{axis + 1} = +{state.lattice.half_extent} cannot shift up"
-            )
-    L = state.lattice.size
-    shifted = np.take(state.tensor.reshape(-1), _shift_permutation(L))
-    return WalkerState(state.lattice, shifted.reshape(8, L, L, L))
+    t = state.rounds
+    shifted = np.zeros((8, t + 2, t + 2, t + 2), dtype=complex)
+    for c in range(8):
+        b1, b2, b3 = (c >> 2) & 1, (c >> 1) & 1, c & 1
+        shifted[c, b1:b1 + t + 1, b2:b2 + t + 1, b3:b3 + t + 1] = state.tensor[c]
+    return WalkerState(shifted)
 
 
 # --- dense verification oracle -------------------------------------------
@@ -248,25 +184,20 @@ def _dense_shift_matrix(size: int) -> np.ndarray:
     return s
 
 
-def dense_round_matrix(lattice: PositionLattice, coin_ops: CoinOpSpec) -> np.ndarray:
-    """Full round unitary by Kronecker assembly: tosses 1..3, then the shift.
-
-    ``coin_ops`` holds one entry per player: a plain 2x2 matrix for an
-    unconditional toss or a 4-tuple (m_rr, m_rl, m_lr, m_ll) for a
-    neighbor-conditioned one.
-    """
-    if lattice.half_extent > MAX_ORACLE_HALF_EXTENT:
+def _dense_round_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.ndarray]:
+    """Dense factors of one round in application order, each assembled by
+    Kronecker products: the tosses of players 1..3, then the shift."""
+    if not 1 <= half_extent <= MAX_ORACLE_HALF_EXTENT:
         raise ValueError(
-            f"dense oracle supports half_extent <= {MAX_ORACLE_HALF_EXTENT}, "
-            f"got {lattice.half_extent}"
+            f"dense oracle supports 1 <= half_extent <= {MAX_ORACLE_HALF_EXTENT}, "
+            f"got {half_extent}"
         )
     if len(coin_ops) != 3:
         raise ValueError("coin_ops must hold one entry per player")
-    L = lattice.size
+    L = 2 * half_extent + 1
     eye_pos = np.eye(L, dtype=complex)
     s = _dense_shift_matrix(L)
     dim = 8 * L**3
-    u = np.eye(dim, dtype=complex)
     for player, spec in enumerate(coin_ops, start=1):
         if isinstance(spec, tuple) and len(spec) == 4:
             coin_part = np.zeros((8, 8), dtype=complex)
@@ -283,7 +214,7 @@ def dense_round_matrix(lattice: PositionLattice, coin_ops: CoinOpSpec) -> np.nda
             ops = [_I2, _I2, _I2]
             ops[player - 1] = np.asarray(spec, dtype=complex)
             coin_part = _kron3(ops)
-        u = np.kron(coin_part, np.kron(eye_pos, np.kron(eye_pos, eye_pos))) @ u
+        yield np.kron(coin_part, np.kron(eye_pos, np.kron(eye_pos, eye_pos)))
     upos = np.zeros((dim, dim), dtype=complex)
     for c in range(8):
         bits = ((c >> 2) & 1, (c >> 1) & 1, c & 1)
@@ -292,16 +223,47 @@ def dense_round_matrix(lattice: PositionLattice, coin_ops: CoinOpSpec) -> np.nda
         upos += np.kron(
             _kron3(proj), np.kron(shifts[0], np.kron(shifts[1], shifts[2]))
         )
-    return upos @ u
+    yield upos
 
 
-def dense_step_oracle(state: WalkerState, coin_ops: CoinOpSpec) -> WalkerState:
-    """Apply one full round through the explicitly assembled dense matrix.
+def dense_round_matrix(half_extent: int, coin_ops: CoinOpSpec) -> np.ndarray:
+    """Full round unitary on the position lattice -half_extent..half_extent
+    per axis by Kronecker assembly: tosses 1..3, then the shift.
+
+    ``coin_ops`` holds one entry per player: a plain 2x2 matrix for an
+    unconditional toss or a 4-tuple (m_rr, m_rl, m_lr, m_ll) for a
+    neighbor-conditioned one.
+    """
+    factors = _dense_round_factors(half_extent, coin_ops)
+    u = next(factors)
+    for factor in factors:
+        u = factor @ u
+    return u
+
+
+def dense_positions(state: WalkerState, half_extent: int) -> np.ndarray:
+    """Amplitudes of a count state on the position lattice
+    -half_extent..half_extent per axis, shape (8, L, L, L) with
+    L = 2*half_extent + 1; count index n lands at x = 2n - t."""
+    t = state.rounds
+    if t > half_extent:
+        raise ValueError(f"a state after {t} rounds does not fit half_extent {half_extent}")
+    L = 2 * half_extent + 1
+    dense = np.zeros((8, L, L, L), dtype=complex)
+    sites = slice(half_extent - t, half_extent + t + 1, 2)
+    dense[:, sites, sites, sites] = state.tensor
+    return dense
+
+
+def dense_step_oracle(amplitudes: np.ndarray, coin_ops: CoinOpSpec) -> np.ndarray:
+    """Apply one full round to position-lattice amplitudes (8, L, L, L)
+    through the explicitly assembled dense factors of dense_round_matrix.
 
     Independent of the structured path; intended for small-lattice
     verification. Requires interior support (the cyclic dense shift and
     the structured shift agree exactly away from the boundary).
     """
-    u = dense_round_matrix(state.lattice, coin_ops)
-    vec = u @ state.tensor.reshape(-1)
-    return WalkerState(state.lattice, vec.reshape(state.tensor.shape))
+    vec = amplitudes.reshape(-1)
+    for factor in _dense_round_factors((amplitudes.shape[1] - 1) // 2, coin_ops):
+        vec = factor @ vec
+    return vec.reshape(amplitudes.shape)

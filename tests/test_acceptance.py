@@ -25,10 +25,10 @@ from qparrondo import (
     W,
     CoinParams,
     GameBParams,
-    PositionLattice,
     SimulationConfig,
     Verdict,
     coin_unitary,
+    dense_positions,
     dense_step_oracle,
     discriminate,
     entangler_j,
@@ -96,17 +96,17 @@ def omega_table():
 
 
 def test_criterion_1_fair_toss_state_identity():
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     fair = coin_unitary(CoinParams(0.5))
     for player in (1, 2, 3):
         st = qp.apply_coin_matrix(st, player, fair)
-    coin_vec = st.tensor[:, 2, 2, 2]
+    coin_vec = st.tensor[:, 0, 0, 0]
     expect = np.array([1 - 1j, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1 - 1j]) / 4
     dev = float(np.max(np.abs(coin_vec - expect)))
     report("1a exact coin vector after one fair triple toss", dev <= 1e-12, f"dev={dev:.2e}")
     for player in (1, 2, 3):
         st = qp.apply_coin_matrix(st, player, fair)
-    overlap = abs(np.vdot(initial_coin_state(GHZ), st.tensor[:, 2, 2, 2]))
+    overlap = abs(np.vdot(initial_coin_state(GHZ), st.tensor[:, 0, 0, 0]))
     report(
         "1b second triple toss returns GHZ up to phase",
         abs(overlap - 1.0) <= 1e-10,
@@ -284,15 +284,15 @@ def test_criterion_7_oracle_equivalence():
     special = coin_unitary(CoinParams(0.3))
     worst = 0.0
     for initial in (GHZ, SEPARABLE):
-        st = init_walker_state(initial_coin_state(initial), PositionLattice(2))
+        st = init_walker_state(initial_coin_state(initial))
         cfg = config(initial, PURE_B, rho4=0.3, rounds=2)
         for label, ops in (
             ("A", [fair] * 3),
             ("B", [(fair, fair, fair, special)] * 3),
         ):
-            structured = step_round(st, label, cfg)
-            dense = dense_step_oracle(st, ops)
-            worst = max(worst, float(np.max(np.abs(structured.tensor - dense.tensor))))
+            structured = dense_positions(step_round(st, label, cfg), 2)
+            dense = dense_step_oracle(dense_positions(st, 2), ops)
+            worst = max(worst, float(np.max(np.abs(structured - dense))))
     report("7 structured rounds match the dense oracle (T=2)", worst <= 1e-10, f"max dev={worst:.2e}")
 
 
@@ -312,16 +312,15 @@ def test_criterion_8a_unitarity_over_random_draws():
 
 def test_criterion_8b_norm_support_parity_every_round():
     cfg = config(SEPARABLE, periodic(2, 2), rho4=0.3)
-    lat = PositionLattice(ROUNDS)
-    st = init_walker_state(initial_coin_state(SEPARABLE), lat)
+    st = init_walker_state(initial_coin_state(SEPARABLE))
     schedule = qp.build_schedule(cfg.scheme, ROUNDS, np.random.default_rng(0))
-    coords = lat.coordinates
+    coords = np.arange(-ROUNDS, ROUNDS + 1)
     worst_norm = 0.0
     leakage = 0.0
     for t, label in enumerate(schedule, start=1):
         st = step_round(st, label, cfg)
         worst_norm = max(worst_norm, abs(state_norm(st) - 1.0))
-        prob = np.abs(st.tensor) ** 2
+        prob = np.abs(dense_positions(st, ROUNDS)) ** 2
         for axis in range(3):
             marginal = prob.sum(axis=tuple(a for a in range(4) if a != 1 + axis))
             leakage = max(leakage, float(marginal[np.abs(coords) > t].sum()))
@@ -362,11 +361,11 @@ def test_criterion_9_discriminator():
     )
     # exact spread of the coordinate-sum statistic under the final state
     cfg = config(W, PURE_A)
-    final = qp.init_walker_state(initial_coin_state(W), PositionLattice(ROUNDS))
+    final = qp.init_walker_state(initial_coin_state(W))
     for _ in range(ROUNDS):
         final = step_round(final, "A", cfg)
     joint = position_distribution(final)
-    coords = PositionLattice(ROUNDS).coordinates
+    coords = final.coordinates
     sums = coords[:, None, None] + coords[None, :, None] + coords[None, None, :]
     mean = float((joint * sums).sum())
     var = float((joint * (sums - mean) ** 2).sum())

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from qparrondo.cli import cli_main
 
 
@@ -165,6 +167,44 @@ def test_json_config_rejects_unknown_fields(tmp_path, capsys):
     code = cli_main(["run", "--config", str(config)])
     assert code != 0
     assert "bogus_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"rho4": None}, "rho4"),
+        ({"rounds": "16"}, "rounds"),
+        ({"rounds": 16.5}, "rounds"),
+        ({"seed": True}, "seed"),
+        ({"initial": 3}, "initial"),
+    ],
+)
+def test_json_config_rejects_wrong_types(tmp_path, capsys, fields, name):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    assert cli_main(["run", "--config", str(config)]) == 2
+    assert repr(name) in capsys.readouterr().err
+
+
+def test_json_config_must_be_an_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    assert cli_main(["run", "--config", str(config)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep-rho4", "sweep-phase", "sweep-omega"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_must_be_positive(capsys, command, workers):
+    assert cli_main([command, "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-rho4", "discriminate"])
+def test_rounds_beyond_physical_memory_rejected(capsys, command):
+    # rejected from the state size alone, before any walker state exists
+    assert cli_main([command, "--rounds", "100000"]) == 2
+    assert "rounds 100000" in capsys.readouterr().err
 
 
 def test_cli_reruns_are_byte_identical(tmp_path):

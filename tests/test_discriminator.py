@@ -69,6 +69,8 @@ def test_input_validation():
         discriminate(initial_coin_state(GHZ), mode="sampled", shots=0)
     with pytest.raises(ValueError, match="rounds"):
         discriminate(initial_coin_state(GHZ), rounds=0)
+    with pytest.raises(ValueError, match="physical memory"):
+        discriminate(initial_coin_state(GHZ), rounds=100_000)
     with pytest.raises(ValueError, match="mode"):
         discriminate(initial_coin_state(GHZ), mode="guess")
     with pytest.raises(ValueError, match="components"):

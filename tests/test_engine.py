@@ -10,9 +10,9 @@ from qparrondo import (
     W,
     CoinParams,
     GameBParams,
-    PositionLattice,
     SimulationConfig,
     build_schedule,
+    dense_positions,
     dense_step_oracle,
     init_walker_state,
     initial_coin_state,
@@ -70,6 +70,8 @@ def test_config_validation():
         SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=0)
     with pytest.raises(ValueError, match="runs"):
         SimulationConfig(initial=GHZ, scheme=PURE_A, runs=0)
+    with pytest.raises(ValueError, match="physical memory"):
+        SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=100_000)
 
 
 def test_step_round_b_with_equal_branches_matches_a():
@@ -77,7 +79,7 @@ def test_step_round_b_with_equal_branches_matches_a():
     config_b = SimulationConfig(
         initial=SEPARABLE, scheme=PURE_B, game_b=GameBParams.from_rhos()
     )
-    st = init_walker_state(initial_coin_state(SEPARABLE), PositionLattice(4))
+    st = init_walker_state(initial_coin_state(SEPARABLE))
     a = step_round(st, "A", config_a)
     b = step_round(st, "B", config_b)
     assert np.max(np.abs(a.tensor - b.tensor)) < 1e-12
@@ -85,19 +87,18 @@ def test_step_round_b_with_equal_branches_matches_a():
 
 def test_step_round_a_distributes_toss_result_over_shifted_positions():
     config = SimulationConfig(initial=GHZ, scheme=PURE_A)
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     out = step_round(st, "A", config)
     expect = np.array([1 - 1j, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1 - 1j]) / 4
-    T = 2
     for c in range(8):
-        x = [T + (1 if (c >> (2 - a)) & 1 else -1) for a in range(3)]
-        assert abs(out.tensor[c, x[0], x[1], x[2]] - expect[c]) < 1e-12
+        n = [(c >> (2 - a)) & 1 for a in range(3)]
+        assert abs(out.tensor[c, n[0], n[1], n[2]] - expect[c]) < 1e-12
     assert np.count_nonzero(out.tensor) == 8
 
 
 def test_step_round_rejects_bad_label():
     config = SimulationConfig(initial=GHZ, scheme=PURE_A)
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     with pytest.raises(ValueError, match="label"):
         step_round(st, "C", config)
 
@@ -108,10 +109,11 @@ def test_coin_marginal_after_two_a_rounds_is_uniform():
     # a uniform coin distribution (the tosses alone would restore the
     # initial entangled state)
     config = SimulationConfig(initial=GHZ, scheme=PURE_A)
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     for _ in range(2):
         st = step_round(st, "A", config)
-    assert np.max(np.abs(st.coin_marginal() - 0.125)) < 1e-12
+    coin_marginal = (np.abs(st.tensor) ** 2).reshape(8, -1).sum(axis=1)
+    assert np.max(np.abs(coin_marginal - 0.125)) < 1e-12
 
 
 def test_run_simulation_ghz_pure_a_fair_every_round():
@@ -152,14 +154,13 @@ def test_norm_and_support_every_round():
         initial=SEPARABLE, scheme=periodic(2, 2), game_b=GameBParams.from_rhos(rho4=0.3)
     )
     rounds = 8
-    lat = PositionLattice(rounds)
-    st = init_walker_state(initial_coin_state(SEPARABLE), lat)
+    st = init_walker_state(initial_coin_state(SEPARABLE))
     schedule = build_schedule(config.scheme, rounds, rng_for())
-    coords = lat.coordinates
+    coords = np.arange(-rounds, rounds + 1)
     for t, label in enumerate(schedule, start=1):
         st = step_round(st, label, config)
         assert abs(state_norm(st) - 1.0) < 1e-10
-        prob = np.abs(st.tensor) ** 2
+        prob = np.abs(dense_positions(st, rounds)) ** 2
         for axis in range(3):
             marginal = prob.sum(axis=tuple(a for a in range(4) if a != 1 + axis))
             beyond = np.abs(coords) > t
@@ -200,8 +201,31 @@ def test_one_round_matches_dense_oracle_both_labels():
     )
     fair = coin_unitary(CoinParams(0.5))
     special = coin_unitary(CoinParams(rho4))
-    st = init_walker_state(initial_coin_state(SEPARABLE), PositionLattice(2))
-    dense_a = dense_step_oracle(st, [fair] * 3)
-    assert np.max(np.abs(step_round(st, "A", config).tensor - dense_a.tensor)) < 1e-10
-    dense_b = dense_step_oracle(st, [(fair, fair, fair, special)] * 3)
-    assert np.max(np.abs(step_round(st, "B", config).tensor - dense_b.tensor)) < 1e-10
+    st = init_walker_state(initial_coin_state(SEPARABLE))
+    dense_a = dense_step_oracle(dense_positions(st, 2), [fair] * 3)
+    assert np.max(np.abs(dense_positions(step_round(st, "A", config), 2) - dense_a)) < 1e-10
+    dense_b = dense_step_oracle(dense_positions(st, 2), [(fair, fair, fair, special)] * 3)
+    assert np.max(np.abs(dense_positions(step_round(st, "B", config), 2) - dense_b)) < 1e-10
+
+
+@pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE])
+def test_three_mixed_rounds_match_dense_oracle(initial):
+    # the count window grows every round; each round is checked against
+    # the dense Kronecker round on the fixed lattice -3..3
+    theta, phi = 0.7, 1.9
+    config = SimulationConfig(
+        initial=initial,
+        scheme=PURE_B,
+        coin_a=CoinParams(0.4, theta, phi),
+        game_b=GameBParams.from_rhos(0.6, 0.5, 0.3, 0.2, theta, phi),
+    )
+    b = config.game_b
+    ops = {
+        "A": [coin_unitary(config.coin_a)] * 3,
+        "B": [tuple(coin_unitary(p) for p in (b.ww, b.wl, b.lw, b.ll))] * 3,
+    }
+    st = init_walker_state(initial_coin_state(initial))
+    for label in "BAB":
+        dense = dense_step_oracle(dense_positions(st, 3), ops[label])
+        st = step_round(st, label, config)
+        assert np.max(np.abs(dense_positions(st, 3) - dense)) < 1e-10

@@ -9,7 +9,6 @@ from qparrondo import (
     SEPARABLE,
     GameVerdict,
     PayoffSeries,
-    PositionLattice,
     SimulationConfig,
     Verdict,
     WalkerState,
@@ -25,48 +24,46 @@ from qparrondo import (
 )
 
 
-def place(c, x1, x2, x3, T=2):
-    L = 2 * T + 1
-    t = np.zeros((8, L, L, L), dtype=complex)
-    t[c, T + x1, T + x2, T + x3] = 1.0
-    return WalkerState(PositionLattice(T), t)
+def place(c, x1, x2, x3, t):
+    """Unit amplitude of coin c at position (x1, x2, x3) after t rounds."""
+    amps = np.zeros((8, t + 1, t + 1, t + 1), dtype=complex)
+    amps[c, (x1 + t) // 2, (x2 + t) // 2, (x3 + t) // 2] = 1.0
+    return WalkerState(amps)
 
 
 def test_expected_position_origin():
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     for axis in (1, 2, 3):
         assert expected_position(st, axis) == 0.0
 
 
 def test_expected_position_basis_state():
-    st = place(0b111, 1, 1, 1)
+    st = place(0b111, 1, 1, 1, t=1)
     for axis in (1, 2, 3):
         assert abs(expected_position(st, axis) - 1.0) < 1e-15
 
 
 def test_expected_position_axis_validation():
-    st = place(0, 0, 0, 0)
+    st = place(0, 0, 0, 0, t=0)
     with pytest.raises(ValueError, match="axis"):
         expected_position(st, 0)
 
 
 def test_expected_position_ghz_after_one_update():
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     st = apply_position_update(st)
     for axis in (1, 2, 3):
         assert abs(expected_position(st, axis)) < 1e-15
 
 
 def test_average_gain_arithmetic_mean():
-    mix = place(0, 1, 1, -2).tensor * 0
-    # amplitude split so <x> = (1, 1, -2)
-    mix[0, 2 + 1, 2 + 1, 2 - 2] = 1.0
-    st = WalkerState(PositionLattice(2), mix)
+    st = place(0, 2, 2, -4, t=4)
+    assert [expected_position(st, axis) for axis in (1, 2, 3)] == [2.0, 2.0, -4.0]
     assert abs(average_capital_gain(st)) < 1e-15
 
 
 def test_position_distribution_sums_to_one():
-    st = init_walker_state(initial_coin_state(SEPARABLE), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(SEPARABLE))
     assert abs(position_distribution(st).sum() - 1.0) < 1e-12
 
 

@@ -7,14 +7,13 @@ import pytest
 from qparrondo import (
     GHZ,
     SEPARABLE,
-    BoundaryOverflowError,
     CoinParams,
-    PositionLattice,
     WalkerState,
     apply_coin_matrix,
     apply_controlled_coin,
     apply_position_update,
     coin_unitary,
+    dense_positions,
     dense_round_matrix,
     dense_step_oracle,
     init_walker_state,
@@ -37,24 +36,20 @@ def basis_coin(c):
 
 
 def origin_amplitudes(state):
-    T = state.lattice.half_extent
-    return state.tensor[:, T, T, T]
-
-
-def test_lattice_validation():
-    with pytest.raises(ValueError, match="half_extent"):
-        PositionLattice(0)
-    assert PositionLattice(2).size == 5
+    return state.tensor[:, 0, 0, 0]
 
 
 def test_init_places_basis_state_at_origin():
-    st = init_walker_state(basis_coin(0), PositionLattice(2))
-    assert st.tensor[0, 2, 2, 2] == 1.0
+    st = init_walker_state(basis_coin(0))
+    assert st.tensor.shape == (8, 1, 1, 1)
+    assert st.rounds == 0
+    assert np.array_equal(st.coordinates, [0])
+    assert st.tensor[0, 0, 0, 0] == 1.0
     assert np.count_nonzero(st.tensor) == 1
 
 
 def test_init_places_ghz():
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     amps = origin_amplitudes(st)
     assert abs(amps[0] - 1 / math.sqrt(2)) < 1e-15
     assert abs(amps[7] - 1 / math.sqrt(2)) < 1e-15
@@ -63,31 +58,31 @@ def test_init_places_ghz():
 
 def test_init_rejects_unnormalized():
     with pytest.raises(ValueError, match="norm"):
-        init_walker_state(basis_coin(0) * 0.9, PositionLattice(2))
+        init_walker_state(basis_coin(0) * 0.9)
 
 
 def test_state_norm():
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     assert abs(state_norm(st) - 1.0) < 1e-12
-    zero = WalkerState(st.lattice, np.zeros_like(st.tensor))
+    zero = WalkerState(np.zeros_like(st.tensor))
     assert state_norm(zero) == 0.0
 
 
 def test_identity_coin_leaves_state_unchanged():
-    st = init_walker_state(initial_coin_state(SEPARABLE), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(SEPARABLE))
     out = apply_coin_matrix(st, 2, np.eye(2))
     assert np.array_equal(out.tensor, st.tensor)
 
 
 def test_fair_triple_toss_on_ghz_gives_expected_coin_vector():
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     for player in (1, 2, 3):
         st = apply_coin_matrix(st, player, FAIR)
     assert np.max(np.abs(origin_amplitudes(st) - EQ_STATE)) < 1e-12
 
 
 def test_second_triple_toss_returns_ghz_up_to_phase():
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     for _ in range(2):
         for player in (1, 2, 3):
             st = apply_coin_matrix(st, player, FAIR)
@@ -96,28 +91,28 @@ def test_second_triple_toss_returns_ghz_up_to_phase():
 
 
 def test_apply_coin_rejects_non_unitary():
-    st = init_walker_state(basis_coin(0), PositionLattice(2))
+    st = init_walker_state(basis_coin(0))
     with pytest.raises(ValueError, match="unitary"):
         apply_coin_matrix(st, 1, np.array([[1.0, 0.0], [0.0, 0.5]]))
 
 
 @pytest.mark.parametrize("player", [0, 4, -1])
 def test_apply_coin_rejects_bad_player(player):
-    st = init_walker_state(basis_coin(0), PositionLattice(2))
+    st = init_walker_state(basis_coin(0))
     with pytest.raises(ValueError, match="player"):
         apply_coin_matrix(st, player, FAIR)
 
 
 def test_coin_norm_preserved():
     rng = np.random.default_rng(3)
-    st = init_walker_state(initial_coin_state(SEPARABLE), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(SEPARABLE))
     m = coin_unitary(CoinParams(rng.random(), rng.uniform(0, 7), rng.uniform(0, 7)))
     out = apply_coin_matrix(st, 3, m)
     assert abs(state_norm(out) - state_norm(st)) < 1e-12
 
 
 def test_game_a_tosses_commute_across_players():
-    st = init_walker_state(initial_coin_state(SEPARABLE), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(SEPARABLE))
     results = []
     for order in itertools.permutations((1, 2, 3)):
         out = st
@@ -129,7 +124,7 @@ def test_game_a_tosses_commute_across_players():
 
 
 def test_controlled_identity_branches_leave_state_unchanged():
-    st = init_walker_state(initial_coin_state(SEPARABLE), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(SEPARABLE))
     eye = np.eye(2)
     out = apply_controlled_coin(st, 1, eye, eye, eye, eye)
     assert np.max(np.abs(out.tensor - st.tensor)) < 1e-15
@@ -138,7 +133,7 @@ def test_controlled_identity_branches_leave_state_unchanged():
 def test_controlled_coin_selects_branch_by_ring_neighbors():
     # player 1 in |LRR>: predecessor (player 3) and successor (player 2)
     # both hold |R>, so only the rr branch acts: |LRR> -> i|RRR>
-    st = init_walker_state(basis_coin(0b011), PositionLattice(2))
+    st = init_walker_state(basis_coin(0b011))
     eye = np.eye(2)
     out = apply_controlled_coin(st, 1, FLIP, eye, eye, eye)
     expect = np.zeros(8, dtype=complex)
@@ -147,7 +142,7 @@ def test_controlled_coin_selects_branch_by_ring_neighbors():
 
 
 def test_controlled_coin_with_equal_branches_matches_single_coin():
-    st = init_walker_state(initial_coin_state(SEPARABLE), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(SEPARABLE))
     m = coin_unitary(CoinParams(0.3, 1.0, 2.0))
     for player in (1, 2, 3):
         conditional = apply_controlled_coin(st, player, m, m, m, m)
@@ -156,7 +151,7 @@ def test_controlled_coin_with_equal_branches_matches_single_coin():
 
 
 def test_controlled_coin_rejects_non_unitary_branch():
-    st = init_walker_state(basis_coin(0), PositionLattice(2))
+    st = init_walker_state(basis_coin(0))
     eye = np.eye(2)
     bad = np.array([[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(ValueError, match="m_lr"):
@@ -164,48 +159,34 @@ def test_controlled_coin_rejects_non_unitary_branch():
 
 
 def test_position_update_moves_all_r_up():
-    st = init_walker_state(basis_coin(0b111), PositionLattice(2))
+    st = init_walker_state(basis_coin(0b111))
     out = apply_position_update(st)
-    assert out.tensor[0b111, 3, 3, 3] == 1.0
+    assert out.tensor.shape == (8, 2, 2, 2)
+    assert np.array_equal(out.coordinates, [-1, 1])
+    assert out.tensor[0b111, 1, 1, 1] == 1.0
     assert np.count_nonzero(out.tensor) == 1
 
 
 def test_position_update_splits_ghz():
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(2))
+    st = init_walker_state(initial_coin_state(GHZ))
     out = apply_position_update(st)
-    assert abs(out.tensor[0, 1, 1, 1] - 1 / math.sqrt(2)) < 1e-15
-    assert abs(out.tensor[7, 3, 3, 3] - 1 / math.sqrt(2)) < 1e-15
+    assert abs(out.tensor[0, 0, 0, 0] - 1 / math.sqrt(2)) < 1e-15
+    assert abs(out.tensor[7, 1, 1, 1] - 1 / math.sqrt(2)) < 1e-15
     assert np.count_nonzero(out.tensor) == 2
 
 
 def test_position_update_is_norm_preserving_permutation():
     rng = np.random.default_rng(11)
-    lat = PositionLattice(3)
-    t = np.zeros((8, 7, 7, 7), dtype=complex)
-    t[:, 1:-1, 1:-1, 1:-1] = rng.standard_normal((8, 5, 5, 5)) + 1j * rng.standard_normal(
-        (8, 5, 5, 5)
-    )
+    t = rng.standard_normal((8, 5, 5, 5)) + 1j * rng.standard_normal((8, 5, 5, 5))
     t /= np.linalg.norm(t)
-    out = apply_position_update(WalkerState(lat, t))
+    out = apply_position_update(WalkerState(t))
+    assert out.tensor.shape == (8, 6, 6, 6)
     assert abs(state_norm(out) - 1.0) < 1e-12
 
 
-def test_position_update_boundary_overflow():
-    lat = PositionLattice(2)
-    t = np.zeros((8, 5, 5, 5), dtype=complex)
-    t[0b100, 4, 2, 2] = 1.0  # player 1 coin |R> at x1 = +T
-    with pytest.raises(BoundaryOverflowError, match="x1"):
-        apply_position_update(WalkerState(lat, t))
-    t = np.zeros((8, 5, 5, 5), dtype=complex)
-    t[0b000, 2, 2, 0] = 1.0  # player 3 coin |L> at x3 = -T
-    with pytest.raises(BoundaryOverflowError, match="x3"):
-        apply_position_update(WalkerState(lat, t))
-
-
 def test_global_phase_invariance():
-    lat = PositionLattice(2)
-    a = init_walker_state(initial_coin_state(GHZ), lat)
-    b = init_walker_state(np.exp(0.7j) * initial_coin_state(GHZ), lat)
+    a = init_walker_state(initial_coin_state(GHZ))
+    b = init_walker_state(np.exp(0.7j) * initial_coin_state(GHZ))
     for player in (1, 2, 3):
         a = apply_coin_matrix(a, player, FAIR)
         b = apply_coin_matrix(b, player, FAIR)
@@ -240,21 +221,32 @@ def structured_round(state, coin_ops):
 @pytest.mark.parametrize("ops_factory", [game_a_ops, game_b_ops])
 @pytest.mark.parametrize("initial", [GHZ, SEPARABLE])
 def test_dense_oracle_matches_structured_round(ops_factory, initial):
-    lat = PositionLattice(2)
-    st = init_walker_state(initial_coin_state(initial), lat)
+    st = init_walker_state(initial_coin_state(initial))
     ops = ops_factory()
-    dense = dense_step_oracle(st, ops)
-    structured = structured_round(st, ops)
-    assert np.max(np.abs(dense.tensor - structured.tensor)) < 1e-10
+    dense = dense_step_oracle(dense_positions(st, 2), ops)
+    structured = dense_positions(structured_round(st, ops), 2)
+    assert np.max(np.abs(dense - structured)) < 1e-10
 
 
 def test_dense_round_matrix_is_unitary():
-    m = dense_round_matrix(PositionLattice(2), game_b_ops(0.5))
+    m = dense_round_matrix(2, game_b_ops(0.5))
     dim = m.shape[0]
     assert np.max(np.abs(m.conj().T @ m - np.eye(dim))) < 1e-10
 
 
 def test_dense_oracle_size_guard():
-    st = init_walker_state(initial_coin_state(GHZ), PositionLattice(16))
+    st = init_walker_state(initial_coin_state(GHZ))
     with pytest.raises(ValueError, match="half_extent"):
-        dense_step_oracle(st, game_a_ops())
+        dense_step_oracle(dense_positions(st, 16), game_a_ops())
+    with pytest.raises(ValueError, match="half_extent"):
+        dense_round_matrix(0, game_a_ops())
+
+
+def test_dense_positions_places_counts_at_x_2n_minus_t():
+    st = apply_position_update(apply_position_update(init_walker_state(basis_coin(0b100))))
+    dense = dense_positions(st, 3)
+    # two |R> steps on axis 1 and two |L> steps on axes 2 and 3
+    assert dense[0b100, 3 + 2, 3 - 2, 3 - 2] == 1.0
+    assert np.count_nonzero(dense) == 1
+    with pytest.raises(ValueError, match="half_extent"):
+        dense_positions(st, 1)
