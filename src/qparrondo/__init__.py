@@ -10,11 +10,8 @@ GHZ/W discriminator, and sweep drivers with CSV output.
 
 from .classical import (
     ClassicalSeries,
-    ClassicalState,
     CooperativeParams,
     OriginalParams,
-    cooperative_step,
-    original_step,
     run_classical,
 )
 from .coins import (
@@ -78,7 +75,6 @@ from .sweeps import (
 
 __all__ = [
     "ClassicalSeries",
-    "ClassicalState",
     "CoinParams",
     "CooperativeParams",
     "DiscriminationResult",
@@ -107,7 +103,6 @@ __all__ = [
     "build_schedule",
     "classify_game",
     "coin_unitary",
-    "cooperative_step",
     "dense_positions",
     "dense_round_matrix",
     "dense_step_oracle",
@@ -121,7 +116,6 @@ __all__ = [
     "init_walker_state",
     "initial_coin_state",
     "j_entangled",
-    "original_step",
     "parse_scheme",
     "periodic",
     "position_distribution",

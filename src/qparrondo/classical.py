@@ -4,9 +4,26 @@ the cooperative neighbor-conditioned variant on a ring of players.
 Trial k of a run draws every random number from a generator seeded by the
 key (seed, k), so any single trajectory is reproducible in isolation and
 aggregate results do not depend on execution order or chunking. Within a
-trial the stream is consumed in a fixed order: initial winner flags
-(cooperative only), then schedule labels (random mix only), then one win
-uniform per play.
+trial the stream is consumed in a fixed order:
+
+1. the initial winner flags, ``random(n_players) < 1/2`` (cooperative game
+   with random flags only);
+2. the schedule, ``integers(0, 2, size=rounds)`` with 1 meaning game B
+   (random mix only);
+3. one win uniform per play, ``random((rounds, n_players))``, row t holding
+   the players of round t in index order (one column for the original game).
+
+A play wins when its uniform u is below the win probability p of its game
+and branch. The distinct win probabilities of a parameter set (at most
+five), sorted, are the thresholds; each uniform is stored in one byte as its
+rank, the number of thresholds <= u. With k(p) the rank of p itself,
+u < p holds exactly when rank(u) < k(p), ties included, so the ranks replay
+the float decisions exactly. The round loop advances all trials of a chunk
+at once and looks each play's bound k up in a table indexed by the game and
+by the neighbors' winner flags (cooperative) or by the capital mod 3
+(original). The per-round sums over trials of the capital and of its square
+are exact integers formed after the loop. A run whose single trial cannot
+fit in physical memory is refused before anything is drawn.
 """
 from __future__ import annotations
 
@@ -14,7 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GameScheme, build_schedule
+from .engine import GameScheme, _physical_memory_bytes, schedule_mask
+
+# Bytes of per-trial state that one chunk of trials may hold: each trial
+# keeps ``rounds * (players + 2)`` bytes of draw ranks, schedule and wins.
+_CHUNK_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -86,63 +107,6 @@ class CooperativeParams:
 
 
 @dataclass
-class ClassicalState:
-    capitals: np.ndarray  # int, one per player
-    winner_flags: np.ndarray  # bool, one per player
-    time: int = 0
-
-
-def original_step(
-    capital: int, label: str, params: OriginalParams, rng: np.random.Generator
-) -> int:
-    """One play of the original pair: +1 on a win, -1 on a loss."""
-    if label == "A":
-        p = params.win_a
-    else:
-        p = params.win_b1 if capital % 3 == 0 else params.win_b2
-    return capital + (1 if rng.random() < p else -1)
-
-
-def _branch_probability(params: CooperativeParams, prev_won: bool, next_won: bool) -> float:
-    if prev_won and next_won:
-        return params.p1
-    if prev_won:
-        return params.p2
-    if next_won:
-        return params.p3
-    return params.p4
-
-
-def cooperative_step(
-    state: ClassicalState,
-    label: str,
-    params: CooperativeParams,
-    rng: np.random.Generator,
-) -> ClassicalState:
-    """Every player plays once in index order.
-
-    Game B selects the branch probability from the ring neighbors' winner
-    flags; with ``update_order="sequential"`` the flags are read live as
-    each player finishes, with ``"synchronous"`` from a snapshot taken at
-    the start of the round.
-    """
-    n = params.n_players
-    capitals = state.capitals.copy()
-    flags = state.winner_flags.copy()
-    snapshot = state.winner_flags.copy()
-    source = flags if params.update_order == "sequential" else snapshot
-    for i in range(n):
-        if label == "A":
-            p = params.pa
-        else:
-            p = _branch_probability(params, source[(i - 1) % n], source[(i + 1) % n])
-        won = rng.random() < p
-        capitals[i] += 1 if won else -1
-        flags[i] = won
-    return ClassicalState(capitals, flags, state.time + 1)
-
-
-@dataclass
 class ClassicalSeries:
     """Per-round mean average capital gain over trials, with standard errors."""
 
@@ -162,32 +126,128 @@ class ClassicalSeries:
         return float(self.stderr[-1])
 
 
-def _trial_streams(
+def _win_table(params: OriginalParams | CooperativeParams) -> np.ndarray:
+    """Win probability by game (row 0: A, row 1: B) and branch: column
+    2 * prev_won + next_won (cooperative) or capital mod 3 (original)."""
+    if isinstance(params, CooperativeParams):
+        pa = params.pa
+        return np.array([[pa, pa, pa, pa], [params.p4, params.p3, params.p2, params.p1]])
+    a = params.win_a
+    return np.array([[a, a, a], [params.win_b1, params.win_b2, params.win_b2]])
+
+
+def _check_trial_size(rounds: int, n: int) -> None:
+    """One trial must fit in physical memory: per round its float draws
+    (8n bytes), their comparison and rank temporaries (2n), stored ranks
+    (n), schedule and wins (2). Its squared capital must fit in int64."""
+    need = rounds * (11 * n + 2)
+    physical = _physical_memory_bytes()
+    if need > physical:
+        raise ValueError(
+            f"rounds {rounds} needs {need / 2**30:.3g} GiB of draws per trial "
+            f"at {n} per round, more than the {physical / 2**30:.3g} GiB of "
+            f"physical memory"
+        )
+    if (n * rounds) ** 2 >= 2**63:
+        raise ValueError(f"rounds {rounds} for {n} players overflows the int64 capital sums")
+
+
+def _replay_streams(
     params: OriginalParams | CooperativeParams,
     scheme: GameScheme,
     rounds: int,
     seed: int,
     trial_indices: range,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Pre-draw per-trial randomness for one chunk of trials."""
-    label_b = np.zeros((len(trial_indices), rounds), dtype=bool)
-    flags0 = None
+    thresholds: np.ndarray,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the streams of one chunk of trials, trial by trial.
+
+    Returns the draw ranks ``(rounds, trials, n)``, the game offsets
+    ``width * in_b`` (``(rounds, trials)`` for the random mix, drawn per
+    trial; ``(rounds, 1)`` for a fixed scheme) and the initial winner flags
+    ``(n, trials)``, all uint8.
+    """
     cooperative = isinstance(params, CooperativeParams)
     n = params.n_players if cooperative else 1
-    uniforms = np.empty((len(trial_indices), rounds, n))
-    if cooperative:
-        flags0 = np.empty((len(trial_indices), n), dtype=bool)
-    for row, k in enumerate(trial_indices):
+    m = len(trial_indices)
+    ranks = np.empty((rounds, m, n), dtype=np.uint8)
+    flags = np.zeros((n, m), dtype=np.uint8)
+    if cooperative and params.initial_flags == "winners":
+        flags[:] = 1
+    if scheme.is_random:
+        in_b = np.empty((rounds, m), dtype=bool)
+    else:
+        in_b = schedule_mask(scheme, rounds, None)[:, None]
+    uniforms = np.empty((rounds, n))
+    rank = np.empty((rounds, n), dtype=np.uint8)
+    for col, k in enumerate(trial_indices):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        if cooperative:
-            if params.initial_flags == "random":
-                flags0[row] = rng.random(n) < 0.5
-            else:
-                flags0[row] = params.initial_flags == "winners"
-        labels = build_schedule(scheme, rounds, rng)
-        label_b[row] = [lab == "B" for lab in labels]
-        uniforms[row] = rng.random((rounds, n))
-    return label_b, uniforms, flags0
+        if cooperative and params.initial_flags == "random":
+            flags[:, col] = rng.random(n) < 0.5
+        if scheme.is_random:
+            in_b[:, col] = schedule_mask(scheme, rounds, rng)
+        rng.random(out=uniforms)
+        np.greater_equal(uniforms, thresholds[0], out=rank)
+        for threshold in thresholds[1:]:
+            rank += uniforms >= threshold
+        ranks[:, col] = rank
+    return ranks, np.uint8(width) * in_b, flags
+
+
+def _play_cooperative(
+    params: CooperativeParams, ranks: np.ndarray, games: np.ndarray,
+    flags: np.ndarray, bound: np.ndarray,
+) -> np.ndarray:
+    """Winners per round and trial, ``(rounds, trials)`` int8."""
+    rounds, m, n = ranks.shape
+    wins = np.empty((rounds, m), dtype=np.int8)
+    sequential = params.update_order == "sequential"
+    for t in range(rounds):
+        source = flags if sequential else flags.copy()
+        rank, game = ranks[t], games[t]
+        for i in range(n):
+            index = game + 2 * source[i - 1] + source[(i + 1) % n]
+            np.less(rank[:, i], bound[index], out=flags[i])
+        np.sum(flags, axis=0, dtype=np.int8, out=wins[t])
+    return wins
+
+
+def _play_original(ranks: np.ndarray, games: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Wins (0/1) per round and trial, ``(rounds, trials)`` int8."""
+    rounds, m, _ = ranks.shape
+    wins = np.empty((rounds, m), dtype=np.int8)
+    # capital mod 3 after a loss (won = 0) or a win (won = 1)
+    step = np.array([2, 1, 0, 2, 1, 0], dtype=np.uint8)
+    mod3 = np.zeros(m, dtype=np.uint8)
+    for t in range(rounds):
+        won = ranks[t, :, 0] < bound[games[t] + mod3]
+        mod3 = step[2 * mod3 + won]
+        wins[t] = won
+    return wins
+
+
+def _capital_sums(wins: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """Per round, the sum over trials of the player-summed capital and of
+    its square, as exact integers."""
+    rounds, m = wins.shape
+    # a block of int64 running capitals takes at most an eighth of the
+    # budget, as a chunk holds at most _CHUNK_BYTES // 64 trials. A row's
+    # sum of squares, at most m (n rounds)^2, fits in int64: for m = 1 by
+    # the size check, otherwise because rounds (n + 2) <= _CHUNK_BYTES / 2
+    rows = max(1, _CHUNK_BYTES // (64 * m))
+    capital = np.zeros(m, dtype=np.int64)
+    sums: list[int] = []
+    squares: list[int] = []
+    for start in range(0, rounds, rows):
+        block = np.cumsum(wins[start:start + rows], axis=0, dtype=np.int64)
+        block *= 2
+        block -= n * np.arange(1, len(block) + 1)[:, None]
+        block += capital
+        sums += block.sum(axis=1).tolist()
+        squares += np.einsum("ij,ij->i", block, block).tolist()
+        capital = block[-1]
+    return sums, squares
 
 
 def run_classical(
@@ -208,46 +268,37 @@ def run_classical(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     cooperative = isinstance(params, CooperativeParams)
     n = params.n_players if cooperative else 1
-    gain_sum = np.zeros(rounds + 1)
-    gain_sq_sum = np.zeros(rounds + 1)
-    chunk = max(1, min(trials, 10_000_000 // (rounds * n)))
+    _check_trial_size(rounds, n)
+    table = _win_table(params)
+    width = table.shape[1]
+    thresholds = np.unique(table)
+    # k(p) of each table entry: a play wins when its draw's rank is below it
+    bound = np.searchsorted(thresholds, table.ravel(), side="right").astype(np.uint8)
+    sums = [0] * rounds
+    squares = [0] * rounds
+    chunk = max(1, min(trials, _CHUNK_BYTES // (rounds * (n + 2)), _CHUNK_BYTES // 64))
     for start in range(0, trials, chunk):
         idx = range(start, min(start + chunk, trials))
-        label_b, uniforms, flags0 = _trial_streams(params, scheme, rounds, seed, idx)
-        m = len(idx)
-        capitals = np.zeros((m, n), dtype=np.int64)
-        flags = flags0 if cooperative else None
-        for t in range(rounds):
-            in_b = label_b[:, t]
-            if cooperative:
-                snapshot = flags.copy()
-                source = flags if params.update_order == "sequential" else snapshot
-                for i in range(n):
-                    prev_won = source[:, (i - 1) % n]
-                    next_won = source[:, (i + 1) % n]
-                    p_b = np.where(
-                        prev_won & next_won,
-                        params.p1,
-                        np.where(
-                            prev_won, params.p2, np.where(next_won, params.p3, params.p4)
-                        ),
-                    )
-                    p = np.where(in_b, p_b, params.pa)
-                    won = uniforms[:, t, i] < p
-                    capitals[:, i] += np.where(won, 1, -1)
-                    flags[:, i] = won
-            else:
-                p_b = np.where(capitals[:, 0] % 3 == 0, params.win_b1, params.win_b2)
-                p = np.where(in_b, p_b, params.win_a)
-                won = uniforms[:, t, 0] < p
-                capitals[:, 0] += np.where(won, 1, -1)
-            gains = capitals.mean(axis=1)
-            gain_sum[t + 1] += gains.sum()
-            gain_sq_sum[t + 1] += (gains**2).sum()
-    mean = gain_sum / trials
+        ranks, games, flags = _replay_streams(
+            params, scheme, rounds, seed, idx, thresholds, width
+        )
+        if cooperative:
+            wins = _play_cooperative(params, ranks, games, flags, bound)
+        else:
+            wins = _play_original(ranks, games, bound)
+        del ranks, games  # freed before the statistics allocate their blocks
+        s, q = _capital_sums(wins, n)
+        sums = [a + b for a, b in zip(sums, s)]
+        squares = [a + b for a, b in zip(squares, q)]
+    scale = n * trials
+    mean = np.array([0.0] + [s / scale for s in sums])
     if trials > 1:
-        var = (gain_sq_sum - gain_sum**2 / trials) / (trials - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / trials)
+        # the sample variance of the player-averaged gain over trials, / trials
+        squared = [
+            (trials * q - s * s) / (scale * scale * (trials - 1))
+            for s, q in zip(sums, squares)
+        ]
+        stderr = np.sqrt([0.0] + squared)
     else:
         stderr = np.zeros(rounds + 1)
     return ClassicalSeries(mean_gain=mean, stderr=stderr)

@@ -79,6 +79,11 @@ def parse_scheme(text: str) -> GameScheme:
     raise ValueError(f"unknown scheme {text!r}")
 
 
+def _physical_memory_bytes() -> int:
+    """Physical memory of the machine: the bound for sizes checked up front."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     initial: InitialCoin
@@ -95,7 +100,7 @@ class SimulationConfig:
         # a state after t rounds holds 8 (t+1)^3 complex128 amplitudes, and a
         # round's input, tossed and shifted states are alive at the same time
         need = 3 * 8 * (self.rounds + 1) ** 3 * 16
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        physical = _physical_memory_bytes()
         if need > physical:
             raise ValueError(
                 f"rounds {self.rounds} needs {need / 2**30:.3g} GiB of walker state, "
@@ -105,24 +110,29 @@ class SimulationConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
 
 
-def build_schedule(scheme: GameScheme, rounds: int, rng: np.random.Generator) -> list[str]:
-    """Round labels "A"/"B" of length ``rounds``.
+def schedule_mask(
+    scheme: GameScheme, rounds: int, rng: np.random.Generator | None
+) -> np.ndarray:
+    """Boolean schedule of length ``rounds``: True where the round plays B.
 
     Periodic schedules repeat A^m B^n starting with A; the random mix
-    draws each round's label independently with probability 1/2.
+    draws each round independently with probability 1/2 from ``rng``,
+    which the fixed schemes never touch.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if scheme.kind == "a":
-        return ["A"] * rounds
+        return np.zeros(rounds, dtype=bool)
     if scheme.kind == "b":
-        return ["B"] * rounds
+        return np.ones(rounds, dtype=bool)
     if scheme.kind == "periodic":
-        block = ["A"] * scheme.m + ["B"] * scheme.n
-        reps = rounds // len(block) + 1
-        return (block * reps)[:rounds]
-    draws = rng.integers(0, 2, size=rounds)
-    return ["A" if d == 0 else "B" for d in draws]
+        return np.arange(rounds) % (scheme.m + scheme.n) >= scheme.m
+    return rng.integers(0, 2, size=rounds) == 1
+
+
+def build_schedule(scheme: GameScheme, rounds: int, rng: np.random.Generator) -> list[str]:
+    """Round labels "A"/"B" of ``schedule_mask``."""
+    return ["B" if b else "A" for b in schedule_mask(scheme, rounds, rng).tolist()]
 
 
 @lru_cache(maxsize=128)

@@ -160,6 +160,8 @@ def sweep_entanglement(
 
 def phase_grid(step: float = DEFAULT_PHASE_STEP, span: float = 2 * math.pi) -> list[float]:
     """Grid [0, span) at the given step; the step must divide the span."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
     count = span / step
     if abs(count - round(count)) > 1e-9:
         raise ValueError(f"step {step} does not divide the grid span {span}")

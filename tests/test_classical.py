@@ -1,17 +1,119 @@
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+import qparrondo.classical as classical
 from qparrondo import (
     PURE_A,
     PURE_B,
     RANDOM_MIX,
-    ClassicalState,
     CooperativeParams,
+    GameScheme,
     OriginalParams,
-    cooperative_step,
-    original_step,
+    periodic,
     run_classical,
 )
+
+# Scalar reference implementations of one play (original game) and one
+# round (cooperative game). They are the independent oracle for the
+# table-driven round loop of run_classical.
+
+
+@dataclass
+class ClassicalState:
+    capitals: np.ndarray  # int, one per player
+    winner_flags: np.ndarray  # bool, one per player
+    time: int = 0
+
+
+def original_step(capital: int, label: str, params: OriginalParams, rng) -> int:
+    """One play of the original pair: +1 on a win, -1 on a loss."""
+    if label == "A":
+        p = params.win_a
+    else:
+        p = params.win_b1 if capital % 3 == 0 else params.win_b2
+    return capital + (1 if rng.random() < p else -1)
+
+
+def _branch_probability(params: CooperativeParams, prev_won: bool, next_won: bool) -> float:
+    if prev_won and next_won:
+        return params.p1
+    if prev_won:
+        return params.p2
+    if next_won:
+        return params.p3
+    return params.p4
+
+
+def cooperative_step(
+    state: ClassicalState, label: str, params: CooperativeParams, rng
+) -> ClassicalState:
+    """Every player plays once in index order.
+
+    Game B selects the branch probability from the ring neighbors' winner
+    flags; with ``update_order="sequential"`` the flags are read live as
+    each player finishes, with ``"synchronous"`` from a snapshot taken at
+    the start of the round.
+    """
+    n = params.n_players
+    capitals = state.capitals.copy()
+    flags = state.winner_flags.copy()
+    snapshot = state.winner_flags.copy()
+    source = flags if params.update_order == "sequential" else snapshot
+    for i in range(n):
+        if label == "A":
+            p = params.pa
+        else:
+            p = _branch_probability(params, source[(i - 1) % n], source[(i + 1) % n])
+        won = rng.random() < p
+        capitals[i] += 1 if won else -1
+        flags[i] = won
+    return ClassicalState(capitals, flags, state.time + 1)
+
+
+class Replay:
+    """Feeds pre-drawn uniforms to the step functions one at a time."""
+
+    def __init__(self, uniforms: np.ndarray):
+        self._draws = iter(uniforms.ravel().tolist())
+
+    def random(self) -> float:
+        return next(self._draws)
+
+
+def oracle_labels(scheme: GameScheme, rounds: int, rng) -> list[str]:
+    """The schedule as the documented stream defines it."""
+    if scheme.kind == "mix":
+        return ["B" if d == 1 else "A" for d in rng.integers(0, 2, size=rounds)]
+    if scheme.kind == "periodic":
+        return ["A" if t % (scheme.m + scheme.n) < scheme.m else "B" for t in range(rounds)]
+    return [scheme.kind.upper()] * rounds
+
+
+def oracle_series(params, scheme: GameScheme, rounds: int, trials: int, seed: int):
+    """Mean and standard error of the player-averaged gain, replayed trial
+    by trial through the scalar step functions from the same streams."""
+    cooperative = isinstance(params, CooperativeParams)
+    n = params.n_players if cooperative else 1
+    gains = np.zeros((trials, rounds + 1))
+    for k in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+        if cooperative and params.initial_flags == "random":
+            flags = rng.random(n) < 0.5
+        else:
+            flags = np.full(n, cooperative and params.initial_flags == "winners")
+        labels = oracle_labels(scheme, rounds, rng)
+        draws = Replay(rng.random((rounds, n)))
+        state = ClassicalState(np.zeros(n, dtype=int), flags)
+        for t, label in enumerate(labels):
+            if cooperative:
+                state = cooperative_step(state, label, params, draws)
+            else:
+                state.capitals[0] = original_step(state.capitals[0], label, params, draws)
+            gains[k, t + 1] = state.capitals.mean()
+    return gains.mean(axis=0), gains.std(axis=0, ddof=1) / np.sqrt(trials)
 
 
 def test_original_defaults_derive_from_epsilon():
@@ -106,28 +208,120 @@ def test_run_classical_deterministic():
     assert np.array_equal(a.stderr, b.stderr)
 
 
+SCHEMES = (PURE_A, PURE_B, RANDOM_MIX, periodic(2, 3))
+REPLAY_CASES = [
+    (OriginalParams(epsilon=0.005), scheme, 40) for scheme in SCHEMES
+] + [
+    (
+        cooperative(
+            p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45,
+            n_players=n, update_order=order, initial_flags=flags,
+        ),
+        scheme,
+        7,
+    )
+    for order, n, flags, scheme in itertools.product(
+        ("sequential", "synchronous"), (3, 5), ("random", "winners", "losers"), SCHEMES
+    )
+]
+
+
 def test_run_classical_matches_stepwise_reference():
-    # the vectorized runner must replay exactly what the scalar step
-    # functions produce from the same per-trial streams
-    params = cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45)
-    rounds, trials, seed = 7, 5, 21
-    series = run_classical(params, PURE_B, rounds=rounds, trials=trials, seed=seed)
-    gains = np.zeros((trials, rounds + 1))
-    for k in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        flags = rng.random(3) < 0.5
-        uniforms = rng.random((rounds, 3))
-        state = ClassicalState(np.zeros(3, dtype=int), flags)
-        for t in range(rounds):
-            draws = iter(uniforms[t])
+    # the table-driven runner must replay exactly what the scalar step
+    # functions produce from the same per-trial streams, on every path
+    # through its round loop
+    trials, seed = 5, 21
+    for params, scheme, rounds in REPLAY_CASES:
+        series = run_classical(params, scheme, rounds=rounds, trials=trials, seed=seed)
+        mean, stderr = oracle_series(params, scheme, rounds, trials, seed)
+        case = f"{params} {scheme.label}"
+        assert np.max(np.abs(series.mean_gain - mean)) < 1e-12, case
+        assert np.max(np.abs(series.stderr - stderr)) < 1e-12, case
 
-            class Replay:
-                def random(self):
-                    return next(draws)
 
-            state = cooperative_step(state, "B", params, Replay())
-            gains[k, t + 1] = state.capitals.mean()
-    assert np.max(np.abs(series.mean_gain - gains.mean(axis=0))) < 1e-12
+@pytest.mark.parametrize(
+    "params,scheme",
+    [
+        (OriginalParams(epsilon=0.005), RANDOM_MIX),
+        (OriginalParams(epsilon=0.005), periodic(2, 3)),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=5), RANDOM_MIX),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, update_order="synchronous"), PURE_B),
+    ],
+)
+def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
+    # the capital sums are exact integers, so splitting the trials over
+    # chunks (and the statistics over row blocks) changes no bit
+    whole = run_classical(params, scheme, rounds=50, trials=11, seed=4)
+    monkeypatch.setattr(classical, "_CHUNK_BYTES", 1000)
+    split = run_classical(params, scheme, rounds=50, trials=11, seed=4)
+    assert np.array_equal(whole.mean_gain, split.mean_gain)
+    assert np.array_equal(whole.stderr, split.stderr)
+
+
+def exact_cooperative_mix_mean(params: CooperativeParams, rounds: int) -> float:
+    """Mean player-averaged gain after ``rounds`` random-mix rounds, from the
+    exact chain over the 2^n winner flags (random initial flags)."""
+    n = params.n_players
+    states = list(itertools.product((False, True), repeat=n))
+    index = {s: j for j, s in enumerate(states)}
+    transition = np.zeros((len(states), len(states)))
+    drift = np.zeros(len(states))  # expected capital change per player
+    for s in states:
+        for label in "AB":
+            # branch over each player's win or loss in turn; weight 1/2
+            # for the round's game
+            paths = [(0.5, list(s), 0.0)]
+            for i in range(n):
+                grown = []
+                for weight, flags, gain in paths:
+                    source = flags if params.update_order == "sequential" else s
+                    if label == "A":
+                        p = params.pa
+                    else:
+                        p = _branch_probability(params, source[i - 1], source[(i + 1) % n])
+                    for won, q in ((True, p), (False, 1 - p)):
+                        nxt = flags.copy()
+                        nxt[i] = won
+                        grown.append((weight * q, nxt, gain + (1 if won else -1)))
+                paths = grown
+            for weight, flags, gain in paths:
+                transition[index[s], index[tuple(flags)]] += weight
+                drift[index[s]] += weight * gain / n
+    dist = np.full(len(states), 1 / len(states))
+    total = 0.0
+    for _ in range(rounds):
+        total += dist @ drift
+        dist = dist @ transition
+    return total
+
+
+def test_cooperative_mix_agrees_with_exact_flag_chain():
+    params = cooperative(pa=0.5, p1=0.3, p2=0.5, p3=0.5, p4=0.8)
+    rounds = 500
+    series = run_classical(params, RANDOM_MIX, rounds=rounds, trials=400, seed=9)
+    expect = exact_cooperative_mix_mean(params, rounds)
+    assert abs(series.final_gain - expect) <= 5 * series.final_stderr
+
+
+def refuse_to_run(*args):
+    raise AssertionError("the size check let the run through")
+
+
+def test_rounds_beyond_physical_memory_rejected_before_allocating(monkeypatch):
+    # one trial of 10^12 rounds would need terabytes of draws; the run must
+    # stop before it builds its first table
+    monkeypatch.setattr(classical, "_win_table", refuse_to_run)
+    with pytest.raises(ValueError, match="rounds 1000000000000 .* physical memory"):
+        run_classical(OriginalParams(), RANDOM_MIX, rounds=10**12, trials=1)
+
+
+def test_rounds_overflowing_capital_sums_rejected(monkeypatch):
+    # on a machine large enough to hold the draws, a squared capital of
+    # (6 * 10^9)^2 would still overflow int64
+    monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 2**60)
+    monkeypatch.setattr(classical, "_win_table", refuse_to_run)
+    with pytest.raises(ValueError, match="rounds 2000000000 .* int64"):
+        run_classical(cooperative(), RANDOM_MIX, rounds=2 * 10**9, trials=1)
 
 
 def test_capital_parity():

@@ -207,6 +207,18 @@ def test_rounds_beyond_physical_memory_rejected(capsys, command):
     assert "rounds 100000" in capsys.readouterr().err
 
 
+def test_classical_rounds_beyond_physical_memory_rejected(capsys):
+    # rejected from one trial's stream size, before any draw is allocated
+    assert cli_main(["classical", "--rounds", "1000000000000"]) == 2
+    assert "rounds 1000000000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-0.7853981633974483", "nan"])
+def test_sweep_phase_step_must_be_positive(capsys, step):
+    assert cli_main(["sweep-phase", "--step", step, "--schemes", "a"]) == 2
+    assert "step" in capsys.readouterr().err
+
+
 def test_cli_reruns_are_byte_identical(tmp_path):
     args = [
         "run", "--initial", "separable", "--scheme", "mix", "--seed", "5",

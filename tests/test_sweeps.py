@@ -86,6 +86,9 @@ def test_phase_grid_validation():
     assert phase_grid(math.pi / 2) == pytest.approx([0, math.pi / 2, math.pi, 3 * math.pi / 2])
     with pytest.raises(ValueError, match="step"):
         phase_grid(1.0)
+    for step in (0.0, -math.pi / 4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step"):
+            phase_grid(step)
 
 
 def test_sweep_phase_map_layout_and_flags():
