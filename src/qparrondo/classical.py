@@ -34,8 +34,12 @@ import numpy as np
 from .engine import GameScheme, _physical_memory_bytes, schedule_mask
 
 # Bytes of per-trial state that one chunk of trials may hold: each trial
-# keeps ``rounds * (players + 2)`` bytes of draw ranks, schedule and wins.
+# keeps ``rounds * (players + 1 + w)`` bytes of draw ranks, schedule and
+# winner counts of w bytes each.
 _CHUNK_BYTES = 1 << 26
+# Rounds whose standard errors are formed together from Python integers,
+# so those objects take a bounded few MB however long the run.
+_STAT_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,14 +141,18 @@ def _win_table(params: OriginalParams | CooperativeParams) -> np.ndarray:
 
 
 def _check_trial_size(rounds: int, n: int) -> None:
-    """One trial must fit in physical memory: per round its float draws
-    (8n bytes), their comparison and rank temporaries (2n), stored ranks
-    (n), schedule and wins (2). Its squared capital must fit in int64."""
-    need = rounds * (11 * n + 2)
+    """One trial must fit in physical memory. Per round it holds its float
+    draws with their comparison and rank temporaries and its stored ranks
+    (11n bytes), and under 40 bytes of schedule with its int64 draw,
+    winner counts and the run's statistics (int64 capital sums, the two
+    int64 words of the squared sums, float mean and standard error). The
+    blocks in which the statistics are formed take at most _CHUNK_BYTES.
+    Its squared capital must fit in int64."""
+    need = rounds * (11 * n + 40) + _CHUNK_BYTES
     physical = _physical_memory_bytes()
     if need > physical:
         raise ValueError(
-            f"rounds {rounds} needs {need / 2**30:.3g} GiB of draws per trial "
+            f"rounds {rounds} needs {need / 2**30:.3g} GiB per trial "
             f"at {n} per round, more than the {physical / 2**30:.3g} GiB of "
             f"physical memory"
         )
@@ -199,9 +207,10 @@ def _play_cooperative(
     params: CooperativeParams, ranks: np.ndarray, games: np.ndarray,
     flags: np.ndarray, bound: np.ndarray,
 ) -> np.ndarray:
-    """Winners per round and trial, ``(rounds, trials)`` int8."""
+    """Winners per round and trial, ``(rounds, trials)``, in the smallest
+    unsigned type that holds ``n_players``."""
     rounds, m, n = ranks.shape
-    wins = np.empty((rounds, m), dtype=np.int8)
+    wins = np.empty((rounds, m), dtype=np.min_scalar_type(n))
     sequential = params.update_order == "sequential"
     for t in range(rounds):
         source = flags if sequential else flags.copy()
@@ -209,14 +218,14 @@ def _play_cooperative(
         for i in range(n):
             index = game + 2 * source[i - 1] + source[(i + 1) % n]
             np.less(rank[:, i], bound[index], out=flags[i])
-        np.sum(flags, axis=0, dtype=np.int8, out=wins[t])
+        np.sum(flags, axis=0, dtype=wins.dtype, out=wins[t])
     return wins
 
 
 def _play_original(ranks: np.ndarray, games: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Wins (0/1) per round and trial, ``(rounds, trials)`` int8."""
+    """Wins (0/1) per round and trial, ``(rounds, trials)`` uint8."""
     rounds, m, _ = ranks.shape
-    wins = np.empty((rounds, m), dtype=np.int8)
+    wins = np.empty((rounds, m), dtype=np.uint8)
     # capital mod 3 after a loss (won = 0) or a win (won = 1)
     step = np.array([2, 1, 0, 2, 1, 0], dtype=np.uint8)
     mod3 = np.zeros(m, dtype=np.uint8)
@@ -227,27 +236,31 @@ def _play_original(ranks: np.ndarray, games: np.ndarray, bound: np.ndarray) -> n
     return wins
 
 
-def _capital_sums(wins: np.ndarray, n: int) -> tuple[list[int], list[int]]:
-    """Per round, the sum over trials of the player-summed capital and of
-    its square, as exact integers."""
+def _add_capital_sums(
+    wins: np.ndarray, n: int, sums: np.ndarray, high: np.ndarray, low: np.ndarray
+) -> None:
+    """Add, per round, the sum over trials of the player-summed capital to
+    ``sums`` and the sum of its square, split at bit 32, to ``high`` and
+    ``low``. All int64 and exact: a chunk adds less than 2^31 to ``high``
+    and 2^32 to ``low``, and ``sums`` stays below trials * n * rounds."""
     rounds, m = wins.shape
     # a block of int64 running capitals takes at most an eighth of the
     # budget, as a chunk holds at most _CHUNK_BYTES // 64 trials. A row's
     # sum of squares, at most m (n rounds)^2, fits in int64: for m = 1 by
-    # the size check, otherwise because rounds (n + 2) <= _CHUNK_BYTES / 2
+    # the size check, otherwise because rounds (n + 1 + w) <= _CHUNK_BYTES / 2
     rows = max(1, _CHUNK_BYTES // (64 * m))
     capital = np.zeros(m, dtype=np.int64)
-    sums: list[int] = []
-    squares: list[int] = []
     for start in range(0, rounds, rows):
         block = np.cumsum(wins[start:start + rows], axis=0, dtype=np.int64)
         block *= 2
         block -= n * np.arange(1, len(block) + 1)[:, None]
         block += capital
-        sums += block.sum(axis=1).tolist()
-        squares += np.einsum("ij,ij->i", block, block).tolist()
+        stop = start + len(block)
+        sums[start:stop] += block.sum(axis=1)
+        squares = np.einsum("ij,ij->i", block, block)
+        high[start:stop] += squares >> 32
+        low[start:stop] += squares & 0xFFFFFFFF
         capital = block[-1]
-    return sums, squares
 
 
 def run_classical(
@@ -274,9 +287,11 @@ def run_classical(
     thresholds = np.unique(table)
     # k(p) of each table entry: a play wins when its draw's rank is below it
     bound = np.searchsorted(thresholds, table.ravel(), side="right").astype(np.uint8)
-    sums = [0] * rounds
-    squares = [0] * rounds
-    chunk = max(1, min(trials, _CHUNK_BYTES // (rounds * (n + 2)), _CHUNK_BYTES // 64))
+    sums = np.zeros(rounds, dtype=np.int64)
+    high = np.zeros(rounds, dtype=np.int64)
+    low = np.zeros(rounds, dtype=np.int64)
+    per_trial = rounds * (n + 1 + np.min_scalar_type(n).itemsize)
+    chunk = max(1, min(trials, _CHUNK_BYTES // per_trial, _CHUNK_BYTES // 64))
     for start in range(0, trials, chunk):
         idx = range(start, min(start + chunk, trials))
         ranks, games, flags = _replay_streams(
@@ -287,18 +302,23 @@ def run_classical(
         else:
             wins = _play_original(ranks, games, bound)
         del ranks, games  # freed before the statistics allocate their blocks
-        s, q = _capital_sums(wins, n)
-        sums = [a + b for a, b in zip(sums, s)]
-        squares = [a + b for a, b in zip(squares, q)]
+        _add_capital_sums(wins, n, sums, high, low)
+        del wins
     scale = n * trials
-    mean = np.array([0.0] + [s / scale for s in sums])
+    mean = np.zeros(rounds + 1)
+    np.divide(sums, scale, out=mean[1:])
+    stderr = np.zeros(rounds + 1)
     if trials > 1:
-        # the sample variance of the player-averaged gain over trials, / trials
-        squared = [
-            (trials * q - s * s) / (scale * scale * (trials - 1))
-            for s, q in zip(sums, squares)
-        ]
-        stderr = np.sqrt([0.0] + squared)
-    else:
-        stderr = np.zeros(rounds + 1)
+        # the sample variance of the player-averaged gain over trials, /
+        # trials, from exact integers, a block of rounds at a time
+        denominator = scale * scale * (trials - 1)
+        for start in range(0, rounds, _STAT_ROWS):
+            part = slice(start, start + _STAT_ROWS)
+            stderr[start + 1:start + 1 + _STAT_ROWS] = [
+                (trials * ((h << 32) + lo) - s * s) / denominator
+                for s, h, lo in zip(
+                    sums[part].tolist(), high[part].tolist(), low[part].tolist()
+                )
+            ]
+        np.sqrt(stderr, out=stderr)
     return ClassicalSeries(mean_gain=mean, stderr=stderr)

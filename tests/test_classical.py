@@ -223,6 +223,11 @@ REPLAY_CASES = [
     for order, n, flags, scheme in itertools.product(
         ("sequential", "synchronous"), (3, 5), ("random", "winners", "losers"), SCHEMES
     )
+] + [
+    # every player wins every round: the per-round winner count reaches
+    # n_players, past 127 (one byte, signed) and past 255 (one byte)
+    (cooperative(pa=1.0, n_players=130), PURE_A, 7),
+    (cooperative(p1=1.0, n_players=300, initial_flags="winners"), PURE_B, 7),
 ]
 
 
@@ -239,6 +244,18 @@ def test_run_classical_matches_stepwise_reference():
         assert np.max(np.abs(series.stderr - stderr)) < 1e-12, case
 
 
+@pytest.mark.parametrize("n,rounds", [(127, 4), (128, 4), (255, 4), (256, 4), (300, 250)])
+def test_sure_wins_count_every_player(monkeypatch, n, rounds):
+    # at 300 players and 250 rounds a capital squared exceeds 2^32, so the
+    # exact zero variance also needs the high word of the squared sums,
+    # summed over chunks of one trial each in the second run
+    for chunk_bytes in (classical._CHUNK_BYTES, 1000):
+        monkeypatch.setattr(classical, "_CHUNK_BYTES", chunk_bytes)
+        series = run_classical(cooperative(pa=1.0, n_players=n), PURE_A, rounds=rounds, trials=3)
+        assert np.array_equal(series.mean_gain, np.arange(rounds + 1.0))
+        assert np.array_equal(series.stderr, np.zeros(rounds + 1))
+
+
 @pytest.mark.parametrize(
     "params,scheme",
     [
@@ -253,6 +270,7 @@ def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
     # chunks (and the statistics over row blocks) changes no bit
     whole = run_classical(params, scheme, rounds=50, trials=11, seed=4)
     monkeypatch.setattr(classical, "_CHUNK_BYTES", 1000)
+    monkeypatch.setattr(classical, "_STAT_ROWS", 7)
     split = run_classical(params, scheme, rounds=50, trials=11, seed=4)
     assert np.array_equal(whole.mean_gain, split.mean_gain)
     assert np.array_equal(whole.stderr, split.stderr)
@@ -313,6 +331,17 @@ def test_rounds_beyond_physical_memory_rejected_before_allocating(monkeypatch):
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)
     with pytest.raises(ValueError, match="rounds 1000000000000 .* physical memory"):
         run_classical(OriginalParams(), RANDOM_MIX, rounds=10**12, trials=1)
+
+
+def test_single_trial_statistics_count_toward_the_memory_bound(monkeypatch):
+    # beyond its 11 bytes of draws and ranks per round, a single trial keeps
+    # per-round schedule, winner counts and statistics that do not shrink
+    # with chunking; a machine with 39 bytes per round cannot hold them
+    rounds = 10**6
+    monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 39 * rounds)
+    monkeypatch.setattr(classical, "_win_table", refuse_to_run)
+    with pytest.raises(ValueError, match="physical memory"):
+        run_classical(OriginalParams(), RANDOM_MIX, rounds=rounds, trials=1)
 
 
 def test_rounds_overflowing_capital_sums_rejected(monkeypatch):
