@@ -33,9 +33,7 @@ base = SimulationConfig(
     runs=10,
 )
 omegas = [k * math.pi / 10 for k in range(6)]
-records = sweep_entanglement(
-    base, omegas, schemes=(PURE_A, PURE_B, periodic(2, 2), RANDOM_MIX), workers=4
-)
+records = sweep_entanglement(base, omegas, schemes=(PURE_A, PURE_B, periodic(2, 2), RANDOM_MIX))
 
 print("omega      A        B        [2,2]    A+B      paradox")
 by_value = {}

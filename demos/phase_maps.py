@@ -42,7 +42,7 @@ for name, initial in [("ghz", GHZ), ("w", W)]:
         seed=0,
         runs=10,
     )
-    records = sweep_phase_map(base, step=step, schemes=(PURE_A, PURE_B), workers=4)
+    records = sweep_phase_map(base, step=step, schemes=(PURE_A, PURE_B))
     path = OUT / f"phase_map_{name}.csv"
     emit_map_csv(records, path)
 

@@ -32,7 +32,7 @@ SCHEMES = (PURE_A, PURE_B, periodic(2, 2), RANDOM_MIX)
 
 for name, initial in [("separable", SEPARABLE), ("ghz", GHZ), ("w", W)]:
     base = SimulationConfig(initial=initial, scheme=PURE_A, seed=0, runs=10)
-    records = sweep_rho4(base, schemes=SCHEMES, workers=4)
+    records = sweep_rho4(base, schemes=SCHEMES)
     path = OUT / f"rho4_{name}.csv"
     emit_sweep_csv(records, path, value_name="rho4")
 
@@ -54,9 +54,7 @@ for name, initial in [("separable", SEPARABLE), ("ghz", GHZ), ("w", W)]:
 # With the W state the alternating variants [3,2], [2,3] and [3,3] stay
 # losing as well; none of them rescues the game.
 base = SimulationConfig(initial=W, scheme=PURE_A, seed=0, runs=10)
-records = sweep_rho4(
-    base, schemes=(periodic(3, 2), periodic(2, 3), periodic(3, 3)), workers=4
-)
+records = sweep_rho4(base, schemes=(periodic(3, 2), periodic(2, 3), periodic(3, 3)))
 print("--- W-state block variants")
 print("rho4    [3,2]    [2,3]    [3,3]")
 by_value = {}

