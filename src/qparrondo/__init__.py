@@ -45,10 +45,9 @@ from .observables import (
     ParadoxReport,
     PayoffSeries,
     Verdict,
-    average_capital_gain,
     classify_game,
+    coin_weights,
     detect_paradox,
-    expected_position,
     position_distribution,
 )
 from .state import (
@@ -99,10 +98,10 @@ __all__ = [
     "apply_coin_matrix",
     "apply_controlled_coin",
     "apply_position_update",
-    "average_capital_gain",
     "build_schedule",
     "classify_game",
     "coin_unitary",
+    "coin_weights",
     "dense_positions",
     "dense_round_matrix",
     "dense_step_oracle",
@@ -112,7 +111,6 @@ __all__ = [
     "emit_series_csv",
     "emit_sweep_csv",
     "entangler_j",
-    "expected_position",
     "init_walker_state",
     "initial_coin_state",
     "j_entangled",

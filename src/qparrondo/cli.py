@@ -250,6 +250,13 @@ def _cmd_sweep_phase(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_omega(args: argparse.Namespace) -> int:
     opts, explicit = _merge(SHARED_DEFAULTS, args)
+    # the sweep sets the initial state itself, so neither source may choose it
+    unused = sorted(explicit & {"initial", "omega"})
+    if unused:
+        raise ValueError(
+            "sweep-omega plays J(omega)|LLL> at each --omegas value and takes no "
+            + " or ".join(f"--{key}" for key in unused)
+        )
     base = _sim_config(opts)
     omegas = DEFAULT_OMEGA_GRID if args.omegas is None else _parse_values(args.omegas, "--omegas")
     schemes = _sweep_schemes(args, opts, explicit)

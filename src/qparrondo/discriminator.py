@@ -13,7 +13,7 @@ import numpy as np
 
 from .coins import W, CoinParams, initial_coin_state
 from .engine import PURE_A, SimulationConfig, _walk
-from .observables import expected_positions, position_distribution
+from .observables import position_distribution
 from .state import WalkerState
 
 
@@ -24,12 +24,10 @@ class DiscriminationResult:
     threshold: float
 
 
-def _final_state(coin_state: np.ndarray, config: SimulationConfig) -> WalkerState:
-    return _walk(coin_state, ["A"] * config.rounds, config)
-
-
-def _payoff_sum(state: WalkerState) -> float:
-    return float(expected_positions(state).sum())
+def _final_state(
+    coin_state: np.ndarray, config: SimulationConfig, per_player=None
+) -> WalkerState:
+    return _walk(coin_state, ["A"] * config.rounds, config, per_player)
 
 
 def discriminate(
@@ -56,12 +54,14 @@ def discriminate(
     # the fair game A every round, with the W state as the reference input;
     # the config also bounds ``rounds`` by the memory its states need
     config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds, coin_a=coin)
-    state = _final_state(coin_state, config)  # validates coin_state
-    threshold = abs(_payoff_sum(_final_state(initial_coin_state(W), config))) / 2.0
+    # per-round payoffs of the input (row 0) and of the reference W state
+    payoffs = np.zeros((2, rounds + 1, 3))
+    state = _final_state(coin_state, config, payoffs[0])  # validates coin_state
+    _final_state(initial_coin_state(W), config, payoffs[1])
+    statistic, reference = (float(s) for s in payoffs[:, -1].sum(axis=1))
+    threshold = abs(reference) / 2.0
 
-    if mode == "expectation":
-        statistic = _payoff_sum(state)
-    else:
+    if mode == "sampled":
         probs = position_distribution(state).reshape(-1)
         probs = probs / probs.sum()
         if rng is None:

@@ -20,8 +20,9 @@ from .coins import (
     coin_unitary,
     initial_coin_state,
 )
-from .observables import PayoffSeries, expected_positions
+from .observables import PayoffSeries, coin_weights
 from .state import (
+    COIN_BITS,
     WalkerState,
     _apply_coin_register_op,
     apply_position_update,
@@ -164,17 +165,27 @@ def step_round(state: WalkerState, label: str, config: SimulationConfig) -> Walk
     return apply_position_update(_apply_coin_register_op(state, op))
 
 
+# row c: the step (+1 for |R>, -1 for |L>) that coin component c moves each axis
+_STEP_SIGNS = 2.0 * np.array(COIN_BITS) - 1.0
+
+
 def _walk(
     coin_state: np.ndarray, schedule: list[str], config: SimulationConfig, per_player=None
 ) -> WalkerState:
     """Play ``schedule`` from ``coin_state`` at the origin and return the
     final state; row t of ``per_player``, when given, receives the expected
-    positions after round t."""
+    positions after round t, accumulated from row 0.
+
+    Round t moves axis i by +1 with the weight of the coin components whose
+    bit i is |R> after the toss, and by -1 otherwise; the shift only moves
+    sites within each coin component, so the weights can be read after it:
+    <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1).
+    """
     state = init_walker_state(coin_state)
     for t, label in enumerate(schedule, start=1):
         state = step_round(state, label, config)
         if per_player is not None:
-            per_player[t] = expected_positions(state)
+            per_player[t] = per_player[t - 1] + coin_weights(state) @ _STEP_SIGNS
     return state
 
 

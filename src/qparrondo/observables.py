@@ -12,33 +12,19 @@ from .state import WalkerState
 DEFAULT_TOL = 1e-9
 
 
-def expected_positions(state: WalkerState) -> np.ndarray:
-    """Mean positions (one per axis) from a single pass over the amplitudes."""
-    joint = position_distribution(state)
-    coords = state.coordinates
-    return np.array(
-        [
-            joint.sum(axis=tuple(a for a in range(3) if a != axis)) @ coords
-            for axis in range(3)
-        ]
-    )
-
-
-def expected_position(state: WalkerState, axis: int) -> float:
-    """Mean position sum |amp|^2 * x along one axis (player payoff)."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    return float(expected_positions(state)[axis - 1])
-
-
-def average_capital_gain(state: WalkerState) -> float:
-    """Player-averaged expected position (capital starts at zero)."""
-    return float(expected_positions(state).mean())
+def coin_weights(state: WalkerState) -> np.ndarray:
+    """Probability of each of the 8 coin components, sum over all sites of
+    |amp|^2, from a single pass over the amplitudes."""
+    flat = np.ascontiguousarray(state.tensor).reshape(8, -1).view(np.float64)
+    # one BLAS dot product per component: faster than einsum's running sum,
+    # and its blocked partial sums round far less
+    return (flat[:, None, :] @ flat[:, :, None]).reshape(8)
 
 
 def position_distribution(state: WalkerState) -> np.ndarray:
     """Joint probability over step counts (t+1, t+1, t+1), coin register
-    traced out; index n of each axis is position ``state.coordinates[n]``."""
+    traced out; index n of each axis is position ``state.coordinates[n]``.
+    Used for sampled shots; payoffs come from ``coin_weights``."""
     a = np.abs(state.tensor)
     np.multiply(a, a, out=a)
     return a.sum(axis=0)

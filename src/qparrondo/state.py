@@ -25,6 +25,9 @@ NORM_TOL = 1e-10
 RING_PREV = {1: 3, 2: 1, 3: 2}
 RING_NEXT = {1: 2, 2: 3, 3: 1}
 
+# (b1, b2, b3) of each coin index c = 4*b1 + 2*b2 + b3
+COIN_BITS = tuple(((c >> 2) & 1, (c >> 1) & 1, c & 1) for c in range(8))
+
 _I2 = np.eye(2, dtype=complex)
 _P_L = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _P_R = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -162,8 +165,7 @@ def apply_position_update(state: WalkerState) -> WalkerState:
     """
     t = state.rounds
     shifted = np.zeros((8, t + 2, t + 2, t + 2), dtype=complex)
-    for c in range(8):
-        b1, b2, b3 = (c >> 2) & 1, (c >> 1) & 1, c & 1
+    for c, (b1, b2, b3) in enumerate(COIN_BITS):
         shifted[c, b1:b1 + t + 1, b2:b2 + t + 1, b3:b3 + t + 1] = state.tensor[c]
     return WalkerState(shifted)
 

@@ -123,10 +123,8 @@ def sweep_rho4(
     b = base.game_b
 
     def config_for(value: float, scheme: GameScheme) -> SimulationConfig:
-        game_b = GameBParams.from_rhos(
-            rho1=b.ww.rho, rho2=b.wl.rho, rho3=b.lw.rho, rho4=value,
-            theta=b.ll.theta, phi=b.ll.phi,
-        )
+        # only the LL branch's rho changes; every branch keeps its own phases
+        game_b = replace(b, ll=replace(b.ll, rho=value))
         return replace(base, scheme=scheme, game_b=game_b)
 
     return [SweepRecord(*row) for row in _sweep(values, config_for, schemes)]

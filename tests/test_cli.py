@@ -83,6 +83,37 @@ def test_sweep_omega_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--initial", "w"], "--initial"),
+        (["--initial", "ghz"], "--initial"),
+        (["--omega", "0.3"], "--omega"),
+        (["--initial", "j", "--omega", "0.3"], "--initial or --omega"),
+    ],
+)
+def test_sweep_omega_rejects_initial_state_flags(capsys, argv, flag):
+    # the sweep sets the initial state to J(omega)|LLL> itself
+    code = cli_main(["sweep-omega", *argv, "--omegas", "0", "--schemes", "a", "--rounds", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"takes no {flag}")
+
+
+@pytest.mark.parametrize(
+    "fields,flag",
+    [({"initial": "w"}, "--initial"), ({"omega": 0.3}, "--omega")],
+)
+def test_sweep_omega_rejects_initial_state_config_fields(tmp_path, capsys, fields, flag):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    code = cli_main(
+        ["sweep-omega", "--config", str(config), "--omegas", "0", "--schemes", "a",
+         "--rounds", "2"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"takes no {flag}")
+
+
 def test_sweep_phase_csv(tmp_path):
     out = tmp_path / "map.csv"
     code = cli_main(

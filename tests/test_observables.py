@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,22 +7,41 @@ import pytest
 from qparrondo import (
     GHZ,
     PURE_A,
+    PURE_B,
+    RANDOM_MIX,
     SEPARABLE,
+    CoinParams,
+    GameBParams,
     GameVerdict,
     PayoffSeries,
     SimulationConfig,
     Verdict,
+    W,
     WalkerState,
     apply_position_update,
-    average_capital_gain,
+    build_schedule,
     classify_game,
+    coin_weights,
     detect_paradox,
-    expected_position,
     init_walker_state,
     initial_coin_state,
+    j_entangled,
+    periodic,
     position_distribution,
     run_simulation,
+    step_round,
 )
+
+
+def expected_positions(state: WalkerState) -> np.ndarray:
+    """Oracle: mean position of each axis from the joint position
+    distribution, |amp|^2 summed over the coin, then one marginal per axis."""
+    t = state.tensor.shape[1] - 1
+    coords = 2 * np.arange(t + 1) - t
+    joint = (np.abs(state.tensor) ** 2).sum(axis=0)
+    return np.array(
+        [joint.sum(axis=tuple(a for a in range(3) if a != axis)) @ coords for axis in range(3)]
+    )
 
 
 def place(c, x1, x2, x3, t):
@@ -33,38 +53,69 @@ def place(c, x1, x2, x3, t):
 
 def test_expected_position_origin():
     st = init_walker_state(initial_coin_state(GHZ))
-    for axis in (1, 2, 3):
-        assert expected_position(st, axis) == 0.0
+    assert expected_positions(st).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_expected_position_basis_state():
     st = place(0b111, 1, 1, 1, t=1)
-    for axis in (1, 2, 3):
-        assert abs(expected_position(st, axis) - 1.0) < 1e-15
+    assert np.max(np.abs(expected_positions(st) - 1.0)) < 1e-15
 
 
-def test_expected_position_axis_validation():
-    st = place(0, 0, 0, 0, t=0)
-    with pytest.raises(ValueError, match="axis"):
-        expected_position(st, 0)
+def test_coin_weights_basis_state():
+    st = place(0b101, 1, -1, 1, t=3)
+    assert coin_weights(st).tolist() == [0.0] * 5 + [1.0] + [0.0] * 2
 
 
 def test_expected_position_ghz_after_one_update():
     st = init_walker_state(initial_coin_state(GHZ))
     st = apply_position_update(st)
-    for axis in (1, 2, 3):
-        assert abs(expected_position(st, axis)) < 1e-15
+    assert np.max(np.abs(expected_positions(st))) < 1e-15
 
 
 def test_average_gain_arithmetic_mean():
     st = place(0, 2, 2, -4, t=4)
-    assert [expected_position(st, axis) for axis in (1, 2, 3)] == [2.0, 2.0, -4.0]
-    assert abs(average_capital_gain(st)) < 1e-15
+    assert expected_positions(st).tolist() == [2.0, 2.0, -4.0]
+    assert abs(expected_positions(st).mean()) < 1e-15
 
 
 def test_position_distribution_sums_to_one():
     st = init_walker_state(initial_coin_state(SEPARABLE))
     assert abs(position_distribution(st).sum() - 1.0) < 1e-12
+
+
+ORACLE_ROUNDS = 12
+
+
+@pytest.mark.parametrize("scheme", [PURE_A, PURE_B, periodic(2, 3), RANDOM_MIX], ids=lambda s: s.label)
+@pytest.mark.parametrize(
+    "initial", [GHZ, W, SEPARABLE, j_entangled(math.pi / 4)], ids=["ghz", "w", "sep", "j"]
+)
+def test_payoffs_match_position_oracle(initial, scheme):
+    # payoffs read off the coin weights against the joint position
+    # distribution of the state after every round
+    config = SimulationConfig(
+        initial=initial,
+        scheme=scheme,
+        rounds=ORACLE_ROUNDS,
+        coin_a=CoinParams(0.3, 0.7, 1.9),
+        game_b=GameBParams(
+            ww=CoinParams(0.8, 0.4, 2.5),
+            wl=CoinParams(0.15, 1.1, 0.2),
+            lw=CoinParams(0.6, 2.9, 1.3),
+            ll=CoinParams(0.35, 0.9, 0.6),
+        ),
+        seed=11,
+    )
+    series = run_simulation(config)
+    # run_simulation draws its schedule from the seed key (seed, 0)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
+    state = init_walker_state(initial_coin_state(initial))
+    assert series.per_player[0].tolist() == [0.0, 0.0, 0.0]
+    for t, label in enumerate(build_schedule(scheme, ORACLE_ROUNDS, rng), start=1):
+        state = step_round(state, label, config)
+        assert abs(coin_weights(state).sum() - 1.0) < 1e-12
+        oracle = expected_positions(state)
+        assert np.max(np.abs(series.per_player[t] - oracle)) < 1e-12, (t, label)
 
 
 def series_with_final(gain, stderr=None):

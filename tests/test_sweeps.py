@@ -11,6 +11,7 @@ from qparrondo import (
     PURE_B,
     RANDOM_MIX,
     SEPARABLE,
+    CoinParams,
     GameBParams,
     SimulationConfig,
     Verdict,
@@ -56,6 +57,17 @@ def test_sweep_rho4_pure_a_constant_across_values():
 def test_sweep_rho4_domain_check():
     with pytest.raises(ValueError, match="rho4"):
         sweep_rho4(base_config(), values=[1.2], schemes=(PURE_B,))
+
+
+def test_sweep_rho4_keeps_per_branch_phases():
+    # only rho4 is swept; the WW branch keeps its own (theta, phi)
+    game_b = GameBParams(
+        ww=CoinParams(0.5, 0.3, 1.0), wl=CoinParams(0.5), lw=CoinParams(0.5), ll=CoinParams(0.4)
+    )
+    base = SimulationConfig(initial=GHZ, scheme=PURE_B, rounds=4, game_b=game_b)
+    (record,) = sweep_rho4(base, values=[0.4], schemes=(PURE_B,))
+    assert record.gain == run_simulation(base).final_gain
+    assert record.gain == pytest.approx(-0.1705, abs=5e-5)
 
 
 def test_sweep_rho4_paradox_consistent_with_verdicts():
