@@ -33,7 +33,6 @@ from .engine import (
     RANDOM_MIX,
     GameScheme,
     SimulationConfig,
-    build_schedule,
     parse_scheme,
     periodic,
     run_averaged,
@@ -52,14 +51,8 @@ from .observables import (
 )
 from .state import (
     WalkerState,
-    apply_coin_matrix,
-    apply_controlled_coin,
     apply_position_update,
-    dense_positions,
-    dense_round_matrix,
-    dense_step_oracle,
     init_walker_state,
-    state_norm,
 )
 from .sweeps import (
     MapRecord,
@@ -95,16 +88,10 @@ __all__ = [
     "Verdict",
     "W",
     "WalkerState",
-    "apply_coin_matrix",
-    "apply_controlled_coin",
     "apply_position_update",
-    "build_schedule",
     "classify_game",
     "coin_unitary",
     "coin_weights",
-    "dense_positions",
-    "dense_round_matrix",
-    "dense_step_oracle",
     "detect_paradox",
     "discriminate",
     "emit_map_csv",
@@ -120,7 +107,6 @@ __all__ = [
     "run_averaged",
     "run_classical",
     "run_simulation",
-    "state_norm",
     "step_round",
     "sweep_entanglement",
     "sweep_phase_map",

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: run, sweep-rho4, sweep-phase, sweep-omega, discriminate,
-classical. Shared options may also come from a JSON config file with the
-same field names as the flags; explicit flags override file values.
+classical. Each accepts exactly the FLAGS it reads, and the same names as
+fields of a JSON config file; explicit flags override file values.
 """
 from __future__ import annotations
 
@@ -48,48 +48,35 @@ from .sweeps import (
 
 HALF_PI = math.pi / 2
 
-SHARED_DEFAULTS = {
-    "initial": "ghz",
-    "omega": HALF_PI,
-    "scheme": "a",
-    "rounds": 16,
-    "rho0": 0.5,
-    "rho1": 0.5,
-    "rho2": 0.5,
-    "rho3": 0.5,
-    "rho4": 0.5,
-    "theta": HALF_PI,
-    "phi": HALF_PI,
-    "seed": 0,
-    "runs": 10,
+# Every flag a command may read from the command line or from a config file
+# field of the same name: name -> (default, argparse keyword arguments).
+FLAGS = {
+    "initial": ("ghz", {"choices": ["ghz", "w", "separable", "j"]}),
+    "omega": (HALF_PI, {"type": float, "help": "entanglement angle for --initial j"}),
+    "scheme": ("a", {"help": "a, b, mix or periodic:M,N"}),
+    "rounds": (16, {"type": int}),
+    **{f"rho{k}": (0.5, {"type": float}) for k in range(5)},
+    "theta": (HALF_PI, {"type": float}),
+    "phi": (HALF_PI, {"type": float}),
+    "seed": (0, {"type": int}),
+    "runs": (10, {"type": int}),
+    # classical's mode; discriminate's --mode is a flag of its own, not a field
+    "mode": ("original", {"choices": ["original", "cooperative"]}),
+    "players": (3, {"type": int}),
+    "pa": (None, {"type": float}),
+    **{f"p{k}": (None, {"type": float}) for k in range(1, 5)},
+    "epsilon": (0.005, {"type": float}),
+    "trials": (1000, {"type": int}),
 }
 
-CLASSICAL_DEFAULTS = {
-    "mode": "original",
-    "players": 3,
-    "pa": None,
-    "p1": None,
-    "p2": None,
-    "p3": None,
-    "p4": None,
-    "epsilon": 0.005,
-    "trials": 1000,
-}
+SHARED = (
+    "initial", "omega", "scheme", "rounds", "rho0", "rho1", "rho2", "rho3", "rho4",
+    "theta", "phi", "seed", "runs",
+)
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with the same field names as the flags")
-    parser.add_argument("--initial", choices=["ghz", "w", "separable", "j"])
-    parser.add_argument("--omega", type=float, help="entanglement angle for --initial j")
-    parser.add_argument("--scheme", help="a, b, mix or periodic:M,N")
-    parser.add_argument("--rounds", type=int)
-    for k in range(5):
-        parser.add_argument(f"--rho{k}", type=float)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--phi", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--runs", type=int)
-    parser.add_argument("--out", help="output file path")
+def _shared_but(*unread: str) -> tuple[str, ...]:
+    return tuple(name for name in SHARED if name not in unread)
 
 
 def _check_config_type(key: str, value, default) -> None:
@@ -103,29 +90,44 @@ def _check_config_type(key: str, value, default) -> None:
         raise ValueError(f"config field {key!r} must be {expected}, got {json.dumps(value)}")
 
 
-def _merge(defaults: dict, args: argparse.Namespace) -> tuple[dict, set]:
-    """defaults <- config file <- explicit flags; also reports which keys
-    were set explicitly (by either source)."""
-    merged = dict(defaults)
+def _refuse_unless(given, holds: bool, condition: str) -> None:
+    """Refuse the flags or config fields ``given`` unless ``condition``, a
+    value of the flag they depend on, holds; otherwise they go unread."""
+    if given and not holds:
+        names = ", ".join(f"--{key}" for key in sorted(given))
+        raise ValueError(f"{names}: read only with {condition}")
+
+
+def _merge(args: argparse.Namespace) -> tuple[dict, set]:
+    """FLAGS defaults <- config file <- explicit flags, over the fields the
+    command reads (``args.fields``); also reports which keys were set
+    explicitly (by either source). Flags the command does not read keep
+    their defaults."""
+    merged = {key: default for key, (default, _) in FLAGS.items()}
     explicit = set()
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
-            raise ValueError(f"config file {config_path} must hold a JSON object")
-        unknown = set(loaded) - set(defaults)
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        unknown = set(loaded) - set(args.fields)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for key, value in loaded.items():
-            _check_config_type(key, value, defaults[key])
+            _check_config_type(key, value, FLAGS[key][0])
         merged.update(loaded)
         explicit |= set(loaded)
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in args.fields:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
             explicit.add(key)
+    _refuse_unless(explicit & {"omega"}, merged["initial"] == "j", "--initial j")
+    _refuse_unless(
+        explicit & {"players", "p3", "p4"}, merged["mode"] == "cooperative",
+        "--mode cooperative",
+    )
+    _refuse_unless(explicit & {"epsilon"}, merged["mode"] == "original", "--mode original")
     return merged, explicit
 
 
@@ -201,7 +203,7 @@ def _sweep_schemes(args: argparse.Namespace, opts: dict, explicit: set):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    opts, _ = _merge(SHARED_DEFAULTS, args)
+    opts, _ = _merge(args)
     config = _sim_config(opts)
     series = run_averaged(config)
     if args.out:
@@ -216,7 +218,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_rho4(args: argparse.Namespace) -> int:
-    opts, explicit = _merge(SHARED_DEFAULTS, args)
+    opts, explicit = _merge(args)
     base = _sim_config(opts)
     values = DEFAULT_RHO4_GRID if args.values is None else _parse_values(args.values, "--values")
     schemes = _sweep_schemes(args, opts, explicit)
@@ -232,7 +234,7 @@ def _cmd_sweep_rho4(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_phase(args: argparse.Namespace) -> int:
-    opts, explicit = _merge(SHARED_DEFAULTS, args)
+    opts, explicit = _merge(args)
     base = _sim_config(opts)
     schemes = _sweep_schemes(args, opts, explicit)
     step = args.step if args.step is not None else DEFAULT_PHASE_STEP
@@ -249,14 +251,7 @@ def _cmd_sweep_phase(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_omega(args: argparse.Namespace) -> int:
-    opts, explicit = _merge(SHARED_DEFAULTS, args)
-    # the sweep sets the initial state itself, so neither source may choose it
-    unused = sorted(explicit & {"initial", "omega"})
-    if unused:
-        raise ValueError(
-            "sweep-omega plays J(omega)|LLL> at each --omegas value and takes no "
-            + " or ".join(f"--{key}" for key in unused)
-        )
+    opts, explicit = _merge(args)
     base = _sim_config(opts)
     omegas = DEFAULT_OMEGA_GRID if args.omegas is None else _parse_values(args.omegas, "--omegas")
     schemes = _sweep_schemes(args, opts, explicit)
@@ -272,14 +267,17 @@ def _cmd_sweep_omega(args: argparse.Namespace) -> int:
 
 
 def _cmd_discriminate(args: argparse.Namespace) -> int:
-    opts, _ = _merge(SHARED_DEFAULTS, args)
+    opts, _ = _merge(args)
+    _refuse_unless(
+        ["shots"] if args.shots is not None else [], args.mode == "sampled", "--mode sampled"
+    )
     coin_state = initial_coin_state(_initial_coin(opts))
     rng = np.random.default_rng(int(opts["seed"]))
     result = discriminate(
         coin_state,
         rounds=int(opts["rounds"]),
         mode=args.mode,
-        shots=args.shots if args.mode == "sampled" else None,
+        shots=100_000 if args.shots is None else args.shots,
         rng=rng,
     )
     print(
@@ -302,7 +300,7 @@ def _cmd_discriminate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classical(args: argparse.Namespace) -> int:
-    opts, _ = _merge({**SHARED_DEFAULTS, **CLASSICAL_DEFAULTS}, args)
+    opts, _ = _merge(args)
     scheme = parse_scheme(opts["scheme"])
     if opts["mode"] == "original":
         params = OriginalParams(
@@ -337,6 +335,19 @@ def _cmd_classical(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_command(sub, name: str, help: str, func, fields: tuple[str, ...]):
+    """A subcommand that accepts --config, --out and exactly the FLAGS in
+    ``fields``, on the command line and as config file fields. Prefixes are
+    not expanded, so an unread --omega is not taken for --omegas."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    parser.add_argument("--config", help="JSON file with the same field names as the flags")
+    for key in fields:
+        parser.add_argument(f"--{key}", **FLAGS[key][1])
+    parser.add_argument("--out", help="output file path")
+    parser.set_defaults(func=func, fields=fields)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qparrondo",
@@ -345,44 +356,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="single simulation, series CSV output")
-    _add_shared(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    _add_command(sub, "run", "single simulation, series CSV output", _cmd_run, SHARED)
 
-    p_rho = sub.add_parser("sweep-rho4", help="sweep the loser-loser branch rho4")
-    _add_shared(p_rho)
+    # each sweep's grid sets the flags it leaves out
+    p_rho = _add_command(
+        sub, "sweep-rho4", "sweep the loser-loser branch rho4", _cmd_sweep_rho4,
+        _shared_but("rho4"),
+    )
     p_rho.add_argument("--values", help="comma-separated rho4 values (default 0.1..0.9)")
     p_rho.add_argument("--schemes", help="comma-separated schemes (default a,b,periodic:2,2,mix)")
-    p_rho.set_defaults(func=_cmd_sweep_rho4)
 
-    p_phase = sub.add_parser("sweep-phase", help="map final gain over the (theta, phi) grid")
-    _add_shared(p_phase)
+    p_phase = _add_command(
+        sub, "sweep-phase", "map final gain over the (theta, phi) grid", _cmd_sweep_phase,
+        _shared_but("theta", "phi"),
+    )
     p_phase.add_argument("--step", type=float, help="grid step in radians (default pi/8)")
     p_phase.add_argument("--schemes", help="comma-separated schemes")
-    p_phase.set_defaults(func=_cmd_sweep_phase)
 
-    p_omega = sub.add_parser("sweep-omega", help="sweep the initial entanglement angle")
-    _add_shared(p_omega)
+    p_omega = _add_command(
+        sub, "sweep-omega", "sweep the initial entanglement angle of J(omega)|LLL>",
+        _cmd_sweep_omega, _shared_but("initial", "omega"),
+    )
     p_omega.add_argument("--omegas", help="comma-separated omega values (default 0..pi/2)")
     p_omega.add_argument("--schemes", help="comma-separated schemes")
-    p_omega.set_defaults(func=_cmd_sweep_omega)
 
-    p_disc = sub.add_parser("discriminate", help="label a coin state as GHZ-like or W-like")
-    _add_shared(p_disc)
+    # always the fair game A, so no game flags
+    p_disc = _add_command(
+        sub, "discriminate", "label a coin state as GHZ-like or W-like", _cmd_discriminate,
+        ("initial", "omega", "rounds", "seed"),
+    )
     p_disc.add_argument("--mode", choices=["expectation", "sampled"], default="expectation")
-    p_disc.add_argument("--shots", type=int, default=100_000)
-    p_disc.set_defaults(func=_cmd_discriminate)
+    p_disc.add_argument("--shots", type=int, help="draws for --mode sampled (default 100000)")
 
-    p_cls = sub.add_parser("classical", help="Monte Carlo classical baseline")
-    _add_shared(p_cls)
-    p_cls.add_argument("--mode", choices=["original", "cooperative"])
-    p_cls.add_argument("--players", type=int)
-    p_cls.add_argument("--pa", type=float)
-    for k in range(1, 5):
-        p_cls.add_argument(f"--p{k}", type=float)
-    p_cls.add_argument("--epsilon", type=float)
-    p_cls.add_argument("--trials", type=int)
-    p_cls.set_defaults(func=_cmd_classical)
+    _add_command(
+        sub, "classical", "Monte Carlo classical baseline", _cmd_classical,
+        ("scheme", "rounds", "seed", "mode", "players", "pa", "p1", "p2", "p3", "p4",
+         "epsilon", "trials"),
+    )
 
     return parser
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import W, CoinParams, initial_coin_state
-from .engine import PURE_A, SimulationConfig, _walk
+from .coins import W, initial_coin_state
+from .engine import PURE_A, SimulationConfig, _walk, schedule_mask
 from .observables import position_distribution
 from .state import WalkerState
 
@@ -27,7 +27,7 @@ class DiscriminationResult:
 def _final_state(
     coin_state: np.ndarray, config: SimulationConfig, per_player=None
 ) -> WalkerState:
-    return _walk(coin_state, ["A"] * config.rounds, config, per_player)
+    return _walk(coin_state, schedule_mask(config.scheme, config.rounds, None), config, per_player)
 
 
 def discriminate(
@@ -36,9 +36,19 @@ def discriminate(
     mode: str = "expectation",
     shots: int | None = None,
     rng: np.random.Generator | None = None,
-    coin: CoinParams = CoinParams(0.5),
 ) -> DiscriminationResult:
     """Label a coin state from its summed fair-game payoff.
+
+    Game A tosses each coin on its own and shifts each axis by its own
+    coin, so the expectation statistic is s = sum_i <x_i> = sum_i Tr[rho_i X_T],
+    a function of the single-qubit coin marginals rho_i only: I/2 for GHZ
+    and diag(2/3, 1/3) in the (|L>, |R>) basis for W. Here X_T is the 2x2
+    matrix of T-round position moments of one walk started from |L> and
+    |R>; a maximally mixed coin does not drift, so Tr X_T = 0, GHZ scores
+    exactly 0 and W scores X_T[L, L]. That W score, and with it the
+    threshold, depends on the coin (a coin that always flips scores 0 or
+    +1), so the game is fixed to the fair coin, where X_T[L, L] < 0 from
+    T = 3 on, rather than taking the coin as a parameter.
 
     Expectation mode computes s = sum_i <x_i> exactly; sampled mode draws
     ``shots`` position triples from the final joint distribution and
@@ -53,7 +63,7 @@ def discriminate(
         raise ValueError(f"sampled mode requires shots >= 1, got {shots}")
     # the fair game A every round, with the W state as the reference input;
     # the config also bounds ``rounds`` by the memory its states need
-    config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds, coin_a=coin)
+    config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds)
     # per-round payoffs of the input (row 0) and of the reference W state
     payoffs = np.zeros((2, rounds + 1, 3))
     state = _final_state(coin_state, config, payoffs[0])  # validates coin_state

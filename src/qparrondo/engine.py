@@ -131,37 +131,27 @@ def schedule_mask(
     return rng.integers(0, 2, size=rounds) == 1
 
 
-def build_schedule(scheme: GameScheme, rounds: int, rng: np.random.Generator) -> list[str]:
-    """Round labels "A"/"B" of ``schedule_mask``."""
-    return ["B" if b else "A" for b in schedule_mask(scheme, rounds, rng).tolist()]
-
-
 @lru_cache(maxsize=128)
 def _round_coin_operator(
     label: str, coin_a: CoinParams, game_b: GameBParams
 ) -> np.ndarray:
-    """Composed 8x8 coin-register operator of one round: the toss of
-    player 1, then player 2, then player 3."""
+    """Composed 8x8 coin-register operator of one round of game ``label``
+    ("A" or "B"): the toss of player 1, then player 2, then player 3."""
     if label == "A":
         m = coin_unitary(coin_a)
         ops = [lift_single_coin(m, player) for player in (1, 2, 3)]
-    elif label == "B":
+    else:
         mats = tuple(coin_unitary(p) for p in (game_b.ww, game_b.wl, game_b.lw, game_b.ll))
         ops = [controlled_coin_operator(player, *mats) for player in (1, 2, 3)]
-    else:
-        raise ValueError(f"round label must be 'A' or 'B', got {label!r}")
     return ops[2] @ ops[1] @ ops[0]
 
 
-def step_round(state: WalkerState, label: str, config: SimulationConfig) -> WalkerState:
-    """Advance one round: three sequential tosses, then the position update.
-
-    Equivalent to applying apply_coin_matrix (game A) or
-    apply_controlled_coin (game B) for players 1, 2, 3 in turn followed by
-    apply_position_update; the three tosses are composed into a single
-    coin-register operator before application.
+def step_round(state: WalkerState, plays_b: bool, config: SimulationConfig) -> WalkerState:
+    """Advance one round of game B if ``plays_b``, else of game A: the
+    tosses of players 1, 2 and 3 in turn, composed into a single
+    coin-register operator, then apply_position_update.
     """
-    op = _round_coin_operator(label, config.coin_a, config.game_b)
+    op = _round_coin_operator("B" if plays_b else "A", config.coin_a, config.game_b)
     return apply_position_update(_apply_coin_register_op(state, op))
 
 
@@ -170,9 +160,10 @@ _STEP_SIGNS = 2.0 * np.array(COIN_BITS) - 1.0
 
 
 def _walk(
-    coin_state: np.ndarray, schedule: list[str], config: SimulationConfig, per_player=None
+    coin_state: np.ndarray, mask: np.ndarray, config: SimulationConfig, per_player=None
 ) -> WalkerState:
-    """Play ``schedule`` from ``coin_state`` at the origin and return the
+    """Play the schedule ``mask`` (True where a round plays B, as from
+    ``schedule_mask``) from ``coin_state`` at the origin and return the
     final state; row t of ``per_player``, when given, receives the expected
     positions after round t, accumulated from row 0.
 
@@ -182,8 +173,8 @@ def _walk(
     <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1).
     """
     state = init_walker_state(coin_state)
-    for t, label in enumerate(schedule, start=1):
-        state = step_round(state, label, config)
+    for t, plays_b in enumerate(mask.tolist(), start=1):
+        state = step_round(state, plays_b, config)
         if per_player is not None:
             per_player[t] = per_player[t - 1] + coin_weights(state) @ _STEP_SIGNS
     return state
@@ -192,9 +183,9 @@ def _walk(
 def _run_indexed(config: SimulationConfig, run_index: int) -> PayoffSeries:
     """One full simulation; the schedule rng is keyed by (seed, run_index)."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, run_index)))
-    schedule = build_schedule(config.scheme, config.rounds, rng)
+    mask = schedule_mask(config.scheme, config.rounds, rng)
     per_player = np.zeros((config.rounds + 1, 3))
-    _walk(initial_coin_state(config.initial), schedule, config, per_player)
+    _walk(initial_coin_state(config.initial), mask, config, per_player)
     return PayoffSeries(per_player=per_player, average_gain=per_player.mean(axis=1))
 
 

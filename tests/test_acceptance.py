@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import apply_coin_matrix, dense_positions, dense_step_oracle, state_norm
 
 import qparrondo as qp
 from qparrondo import (
@@ -28,21 +29,19 @@ from qparrondo import (
     SimulationConfig,
     Verdict,
     coin_unitary,
-    dense_positions,
-    dense_step_oracle,
     discriminate,
     entangler_j,
     init_walker_state,
     initial_coin_state,
     periodic,
     run_simulation,
-    state_norm,
     step_round,
     sweep_entanglement,
     sweep_phase_map,
     sweep_rho4,
 )
 from qparrondo.classical import OriginalParams, run_classical
+from qparrondo.engine import schedule_mask
 from qparrondo.observables import position_distribution
 
 ROUNDS = 16
@@ -99,13 +98,13 @@ def test_criterion_1_fair_toss_state_identity():
     st = init_walker_state(initial_coin_state(GHZ))
     fair = coin_unitary(CoinParams(0.5))
     for player in (1, 2, 3):
-        st = qp.apply_coin_matrix(st, player, fair)
+        st = apply_coin_matrix(st, player, fair)
     coin_vec = st.tensor[:, 0, 0, 0]
     expect = np.array([1 - 1j, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1 - 1j]) / 4
     dev = float(np.max(np.abs(coin_vec - expect)))
     report("1a exact coin vector after one fair triple toss", dev <= 1e-12, f"dev={dev:.2e}")
     for player in (1, 2, 3):
-        st = qp.apply_coin_matrix(st, player, fair)
+        st = apply_coin_matrix(st, player, fair)
     overlap = abs(np.vdot(initial_coin_state(GHZ), st.tensor[:, 0, 0, 0]))
     report(
         "1b second triple toss returns GHZ up to phase",
@@ -286,11 +285,11 @@ def test_criterion_7_oracle_equivalence():
     for initial in (GHZ, SEPARABLE):
         st = init_walker_state(initial_coin_state(initial))
         cfg = config(initial, PURE_B, rho4=0.3, rounds=2)
-        for label, ops in (
-            ("A", [fair] * 3),
-            ("B", [(fair, fair, fair, special)] * 3),
+        for plays_b, ops in (
+            (False, [fair] * 3),
+            (True, [(fair, fair, fair, special)] * 3),
         ):
-            structured = dense_positions(step_round(st, label, cfg), 2)
+            structured = dense_positions(step_round(st, plays_b, cfg), 2)
             dense = dense_step_oracle(dense_positions(st, 2), ops)
             worst = max(worst, float(np.max(np.abs(structured - dense))))
     report("7 structured rounds match the dense oracle (T=2)", worst <= 1e-10, f"max dev={worst:.2e}")
@@ -313,12 +312,12 @@ def test_criterion_8a_unitarity_over_random_draws():
 def test_criterion_8b_norm_support_parity_every_round():
     cfg = config(SEPARABLE, periodic(2, 2), rho4=0.3)
     st = init_walker_state(initial_coin_state(SEPARABLE))
-    schedule = qp.build_schedule(cfg.scheme, ROUNDS, np.random.default_rng(0))
+    schedule = schedule_mask(cfg.scheme, ROUNDS, np.random.default_rng(0))
     coords = np.arange(-ROUNDS, ROUNDS + 1)
     worst_norm = 0.0
     leakage = 0.0
-    for t, label in enumerate(schedule, start=1):
-        st = step_round(st, label, cfg)
+    for t, plays_b in enumerate(schedule, start=1):
+        st = step_round(st, plays_b, cfg)
         worst_norm = max(worst_norm, abs(state_norm(st) - 1.0))
         prob = np.abs(dense_positions(st, ROUNDS)) ** 2
         for axis in range(3):
@@ -363,7 +362,7 @@ def test_criterion_9_discriminator():
     cfg = config(W, PURE_A)
     final = qp.init_walker_state(initial_coin_state(W))
     for _ in range(ROUNDS):
-        final = step_round(final, "A", cfg)
+        final = step_round(final, False, cfg)
     joint = position_distribution(final)
     coords = final.coordinates
     sums = coords[:, None, None] + coords[None, :, None] + coords[None, None, :]

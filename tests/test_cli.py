@@ -1,10 +1,13 @@
+import argparse
 import csv
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
 from qparrondo import sweeps
-from qparrondo.cli import cli_main
+from qparrondo.cli import build_parser, cli_main
 
 
 def test_run_writes_series_csv(tmp_path, capsys):
@@ -96,7 +99,9 @@ def test_sweep_omega_rejects_initial_state_flags(capsys, argv, flag):
     # the sweep sets the initial state to J(omega)|LLL> itself
     code = cli_main(["sweep-omega", *argv, "--omegas", "0", "--schemes", "a", "--rounds", "2"])
     assert code == 2
-    assert capsys.readouterr().err.rstrip().endswith(f"takes no {flag}")
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert all(name in err for name in flag.split(" or "))
 
 
 @pytest.mark.parametrize(
@@ -111,7 +116,9 @@ def test_sweep_omega_rejects_initial_state_config_fields(tmp_path, capsys, field
          "--rounds", "2"]
     )
     assert code == 2
-    assert capsys.readouterr().err.rstrip().endswith(f"takes no {flag}")
+    err = capsys.readouterr().err
+    assert "unknown config fields" in err
+    assert repr(flag.lstrip("-")) in err
 
 
 def test_sweep_phase_csv(tmp_path):
@@ -305,3 +312,172 @@ def test_sweep_rho4_honors_explicit_shared_scheme(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["scheme"] for row in rows] == ["a", "b", "periodic:2,2"]
+
+
+# --- each command accepts exactly the flags it reads ------------------------
+
+SHARED = (
+    "--initial", "--omega", "--scheme", "--rounds", "--rho0", "--rho1", "--rho2", "--rho3",
+    "--rho4", "--theta", "--phi", "--seed", "--runs",
+)
+
+# command -> (shared flags it reads, its own flags)
+READS = {
+    "run": (SHARED, ()),
+    "sweep-rho4": (tuple(f for f in SHARED if f != "--rho4"), ("--values", "--schemes")),
+    "sweep-phase": (
+        tuple(f for f in SHARED if f not in ("--theta", "--phi")), ("--step", "--schemes"),
+    ),
+    "sweep-omega": (
+        tuple(f for f in SHARED if f not in ("--initial", "--omega")), ("--omegas", "--schemes"),
+    ),
+    "discriminate": (("--initial", "--omega", "--rounds", "--seed"), ("--mode", "--shots")),
+    "classical": (
+        ("--scheme", "--rounds", "--seed"),
+        ("--mode", "--players", "--pa", "--p1", "--p2", "--p3", "--p4", "--epsilon", "--trials"),
+    ),
+}
+
+# a value of the right type for each shared flag, on the command line and in JSON
+FLAG_VALUES = {"--initial": "w", "--scheme": "b", "--rounds": "3", "--seed": "3", "--runs": "3"}
+FIELD_VALUES = {"initial": "w", "scheme": "b", "rounds": 3, "seed": 3, "runs": 3}
+
+
+def subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_command_accepts_exactly_the_flags_it_reads():
+    commands = subparsers()
+    assert set(commands) == set(READS)
+    for name, sub in commands.items():
+        options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        shared, own = READS[name]
+        assert options == {"--config", "--out", *shared, *own}, name
+
+
+UNREAD = [
+    (command, flag)
+    for command, (shared, _) in READS.items()
+    for flag in SHARED
+    if flag not in shared
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD)
+def test_unread_flag_rejected(capsys, command, flag):
+    assert cli_main([command, flag, FLAG_VALUES.get(flag, "0.3")]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+
+
+@pytest.mark.parametrize("command,flag", UNREAD)
+def test_unread_config_field_rejected(tmp_path, capsys, command, flag):
+    field = flag[2:]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: FIELD_VALUES.get(field, 0.3)}))
+    assert cli_main([command, "--config", str(config)]) == 2
+    assert f"unknown config fields: [{field!r}]" in capsys.readouterr().err
+
+
+def test_discriminate_rejects_game_flags(capsys):
+    assert cli_main(["discriminate", "--rho0", "0.3"]) == 2
+    assert "--rho0" in capsys.readouterr().err
+
+
+def test_sweep_omega_help_omits_initial_state_flags(capsys):
+    assert cli_main(["sweep-omega", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "--omegas" in help_text
+    assert "--initial" not in help_text
+    assert "--omega " not in help_text and "--omega\n" not in help_text
+
+
+def test_flag_prefixes_are_not_expanded(capsys):
+    # --omega must not be read as the sweep's --omegas
+    assert cli_main(["sweep-omega", "--omega", "0.3"]) == 2
+    assert "--omega" in capsys.readouterr().err
+
+
+COOPERATIVE = ["--mode", "cooperative", "--pa", "0.5", "--p1", "0.3", "--p2", "0.5",
+               "--p3", "0.5", "--p4", "0.8"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["run", "--omega", "0.3"], "--omega"),
+        (["run", "--initial", "ghz", "--omega", "0.3"], "--omega"),
+        (["sweep-rho4", "--initial", "w", "--omega", "0.3"], "--omega"),
+        (["sweep-phase", "--initial", "separable", "--omega", "0.3"], "--omega"),
+        (["discriminate", "--omega", "0.3"], "--omega"),
+        (["discriminate", "--shots", "10"], "--shots"),
+        (["discriminate", "--mode", "expectation", "--shots", "10"], "--shots"),
+        (["classical", "--players", "4"], "--players"),
+        (["classical", "--mode", "original", "--p3", "0.4"], "--p3"),
+        (["classical", "--p4", "0.4"], "--p4"),
+        (["classical", *COOPERATIVE, "--epsilon", "0.01"], "--epsilon"),
+    ],
+)
+def test_flag_unread_for_another_flags_value_rejected(capsys, argv, flag):
+    assert cli_main([*argv, "--rounds", "3"]) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,fields,field",
+    [
+        ("run", {"initial": "ghz", "omega": 0.3}, "omega"),
+        ("discriminate", {"omega": 0.3}, "omega"),
+        ("classical", {"players": 4}, "players"),
+        ("classical", {"mode": "cooperative", "epsilon": 0.01}, "epsilon"),
+    ],
+)
+def test_config_field_unread_for_another_fields_value_rejected(
+    tmp_path, capsys, command, fields, field
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    assert cli_main([command, "--config", str(config), "--rounds", "3"]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--initial", "j", "--omega", "0.3"],
+        ["discriminate", "--initial", "j", "--omega", "0.3"],
+        ["discriminate", "--mode", "sampled", "--shots", "10"],
+        ["classical", *COOPERATIVE, "--players", "4", "--trials", "5"],
+        ["classical", "--mode", "original", "--epsilon", "0.01", "--trials", "5"],
+    ],
+)
+def test_flag_read_for_another_flags_value_accepted(tmp_path, argv):
+    assert cli_main([*argv, "--rounds", "3", "--out", str(tmp_path / "out")]) == 0
+
+
+def test_omega_from_config_with_initial_j_flag_accepted(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"omega": 0.3}))
+    out = tmp_path / "series.csv"
+    argv = ["run", "--config", str(config), "--initial", "j", "--rounds", "3", "--out", str(out)]
+    assert cli_main(argv) == 0
+
+
+def load_benchmark_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_workload_argv_parse():
+    # every CLI call a benchmark job makes must stay a valid command line
+    workloads = load_benchmark_workloads().WORKLOADS
+    parser = build_parser()
+    for calls in workloads.values():
+        for _, argv in calls:
+            parser.parse_args([*argv, "--seed", "1", "--out", "x"])

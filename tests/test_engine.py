@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracle import dense_positions, dense_step_oracle, state_norm
 
 from qparrondo import (
     GHZ,
@@ -11,41 +12,42 @@ from qparrondo import (
     CoinParams,
     GameBParams,
     SimulationConfig,
-    build_schedule,
-    dense_positions,
-    dense_step_oracle,
     init_walker_state,
     initial_coin_state,
     parse_scheme,
     periodic,
     run_averaged,
     run_simulation,
-    state_norm,
     step_round,
 )
 from qparrondo.coins import coin_unitary
+from qparrondo.engine import schedule_mask
 
 
 def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
+def labels(mask):
+    return "".join("B" if plays_b else "A" for plays_b in mask)
+
+
 def test_schedule_periodic_2_2():
-    assert build_schedule(periodic(2, 2), 8, rng_for()) == list("AABBAABB")
+    assert labels(schedule_mask(periodic(2, 2), 8, rng_for())) == "AABBAABB"
 
 
 def test_schedule_periodic_3_2_truncates():
-    assert build_schedule(periodic(3, 2), 5, rng_for()) == list("AAABB")
+    assert labels(schedule_mask(periodic(3, 2), 5, rng_for())) == "AAABB"
 
 
 def test_schedule_pure():
-    assert build_schedule(PURE_A, 3, rng_for()) == list("AAA")
-    assert build_schedule(PURE_B, 4, rng_for()) == list("BBBB")
+    assert labels(schedule_mask(PURE_A, 3, rng_for())) == "AAA"
+    assert labels(schedule_mask(PURE_B, 4, rng_for())) == "BBBB"
 
 
 def test_schedule_mix_is_seed_deterministic_and_balanced():
-    a = build_schedule(RANDOM_MIX, 4000, rng_for(7))
-    b = build_schedule(RANDOM_MIX, 4000, rng_for(7))
+    a = labels(schedule_mask(RANDOM_MIX, 4000, rng_for(7)))
+    b = labels(schedule_mask(RANDOM_MIX, 4000, rng_for(7)))
     assert a == b
     frac = a.count("A") / len(a)
     assert 0.45 < frac < 0.55
@@ -80,27 +82,20 @@ def test_step_round_b_with_equal_branches_matches_a():
         initial=SEPARABLE, scheme=PURE_B, game_b=GameBParams.from_rhos()
     )
     st = init_walker_state(initial_coin_state(SEPARABLE))
-    a = step_round(st, "A", config_a)
-    b = step_round(st, "B", config_b)
+    a = step_round(st, False, config_a)
+    b = step_round(st, True, config_b)
     assert np.max(np.abs(a.tensor - b.tensor)) < 1e-12
 
 
 def test_step_round_a_distributes_toss_result_over_shifted_positions():
     config = SimulationConfig(initial=GHZ, scheme=PURE_A)
     st = init_walker_state(initial_coin_state(GHZ))
-    out = step_round(st, "A", config)
+    out = step_round(st, False, config)
     expect = np.array([1 - 1j, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1 - 1j]) / 4
     for c in range(8):
         n = [(c >> (2 - a)) & 1 for a in range(3)]
         assert abs(out.tensor[c, n[0], n[1], n[2]] - expect[c]) < 1e-12
     assert np.count_nonzero(out.tensor) == 8
-
-
-def test_step_round_rejects_bad_label():
-    config = SimulationConfig(initial=GHZ, scheme=PURE_A)
-    st = init_walker_state(initial_coin_state(GHZ))
-    with pytest.raises(ValueError, match="label"):
-        step_round(st, "C", config)
 
 
 def test_coin_marginal_after_two_a_rounds_is_uniform():
@@ -111,7 +106,7 @@ def test_coin_marginal_after_two_a_rounds_is_uniform():
     config = SimulationConfig(initial=GHZ, scheme=PURE_A)
     st = init_walker_state(initial_coin_state(GHZ))
     for _ in range(2):
-        st = step_round(st, "A", config)
+        st = step_round(st, False, config)
     coin_marginal = (np.abs(st.tensor) ** 2).reshape(8, -1).sum(axis=1)
     assert np.max(np.abs(coin_marginal - 0.125)) < 1e-12
 
@@ -155,10 +150,10 @@ def test_norm_and_support_every_round():
     )
     rounds = 8
     st = init_walker_state(initial_coin_state(SEPARABLE))
-    schedule = build_schedule(config.scheme, rounds, rng_for())
+    schedule = schedule_mask(config.scheme, rounds, rng_for())
     coords = np.arange(-rounds, rounds + 1)
-    for t, label in enumerate(schedule, start=1):
-        st = step_round(st, label, config)
+    for t, plays_b in enumerate(schedule, start=1):
+        st = step_round(st, plays_b, config)
         assert abs(state_norm(st) - 1.0) < 1e-10
         prob = np.abs(dense_positions(st, rounds)) ** 2
         for axis in range(3):
@@ -203,9 +198,9 @@ def test_one_round_matches_dense_oracle_both_labels():
     special = coin_unitary(CoinParams(rho4))
     st = init_walker_state(initial_coin_state(SEPARABLE))
     dense_a = dense_step_oracle(dense_positions(st, 2), [fair] * 3)
-    assert np.max(np.abs(dense_positions(step_round(st, "A", config), 2) - dense_a)) < 1e-10
+    assert np.max(np.abs(dense_positions(step_round(st, False, config), 2) - dense_a)) < 1e-10
     dense_b = dense_step_oracle(dense_positions(st, 2), [(fair, fair, fair, special)] * 3)
-    assert np.max(np.abs(dense_positions(step_round(st, "B", config), 2) - dense_b)) < 1e-10
+    assert np.max(np.abs(dense_positions(step_round(st, True, config), 2) - dense_b)) < 1e-10
 
 
 @pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE])
@@ -221,11 +216,11 @@ def test_three_mixed_rounds_match_dense_oracle(initial):
     )
     b = config.game_b
     ops = {
-        "A": [coin_unitary(config.coin_a)] * 3,
-        "B": [tuple(coin_unitary(p) for p in (b.ww, b.wl, b.lw, b.ll))] * 3,
+        False: [coin_unitary(config.coin_a)] * 3,
+        True: [tuple(coin_unitary(p) for p in (b.ww, b.wl, b.lw, b.ll))] * 3,
     }
     st = init_walker_state(initial_coin_state(initial))
-    for label in "BAB":
-        dense = dense_step_oracle(dense_positions(st, 3), ops[label])
-        st = step_round(st, label, config)
+    for plays_b in (True, False, True):
+        dense = dense_step_oracle(dense_positions(st, 3), ops[plays_b])
+        st = step_round(st, plays_b, config)
         assert np.max(np.abs(dense_positions(st, 3) - dense)) < 1e-10

@@ -19,7 +19,6 @@ from qparrondo import (
     W,
     WalkerState,
     apply_position_update,
-    build_schedule,
     classify_game,
     coin_weights,
     detect_paradox,
@@ -31,6 +30,7 @@ from qparrondo import (
     run_simulation,
     step_round,
 )
+from qparrondo.engine import schedule_mask
 
 
 def expected_positions(state: WalkerState) -> np.ndarray:
@@ -111,11 +111,11 @@ def test_payoffs_match_position_oracle(initial, scheme):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     state = init_walker_state(initial_coin_state(initial))
     assert series.per_player[0].tolist() == [0.0, 0.0, 0.0]
-    for t, label in enumerate(build_schedule(scheme, ORACLE_ROUNDS, rng), start=1):
-        state = step_round(state, label, config)
+    for t, plays_b in enumerate(schedule_mask(scheme, ORACLE_ROUNDS, rng), start=1):
+        state = step_round(state, plays_b, config)
         assert abs(coin_weights(state).sum() - 1.0) < 1e-12
         oracle = expected_positions(state)
-        assert np.max(np.abs(series.per_player[t] - oracle)) < 1e-12, (t, label)
+        assert np.max(np.abs(series.per_player[t] - oracle)) < 1e-12, (t, plays_b)
 
 
 def series_with_final(gain, stderr=None):

@@ -4,21 +4,23 @@ import math
 import numpy as np
 import pytest
 
+from oracle import (
+    apply_coin_matrix,
+    apply_controlled_coin,
+    dense_positions,
+    dense_round_matrix,
+    dense_step_oracle,
+    state_norm,
+)
 from qparrondo import (
     GHZ,
     SEPARABLE,
     CoinParams,
     WalkerState,
-    apply_coin_matrix,
-    apply_controlled_coin,
     apply_position_update,
     coin_unitary,
-    dense_positions,
-    dense_round_matrix,
-    dense_step_oracle,
     init_walker_state,
     initial_coin_state,
-    state_norm,
 )
 
 FAIR = coin_unitary(CoinParams(0.5))
