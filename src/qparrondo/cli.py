@@ -100,8 +100,8 @@ def _refuse_unless(given, holds: bool, condition: str) -> None:
 
 def _merge(args: argparse.Namespace) -> tuple[dict, set]:
     """FLAGS defaults <- config file <- explicit flags, over the fields the
-    command reads (``args.fields``); also reports which keys were set
-    explicitly (by either source). Flags the command does not read keep
+    command reads (``args.fields``); also reports which keys were given a
+    value explicitly (by either source; a null config value is unset). Flags the command does not read keep
     their defaults."""
     merged = {key: default for key, (default, _) in FLAGS.items()}
     explicit = set()
@@ -116,18 +116,14 @@ def _merge(args: argparse.Namespace) -> tuple[dict, set]:
         for key, value in loaded.items():
             _check_config_type(key, value, FLAGS[key][0])
         merged.update(loaded)
-        explicit |= set(loaded)
+        # null is the unset value of a probability, not a choice to refuse
+        explicit |= {key for key, value in loaded.items() if value is not None}
     for key in args.fields:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
             explicit.add(key)
     _refuse_unless(explicit & {"omega"}, merged["initial"] == "j", "--initial j")
-    _refuse_unless(
-        explicit & {"players", "p3", "p4"}, merged["mode"] == "cooperative",
-        "--mode cooperative",
-    )
-    _refuse_unless(explicit & {"epsilon"}, merged["mode"] == "original", "--mode original")
     return merged, explicit
 
 
@@ -300,7 +296,10 @@ def _cmd_discriminate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classical(args: argparse.Namespace) -> int:
-    opts, _ = _merge(args)
+    opts, explicit = _merge(args)
+    cooperative = opts["mode"] == "cooperative"
+    _refuse_unless(explicit & {"players", "p3", "p4"}, cooperative, "--mode cooperative")
+    _refuse_unless(explicit & {"epsilon"}, not cooperative, "--mode original")
     scheme = parse_scheme(opts["scheme"])
     if opts["mode"] == "original":
         params = OriginalParams(

@@ -151,6 +151,8 @@ def step_round(state: WalkerState, plays_b: bool, config: SimulationConfig) -> W
     tosses of players 1, 2 and 3 in turn, composed into a single
     coin-register operator, then apply_position_update.
     """
+    if not isinstance(plays_b, (bool, np.bool_)):
+        raise ValueError(f"plays_b must be a bool (True plays game B), got label {plays_b!r}")
     op = _round_coin_operator("B" if plays_b else "A", config.coin_a, config.game_b)
     return apply_position_update(_apply_coin_register_op(state, op))
 

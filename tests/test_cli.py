@@ -466,6 +466,17 @@ def test_omega_from_config_with_initial_j_flag_accepted(tmp_path):
     assert cli_main(argv) == 0
 
 
+@pytest.mark.parametrize("fields", [{"p3": None}, {"p3": None, "p4": None}])
+def test_null_cooperative_fields_accepted_in_original_mode(tmp_path, fields):
+    # null is the unset value of a probability, so nothing unread is given
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    out = tmp_path / "series.csv"
+    argv = ["classical", "--config", str(config), "--rounds", "3", "--trials", "5",
+            "--out", str(out)]
+    assert cli_main(argv) == 0
+
+
 def load_benchmark_workloads():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("benchmark_workloads", path)

@@ -98,6 +98,14 @@ def test_step_round_a_distributes_toss_result_over_shifted_positions():
     assert np.count_nonzero(out.tensor) == 8
 
 
+@pytest.mark.parametrize("label", ["A", "C"])
+def test_step_round_rejects_bad_label(label):
+    config = SimulationConfig(initial=GHZ, scheme=PURE_A)
+    st = init_walker_state(initial_coin_state(GHZ))
+    with pytest.raises(ValueError, match="label"):
+        step_round(st, label, config)
+
+
 def test_coin_marginal_after_two_a_rounds_is_uniform():
     # with the position updates interleaved, the eight coin branches end
     # at distinct positions and cannot interfere, so two fair tosses leave
