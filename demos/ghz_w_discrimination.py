@@ -23,8 +23,8 @@ for name, state in [("GHZ", GHZ), ("W", W)]:
 
 print()
 
-# finite-shot version: sample position triples from the final state and
-# average their coordinate sums, as a measured payoff register would
+# finite-shot version: sample the coordinate sum of the final state and
+# average it over the shots, as a measured payoff register would
 rng = np.random.default_rng(11)
 for shots in (100, 10_000, 100_000):
     result = discriminate(

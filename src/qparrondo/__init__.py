@@ -47,7 +47,6 @@ from .observables import (
     classify_game,
     coin_weights,
     detect_paradox,
-    position_distribution,
 )
 from .state import (
     WalkerState,
@@ -103,7 +102,6 @@ __all__ = [
     "j_entangled",
     "parse_scheme",
     "periodic",
-    "position_distribution",
     "run_averaged",
     "run_classical",
     "run_simulation",

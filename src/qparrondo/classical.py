@@ -279,6 +279,8 @@ def run_classical(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     cooperative = isinstance(params, CooperativeParams)
     n = params.n_players if cooperative else 1
     _check_trial_size(rounds, n)

@@ -7,6 +7,7 @@ fields of a JSON config file; explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -267,6 +268,8 @@ def _cmd_discriminate(args: argparse.Namespace) -> int:
     _refuse_unless(
         ["shots"] if args.shots is not None else [], args.mode == "sampled", "--mode sampled"
     )
+    if opts["seed"] < 0:
+        raise ValueError(f"seed must be >= 0, got {opts['seed']}")
     coin_state = initial_coin_state(_initial_coin(opts))
     rng = np.random.default_rng(int(opts["seed"]))
     result = discriminate(
@@ -282,15 +285,7 @@ def _cmd_discriminate(args: argparse.Namespace) -> int:
     )
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(
-                {
-                    "label": result.label,
-                    "statistic": result.statistic,
-                    "threshold": result.threshold,
-                },
-                fh,
-                indent=2,
-            )
+            json.dump(dataclasses.asdict(result), fh, indent=2)
             fh.write("\n")
     return 0
 
@@ -299,7 +294,10 @@ def _cmd_classical(args: argparse.Namespace) -> int:
     opts, explicit = _merge(args)
     cooperative = opts["mode"] == "cooperative"
     _refuse_unless(explicit & {"players", "p3", "p4"}, cooperative, "--mode cooperative")
-    _refuse_unless(explicit & {"epsilon"}, not cooperative, "--mode original")
+    # epsilon only sets the defaults of the original mode's unset probabilities
+    unset = None in (opts["pa"], opts["p1"], opts["p2"])
+    _refuse_unless(explicit & {"epsilon"}, not cooperative and unset,
+                   "--mode original and an unset --pa, --p1 or --p2")
     scheme = parse_scheme(opts["scheme"])
     if opts["mode"] == "original":
         params = OriginalParams(

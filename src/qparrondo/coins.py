@@ -35,9 +35,6 @@ class CoinParams:
             raise ValueError("theta and phi must be finite")
 
 
-FAIR_COIN = CoinParams(0.5)
-
-
 @dataclass(frozen=True)
 class GameBParams:
     """The four neighbor-conditioned coins of game B.

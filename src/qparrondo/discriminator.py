@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import W, initial_coin_state
-from .engine import PURE_A, SimulationConfig, _walk, schedule_mask
-from .observables import position_distribution
-from .state import WalkerState
+from .coins import W, coin_unitary, initial_coin_state
+from .engine import PURE_A, SimulationConfig
+from .state import init_walker_state
 
 
 @dataclass(frozen=True)
@@ -24,10 +23,22 @@ class DiscriminationResult:
     threshold: float
 
 
-def _final_state(
-    coin_state: np.ndarray, config: SimulationConfig, per_player=None
-) -> WalkerState:
-    return _walk(coin_state, schedule_mask(config.scheme, config.rounds, None), config, per_player)
+def _position_povm(coin: np.ndarray, rounds: int) -> np.ndarray:
+    """M(n) = Phi(n)^dagger Phi(n) for n = 0..rounds, where Phi(n)[b, a] is
+    the amplitude of coin b at step count n of a 1D walk from coin a."""
+    phi = np.zeros((rounds + 1, 2, 2), dtype=complex)
+    phi[0] = np.eye(2)
+    for t in range(1, rounds + 1):
+        phi[:t] = coin @ phi[:t]
+        phi[1:t + 1, 1] = phi[:t, 1].copy()  # |R> advances the step count
+        phi[0, 1] = 0.0
+    return phi.conj().transpose(0, 2, 1) @ phi
+
+
+def _summed_payoff(coins: np.ndarray, x_moments: np.ndarray) -> float:
+    """sum_i Tr[rho_i X_T] for the coin amplitudes ``coins[a1, a2, a3]``."""
+    marginals = (np.moveaxis(coins, i, 0).reshape(2, 4) for i in range(3))
+    return float(sum(np.trace(q @ q.conj().T @ x_moments).real for q in marginals))
 
 
 def discriminate(
@@ -39,53 +50,54 @@ def discriminate(
 ) -> DiscriminationResult:
     """Label a coin state from its summed fair-game payoff.
 
-    Game A tosses each coin on its own and shifts each axis by its own
-    coin, so the expectation statistic is s = sum_i <x_i> = sum_i Tr[rho_i X_T],
-    a function of the single-qubit coin marginals rho_i only: I/2 for GHZ
-    and diag(2/3, 1/3) in the (|L>, |R>) basis for W. Here X_T is the 2x2
-    matrix of T-round position moments of one walk started from |L> and
-    |R>; a maximally mixed coin does not drift, so Tr X_T = 0, GHZ scores
-    exactly 0 and W scores X_T[L, L]. That W score, and with it the
-    threshold, depends on the coin (a coin that always flips scores 0 or
-    +1), so the game is fixed to the fair coin, where X_T[L, L] < 0 from
-    T = 3 on, rather than taking the coin as a parameter.
+    Game A tosses and shifts each axis by its own coin, so the walk is a
+    product of three 1D walks. Walking one from |L> and from |R> for T
+    rounds gives the 2x2 operators M(n) on a player's starting coin whose
+    expectation is the probability of step count n, position 2n - T.
+    Expectation mode returns s = sum_i <x_i> = sum_i Tr[rho_i X_T] with
+    X_T = sum_n (2n - T) M(n): a function of the single-qubit marginals rho_i
+    only, I/2 for GHZ and diag(2/3, 1/3) in the (|L>, |R>) basis for W. A
+    maximally mixed coin does not drift (Tr X_T = 0), so GHZ scores exactly
+    zero and W scores X_T[L, L]. That score, and so the threshold, depends on
+    the coin (one that always flips scores 0 or +1), so the game is fixed to
+    the fair coin, where X_T[L, L] < 0 from T = 3 on; at 1 or 2 rounds it is
+    0 and rounding would decide the label, so ``rounds`` must be at least 3.
 
-    Expectation mode computes s = sum_i <x_i> exactly; sampled mode draws
-    ``shots`` position triples from the final joint distribution and
-    averages their coordinate sums. The threshold is half the magnitude
-    of the true W state's statistic at the same round count, and the
-    label is GHZ for |s| <= threshold, W for s < -threshold, else
-    Inconclusive. Meaningful only for inputs promised to be GHZ or W.
+    Sampled mode computes the exact distribution of S = n1 + n2 + n3,
+    P(S) = sum over n1 + n2 + n3 = S of <psi|M(n1) (x) M(n2) (x) M(n3)|psi>,
+    on the Fourier grid of its 3T + 1 values, draws the counts of
+    ``shots`` coordinate sums from one multinomial and returns their mean
+    sum_S count_S (2S - 3T) / shots. That is distributed as the mean of
+    ``shots`` independent draws, in time and memory free of ``shots``.
+
+    The threshold is half the magnitude of the true W state's statistic;
+    the label is GHZ for |s| <= threshold, W for s < -threshold, else
+    Inconclusive, meaningful only for inputs promised to be GHZ or W. The
+    memory cap on ``rounds`` is a three-axis game-A walk's, conservative here.
     """
     if mode not in ("expectation", "sampled"):
         raise ValueError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
-    if mode == "sampled" and (shots is None or shots < 1):
-        raise ValueError(f"sampled mode requires shots >= 1, got {shots}")
-    # the fair game A every round, with the W state as the reference input;
-    # the config also bounds ``rounds`` by the memory its states need
+    if mode == "sampled" and (shots is None or not 1 <= shots <= np.iinfo(np.int64).max):
+        raise ValueError(f"sampled mode requires shots >= 1 and < 2**63, got {shots}")
     config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds)
-    # per-round payoffs of the input (row 0) and of the reference W state
-    payoffs = np.zeros((2, rounds + 1, 3))
-    state = _final_state(coin_state, config, payoffs[0])  # validates coin_state
-    _final_state(initial_coin_state(W), config, payoffs[1])
-    statistic, reference = (float(s) for s in payoffs[:, -1].sum(axis=1))
-    threshold = abs(reference) / 2.0
-
+    if rounds < 3:
+        raise ValueError(f"rounds must be >= 3 to tell W from GHZ, got {rounds}")
+    coins = init_walker_state(coin_state).tensor.reshape(2, 2, 2)  # validates coin_state
+    povm = _position_povm(coin_unitary(config.coin_a), rounds)
+    x_moments = np.tensordot(2 * np.arange(rounds + 1) - rounds, povm, axes=1)
+    statistic = _summed_payoff(coins, x_moments)
+    threshold = abs(_summed_payoff(initial_coin_state(W).reshape(2, 2, 2), x_moments)) / 2.0
     if mode == "sampled":
-        probs = position_distribution(state).reshape(-1)
-        probs = probs / probs.sum()
+        size = 3 * rounds + 1
+        m_hat = np.fft.fft(povm, n=size, axis=0)
+        p_hat = np.einsum("def,kda,keb,kfc,abc->k", coins.conj(), m_hat, m_hat, m_hat, coins)
+        # the inverse transform leaves rounding-level negative probabilities
+        probs = np.clip(np.fft.ifft(p_hat).real, 0.0, None)
         if rng is None:
             rng = np.random.default_rng(0)
-        coords = state.coordinates
-        n = len(coords)
-        draws = rng.choice(n**3, size=shots, p=probs)
-        n1, n2, n3 = np.unravel_index(draws, (n, n, n))
-        statistic = float(np.mean(coords[n1] + coords[n2] + coords[n3]))
+        counts = rng.multinomial(shots, probs / probs.sum())
+        sums = 2.0 * np.arange(size) - 3 * rounds  # float, so no count product overflows int64
+        statistic = float(counts @ sums) / shots
 
-    if abs(statistic) <= threshold:
-        label = "GHZ"
-    elif statistic < -threshold:
-        label = "W"
-    else:
-        label = "Inconclusive"
+    label = "GHZ" if abs(statistic) <= threshold else "W" if statistic < 0 else "Inconclusive"
     return DiscriminationResult(label=label, statistic=statistic, threshold=threshold)

@@ -21,15 +21,6 @@ def coin_weights(state: WalkerState) -> np.ndarray:
     return (flat[:, None, :] @ flat[:, :, None]).reshape(8)
 
 
-def position_distribution(state: WalkerState) -> np.ndarray:
-    """Joint probability over step counts (t+1, t+1, t+1), coin register
-    traced out; index n of each axis is position ``state.coordinates[n]``.
-    Used for sampled shots; payoffs come from ``coin_weights``."""
-    a = np.abs(state.tensor)
-    np.multiply(a, a, out=a)
-    return a.sum(axis=0)
-
-
 @dataclass
 class PayoffSeries:
     """Per-round expected positions and the player-averaged capital gain.

@@ -1,5 +1,6 @@
-"""Independent oracles for the structured walk: per-player coin tosses and
-a dense Kronecker round on a small position lattice.
+"""Independent oracles for the structured walk: per-player coin tosses, the
+joint position distribution, and a dense Kronecker round on a small
+position lattice.
 
 The engine composes a round's three tosses into one 8x8 operator and
 shifts in count space; these helpers toss one player at a time, and the
@@ -49,6 +50,14 @@ def _check_player(player: int) -> None:
 def state_norm(state: WalkerState) -> float:
     """Euclidean norm sqrt(sum |amp|^2) of the full amplitude tensor."""
     return float(np.linalg.norm(state.tensor))
+
+
+def position_distribution(state: WalkerState) -> np.ndarray:
+    """Joint probability over step counts (t+1, t+1, t+1), coin register
+    traced out; index n of each axis is position ``state.coordinates[n]``."""
+    a = np.abs(state.tensor)
+    np.multiply(a, a, out=a)
+    return a.sum(axis=0)
 
 
 def apply_coin_matrix(state: WalkerState, player: int, m: np.ndarray) -> WalkerState:

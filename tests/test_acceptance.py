@@ -14,7 +14,13 @@ import math
 
 import numpy as np
 import pytest
-from oracle import apply_coin_matrix, dense_positions, dense_step_oracle, state_norm
+from oracle import (
+    apply_coin_matrix,
+    dense_positions,
+    dense_step_oracle,
+    position_distribution,
+    state_norm,
+)
 
 import qparrondo as qp
 from qparrondo import (
@@ -42,7 +48,6 @@ from qparrondo import (
 )
 from qparrondo.classical import OriginalParams, run_classical
 from qparrondo.engine import schedule_mask
-from qparrondo.observables import position_distribution
 
 ROUNDS = 16
 RHO4_GRID = [round(0.1 * k, 1) for k in range(1, 10)]

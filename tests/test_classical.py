@@ -384,3 +384,5 @@ def test_run_classical_validation():
         run_classical(OriginalParams(), PURE_A, rounds=10, trials=0)
     with pytest.raises(ValueError, match="rounds"):
         run_classical(OriginalParams(), PURE_A, rounds=0, trials=1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_classical(OriginalParams(), PURE_A, rounds=10, trials=1, seed=-1)

@@ -419,6 +419,8 @@ COOPERATIVE = ["--mode", "cooperative", "--pa", "0.5", "--p1", "0.3", "--p2", "0
         (["classical", "--mode", "original", "--p3", "0.4"], "--p3"),
         (["classical", "--p4", "0.4"], "--p4"),
         (["classical", *COOPERATIVE, "--epsilon", "0.01"], "--epsilon"),
+        (["classical", "--pa", "0.5", "--p1", "0.1", "--p2", "0.7", "--epsilon", "0.3"],
+         "--epsilon"),
     ],
 )
 def test_flag_unread_for_another_flags_value_rejected(capsys, argv, flag):
@@ -433,6 +435,7 @@ def test_flag_unread_for_another_flags_value_rejected(capsys, argv, flag):
         ("discriminate", {"omega": 0.3}, "omega"),
         ("classical", {"players": 4}, "players"),
         ("classical", {"mode": "cooperative", "epsilon": 0.01}, "epsilon"),
+        ("classical", {"pa": 0.5, "p1": 0.1, "p2": 0.7, "epsilon": 0.3}, "epsilon"),
     ],
 )
 def test_config_field_unread_for_another_fields_value_rejected(
@@ -452,6 +455,7 @@ def test_config_field_unread_for_another_fields_value_rejected(
         ["discriminate", "--mode", "sampled", "--shots", "10"],
         ["classical", *COOPERATIVE, "--players", "4", "--trials", "5"],
         ["classical", "--mode", "original", "--epsilon", "0.01", "--trials", "5"],
+        ["classical", "--pa", "0.5", "--p1", "0.1", "--epsilon", "0.3", "--trials", "5"],
     ],
 )
 def test_flag_read_for_another_flags_value_accepted(tmp_path, argv):
@@ -475,6 +479,47 @@ def test_null_cooperative_fields_accepted_in_original_mode(tmp_path, fields):
     argv = ["classical", "--config", str(config), "--rounds", "3", "--trials", "5",
             "--out", str(out)]
     assert cli_main(argv) == 0
+
+
+def test_epsilon_with_a_null_original_probability_accepted(tmp_path):
+    # a null p2 is unset, so epsilon sets its default and is read
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pa": 0.5, "p1": 0.1, "p2": None, "epsilon": 0.3}))
+    argv = ["classical", "--config", str(config), "--rounds", "3", "--trials", "5",
+            "--out", str(tmp_path / "classical.csv")]
+    assert cli_main(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-rho4", "discriminate", "classical"])
+def test_negative_seed_flag_rejected(capsys, command):
+    assert cli_main([command, "--seed", "-1", "--rounds", "3"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "discriminate", "classical"])
+def test_negative_seed_config_field_rejected(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    assert cli_main([command, "--config", str(config), "--rounds", "3"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rounds", ["1", "2"])
+def test_discriminate_rejects_fewer_than_three_rounds(capsys, rounds):
+    assert cli_main(["discriminate", "--initial", "w", "--rounds", rounds]) == 2
+    assert "rounds must be >= 3" in capsys.readouterr().err
+
+
+def test_discriminate_shots_beyond_int64_rejected(capsys):
+    argv = ["discriminate", "--mode", "sampled", "--shots", str(2**63)]
+    assert cli_main(argv) == 2
+    assert "shots" in capsys.readouterr().err
+
+
+def test_discriminate_huge_shot_count_runs(capsys):
+    argv = ["discriminate", "--initial", "w", "--mode", "sampled", "--shots", str(10**13)]
+    assert cli_main(argv) == 0
+    assert "label=W" in capsys.readouterr().out
 
 
 def load_benchmark_workloads():

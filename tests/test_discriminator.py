@@ -1,7 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracle import position_distribution
 
-from qparrondo import GHZ, SEPARABLE, W, discriminate, initial_coin_state
+from qparrondo import (
+    GHZ,
+    PURE_A,
+    SEPARABLE,
+    SimulationConfig,
+    W,
+    discriminate,
+    initial_coin_state,
+    j_entangled,
+)
+from qparrondo.engine import _walk, schedule_mask
 
 
 def test_expectation_mode_labels_ghz():
@@ -75,3 +88,96 @@ def test_input_validation():
         discriminate(initial_coin_state(GHZ), mode="guess")
     with pytest.raises(ValueError, match="components"):
         discriminate(np.ones(4) / 2.0)
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_rounds_below_three_rejected(rounds):
+    # X_T[L, L] = 0 at 1 or 2 rounds, so the threshold would be 0
+    for mode, shots in (("expectation", None), ("sampled", 10)):
+        with pytest.raises(ValueError, match=f"rounds must be >= 3 .*got {rounds}"):
+            discriminate(initial_coin_state(W), rounds=rounds, mode=mode, shots=shots)
+
+
+def test_shots_beyond_int64_rejected():
+    with pytest.raises(ValueError, match="shots"):
+        discriminate(initial_coin_state(W), mode="sampled", shots=2**63)
+
+
+def random_unit_coin(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return v / np.linalg.norm(v)
+
+
+ORACLE_INPUTS = {
+    "ghz": initial_coin_state(GHZ),
+    "w": initial_coin_state(W),
+    "separable": initial_coin_state(SEPARABLE),
+    "j0.7": initial_coin_state(j_entangled(0.7)),
+    "random": random_unit_coin(11),
+}
+ORACLE_ROUNDS = range(3, 21)
+
+
+def engine_game_a(coin_state, rounds):
+    """Oracle: the three-axis engine's final state and summed payoff after
+    ``rounds`` rounds of the fair game A."""
+    config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds)
+    per_player = np.zeros((rounds + 1, 3))
+    final = _walk(coin_state, schedule_mask(PURE_A, rounds, None), config, per_player)
+    return final, float(per_player[-1].sum())
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_expectation_matches_three_axis_engine(name):
+    for rounds in ORACLE_ROUNDS:
+        result = discriminate(ORACLE_INPUTS[name], rounds=rounds)
+        _, statistic = engine_game_a(ORACLE_INPUTS[name], rounds)
+        _, reference = engine_game_a(initial_coin_state(W), rounds)
+        assert abs(result.statistic - statistic) < 1e-12, rounds
+        assert abs(result.threshold - abs(reference) / 2) < 1e-12, rounds
+
+
+class RecordingRng:
+    """Keeps the distribution sampled mode draws from, then draws as usual."""
+
+    def __init__(self):
+        self.pvals = None
+
+    def multinomial(self, n, pvals):
+        self.pvals = np.array(pvals)
+        return np.random.default_rng(0).multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_sampled_distribution_is_binned_joint_distribution(name):
+    for rounds in ORACLE_ROUNDS:
+        rng = RecordingRng()
+        discriminate(ORACLE_INPUTS[name], rounds=rounds, mode="sampled", shots=10, rng=rng)
+        final, _ = engine_game_a(ORACLE_INPUTS[name], rounds)
+        n = np.arange(rounds + 1)
+        step_sums = n[:, None, None] + n[None, :, None] + n[None, None, :]
+        binned = np.bincount(
+            step_sums.ravel(), weights=position_distribution(final).ravel(),
+            minlength=3 * rounds + 1,
+        )
+        assert rng.pvals.shape == binned.shape
+        assert np.max(np.abs(rng.pvals - binned)) < 1e-12, rounds
+
+
+def test_sampled_memory_does_not_grow_with_shots():
+    shots = 10**13
+    tracemalloc.start()
+    try:
+        result = discriminate(
+            initial_coin_state(W), rounds=28, mode="sampled", shots=shots,
+            rng=np.random.default_rng(3),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    exact = discriminate(initial_coin_state(W), rounds=28)
+    assert result.label == "W"
+    # coordinate sums lie in [-84, 84]: a 4-standard-error bound
+    assert abs(result.statistic - exact.statistic) < 4 * 84 / np.sqrt(shots)

@@ -74,6 +74,8 @@ def test_config_validation():
         SimulationConfig(initial=GHZ, scheme=PURE_A, runs=0)
     with pytest.raises(ValueError, match="physical memory"):
         SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=100_000)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SimulationConfig(initial=GHZ, scheme=PURE_A, seed=-1)
 
 
 def test_step_round_b_with_equal_branches_matches_a():

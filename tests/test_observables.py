@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import position_distribution
 
 from qparrondo import (
     GHZ,
@@ -26,7 +27,6 @@ from qparrondo import (
     initial_coin_state,
     j_entangled,
     periodic,
-    position_distribution,
     run_simulation,
     step_round,
 )
