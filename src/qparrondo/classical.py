@@ -27,6 +27,7 @@ fit in physical memory is refused before anything is drawn.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +59,19 @@ class OriginalParams:
     p2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        for name, value in (("p", self.win_a), ("p1", self.win_b1), ("p2", self.win_b2)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
+        for name, given, value in (
+            ("p", self.p, self.win_a), ("p1", self.p1, self.win_b1), ("p2", self.p2, self.win_b2)
+        ):
+            if 0.0 <= value <= 1.0:
+                continue
+            if given is None:
+                raise ValueError(
+                    f"epsilon {self.epsilon} sets the default {name} to {value:.6g}, "
+                    "outside [0, 1]"
+                )
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
     @property
     def win_a(self) -> float:

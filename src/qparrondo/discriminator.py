@@ -69,6 +69,10 @@ def discriminate(
     ``shots`` coordinate sums from one multinomial and returns their mean
     sum_S count_S (2S - 3T) / shots. That is distributed as the mean of
     ``shots`` independent draws, in time and memory free of ``shots``.
+    A seeded sampled result repeats only on the same numpy and BLAS build:
+    numpy's multinomial consumes a number of uniforms that depends on the
+    probabilities it is given, so a last-bit change in P(S) can change
+    every draw after it.
 
     The threshold is half the magnitude of the true W state's statistic;
     the label is GHZ for |s| <= threshold, W for s < -threshold, else

@@ -11,6 +11,7 @@ update advances count axis i wherever coin bit b_i is set.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,9 +70,22 @@ def init_walker_state(coin_state: np.ndarray) -> WalkerState:
     return WalkerState(v.reshape(8, 1, 1, 1).copy())
 
 
-def _apply_coin_register_op(state: WalkerState, op8: np.ndarray) -> WalkerState:
+def _prefix(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading entries of the flat complex ``buffer`` viewed as an array
+    of ``shape``, or a new array of that shape when there is no buffer."""
+    if buffer is None:
+        return np.empty(shape, dtype=complex)
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _apply_coin_register_op(
+    state: WalkerState, op8: np.ndarray, out: np.ndarray | None = None
+) -> WalkerState:
+    """Apply an 8x8 operator to the coin axis, writing into the flat
+    buffer ``out`` when one is given."""
     flat = state.tensor.reshape(8, -1)
-    return WalkerState((op8 @ flat).reshape(state.tensor.shape))
+    tossed = np.matmul(op8, flat, out=_prefix(out, flat.shape))
+    return WalkerState(tossed.reshape(state.tensor.shape))
 
 
 def lift_single_coin(m: np.ndarray, player: int) -> np.ndarray:
@@ -108,14 +122,17 @@ def controlled_coin_operator(
     return op
 
 
-def apply_position_update(state: WalkerState) -> WalkerState:
+def apply_position_update(state: WalkerState, *, out: np.ndarray | None = None) -> WalkerState:
     """Shift axis i by +1 where player i's coin is |R> and -1 where |L>.
 
     In count space the |R> branch of axis i advances n_i by one while the
-    |L> branch keeps it, and every axis grows by one site.
+    |L> branch keeps it, and every axis grows by one site. The shifted
+    state is written into the leading entries of the flat complex buffer
+    ``out`` when one is given, else into a new array.
     """
     t = state.rounds
-    shifted = np.zeros((8, t + 2, t + 2, t + 2), dtype=complex)
+    shifted = _prefix(out, (8, t + 2, t + 2, t + 2))
+    shifted.fill(0)
     for c, (b1, b2, b3) in enumerate(COIN_BITS):
         shifted[c, b1:b1 + t + 1, b2:b2 + t + 1, b3:b3 + t + 1] = state.tensor[c]
     return WalkerState(shifted)

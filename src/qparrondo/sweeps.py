@@ -25,7 +25,8 @@ from .engine import (
     GameScheme,
     SimulationConfig,
     _physical_memory_bytes,
-    run_averaged,
+    _run_averaged,
+    _workspace,
 )
 from .observables import GameVerdict, PayoffSeries, classify_game, detect_paradox
 
@@ -85,18 +86,21 @@ def _sweep(
     points: Iterable,
     config_for: Callable[[object, GameScheme], SimulationConfig],
     schemes: Sequence[GameScheme],
+    rounds: int,
 ) -> Iterator[tuple]:
     """(point, scheme label, gain, stderr, verdict, paradox) for every point
     in order and every distinct scheme label; pure A and B are played at
-    each point for the paradox flags of the combined schemes."""
+    each point for the paradox flags of the combined schemes. Every walk of
+    the sweep, of ``rounds`` rounds, is played in one workspace."""
     schemes = _distinct(schemes)
     played: dict[tuple, tuple[float, float, GameVerdict]] = {}
+    workspace = _workspace(rounds)
 
     def play(point, scheme: GameScheme) -> tuple[float, float, GameVerdict]:
         config = config_for(point, scheme)
         key = _walk_key(config)
         if key not in played:
-            series = run_averaged(config)
+            series = _run_averaged(config, workspace)
             played[key] = (series.final_gain, series.final_stderr, classify_game(series))
         return played[key]
 
@@ -127,7 +131,7 @@ def sweep_rho4(
         game_b = replace(b, ll=replace(b.ll, rho=value))
         return replace(base, scheme=scheme, game_b=game_b)
 
-    return [SweepRecord(*row) for row in _sweep(values, config_for, schemes)]
+    return [SweepRecord(*row) for row in _sweep(values, config_for, schemes, base.rounds)]
 
 
 def sweep_entanglement(
@@ -140,7 +144,7 @@ def sweep_entanglement(
     def config_for(omega: float, scheme: GameScheme) -> SimulationConfig:
         return replace(base, initial=j_entangled(omega), scheme=scheme)
 
-    return [SweepRecord(*row) for row in _sweep(omegas, config_for, schemes)]
+    return [SweepRecord(*row) for row in _sweep(omegas, config_for, schemes, base.rounds)]
 
 
 def _grid_count(step: float, span: float) -> int:
@@ -193,7 +197,7 @@ def sweep_phase_map(
     return [
         MapRecord(theta, phi, label, gain, paradox)
         for (theta, phi), label, gain, _, _, paradox in _sweep(
-            itertools.product(grid, grid), config_for, schemes
+            itertools.product(grid, grid), config_for, schemes, base.rounds
         )
     ]
 

@@ -130,6 +130,30 @@ def test_original_params_validation():
         OriginalParams(p1=1.4)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+def test_original_params_reject_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match=r"^epsilon must be a finite number >= 0, got"):
+        OriginalParams(epsilon=epsilon)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"epsilon": 0.6}, "epsilon 0.6 sets the default p to -0.1, outside [0, 1]"),
+        ({"epsilon": 0.2, "p": 0.5}, "epsilon 0.2 sets the default p1 to -0.1, outside [0, 1]"),
+        ({"epsilon": 0.8, "p": 0.5, "p1": 0.1},
+         "epsilon 0.8 sets the default p2 to -0.05, outside [0, 1]"),
+        ({"epsilon": 0.2, "p": 0.5, "p1": -0.1}, "p1 must lie in [0, 1], got -0.1"),
+    ],
+)
+def test_out_of_range_probability_names_its_source(kwargs, message):
+    # a default that epsilon drives out of [0, 1] names epsilon and the
+    # probability; a given probability is named alone
+    with pytest.raises(ValueError) as info:
+        OriginalParams(**kwargs)
+    assert str(info.value) == message
+
+
 def test_original_step_game_a_sure_win():
     rng = np.random.default_rng(0)
     params = OriginalParams(epsilon=0.0, p=1.0)

@@ -490,6 +490,21 @@ def test_epsilon_with_a_null_original_probability_accepted(tmp_path):
     assert cli_main(argv) == 0
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--epsilon", "nan"], "epsilon must be a finite number >= 0, got nan"),
+        (["--epsilon", "inf"], "epsilon must be a finite number >= 0, got inf"),
+        (["--epsilon", "0.6"], "epsilon 0.6 sets the default p to -0.1, outside [0, 1]"),
+        (["--pa", "0.5", "--epsilon", "0.2"],
+         "epsilon 0.2 sets the default p1 to -0.1, outside [0, 1]"),
+    ],
+)
+def test_classical_bad_epsilon_named(capsys, flags, message):
+    assert cli_main(["classical", *flags, "--rounds", "3", "--trials", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["run", "sweep-rho4", "discriminate", "classical"])
 def test_negative_seed_flag_rejected(capsys, command):
     assert cli_main([command, "--seed", "-1", "--rounds", "3"]) == 2
