@@ -140,6 +140,10 @@ def _initial_coin(opts: dict) -> InitialCoin:
 
 
 def _sim_config(opts: dict) -> SimulationConfig:
+    for name in ("rho0", "rho1", "rho2", "rho3", "rho4"):
+        rho = float(opts[name])
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {rho}")
     return SimulationConfig(
         initial=_initial_coin(opts),
         scheme=parse_scheme(opts["scheme"]),

@@ -83,9 +83,9 @@ def discriminate(
         raise ValueError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
     if mode == "sampled" and (shots is None or not 1 <= shots <= np.iinfo(np.int64).max):
         raise ValueError(f"sampled mode requires shots >= 1 and < 2**63, got {shots}")
-    config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds)
     if rounds < 3:
         raise ValueError(f"rounds must be >= 3 to tell W from GHZ, got {rounds}")
+    config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds)
     coins = init_walker_state(coin_state).tensor.reshape(2, 2, 2)  # validates coin_state
     povm = _position_povm(coin_unitary(config.coin_a), rounds)
     x_moments = np.tensordot(2 * np.arange(rounds + 1) - rounds, povm, axes=1)

@@ -99,8 +99,8 @@ class SimulationConfig:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         # a state after t rounds holds 8 (t+1)^3 complex128 amplitudes, and a
-        # walk's workspace holds three of them: the toss scratch and two states
-        need = 3 * 8 * (self.rounds + 1) ** 3 * 16
+        # walk holds two of them: the toss output and the state
+        need = 2 * 8 * (self.rounds + 1) ** 3 * 16
         physical = _physical_memory_bytes()
         if need > physical:
             raise ValueError(
@@ -161,8 +161,9 @@ def step_round(
     coin-register operator, then apply_position_update.
 
     The toss is written into the flat complex buffer ``scratch`` and the
-    shifted state into ``out``, two buffers that must not overlap; each
-    one missing is allocated.
+    shifted state into ``out``, each allocated when missing. ``out`` may
+    hold ``state`` itself, since the toss has read all of it before the
+    shift writes; ``scratch`` must overlap neither.
     """
     if not isinstance(plays_b, (bool, np.bool_)):
         raise ValueError(f"plays_b must be a bool (True plays game B), got label {plays_b!r}")
@@ -174,54 +175,42 @@ def step_round(
 _STEP_SIGNS = 2.0 * np.array(COIN_BITS) - 1.0
 
 
-def _workspace(rounds: int) -> np.ndarray:
-    """Buffers for walks of up to ``rounds`` rounds: three flat complex rows
-    of one final state's size, the toss scratch and two state buffers that
-    the rounds alternate between. SimulationConfig's memory check counts
-    them."""
-    return np.empty((3, 8 * (rounds + 1) ** 3), dtype=complex)
-
-
 def _walk(
     coin_state: np.ndarray,
     mask: np.ndarray,
     config: SimulationConfig,
     per_player=None,
-    workspace: np.ndarray | None = None,
 ) -> WalkerState:
     """Play the schedule ``mask`` (True where a round plays B, as from
     ``schedule_mask``) from ``coin_state`` at the origin and return the
     final state; row t of ``per_player``, when given, receives the expected
     positions after round t, accumulated from row 0.
 
-    Every round is played in ``workspace`` (from ``_workspace``, allocated
-    when not given), so the final state is a view of one of its rows and
-    is overwritten by the next walk in the same workspace.
+    The walk owns two flat buffers of one final state's size: each round
+    tosses the state into ``tossed``, then shifts the toss back into
+    ``states``, the state's own buffer, which the toss has read in full by
+    then. The final state is a view of ``states``.
 
     Round t moves axis i by +1 with the weight of the coin components whose
     bit i is |R> after the toss, and by -1 otherwise; the shift only moves
     sites within each coin component, so the weights can be read after it:
     <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1).
     """
-    if workspace is None:
-        workspace = _workspace(len(mask))
-    scratch, *states = workspace
+    tossed, states = np.empty((2, 8 * (len(mask) + 1) ** 3), dtype=complex)
     state = init_walker_state(coin_state)
     for t, plays_b in enumerate(mask.tolist(), start=1):
-        state = step_round(state, plays_b, config, scratch=scratch, out=states[t % 2])
+        state = step_round(state, plays_b, config, scratch=tossed, out=states)
         if per_player is not None:
             per_player[t] = per_player[t - 1] + coin_weights(state) @ _STEP_SIGNS
     return state
 
 
-def _run_indexed(
-    config: SimulationConfig, run_index: int, workspace: np.ndarray | None = None
-) -> PayoffSeries:
+def _run_indexed(config: SimulationConfig, run_index: int) -> PayoffSeries:
     """One full simulation; the schedule rng is keyed by (seed, run_index)."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, run_index)))
     mask = schedule_mask(config.scheme, config.rounds, rng)
     per_player = np.zeros((config.rounds + 1, 3))
-    _walk(initial_coin_state(config.initial), mask, config, per_player, workspace)
+    _walk(initial_coin_state(config.initial), mask, config, per_player)
     return PayoffSeries(per_player=per_player, average_gain=per_player.mean(axis=1))
 
 
@@ -239,13 +228,8 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
     played once. Standard errors use the sample std across runs (zero for
     a single run or a fixed schedule).
     """
-    return _run_averaged(config, _workspace(config.rounds))
-
-
-def _run_averaged(config: SimulationConfig, workspace: np.ndarray) -> PayoffSeries:
-    """``run_averaged(config)`` with every run played in ``workspace``."""
     runs = config.runs if config.scheme.is_random else 1
-    series = [_run_indexed(config, k, workspace) for k in range(runs)]
+    series = [_run_indexed(config, k) for k in range(runs)]
     per_player = np.mean([s.per_player for s in series], axis=0)
     gains = np.stack([s.average_gain for s in series])
     if runs > 1:

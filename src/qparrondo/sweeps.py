@@ -25,8 +25,7 @@ from .engine import (
     GameScheme,
     SimulationConfig,
     _physical_memory_bytes,
-    _run_averaged,
-    _workspace,
+    run_averaged,
 )
 from .observables import GameVerdict, PayoffSeries, classify_game, detect_paradox
 
@@ -86,21 +85,18 @@ def _sweep(
     points: Iterable,
     config_for: Callable[[object, GameScheme], SimulationConfig],
     schemes: Sequence[GameScheme],
-    rounds: int,
 ) -> Iterator[tuple]:
     """(point, scheme label, gain, stderr, verdict, paradox) for every point
     in order and every distinct scheme label; pure A and B are played at
-    each point for the paradox flags of the combined schemes. Every walk of
-    the sweep, of ``rounds`` rounds, is played in one workspace."""
+    each point for the paradox flags of the combined schemes."""
     schemes = _distinct(schemes)
     played: dict[tuple, tuple[float, float, GameVerdict]] = {}
-    workspace = _workspace(rounds)
 
     def play(point, scheme: GameScheme) -> tuple[float, float, GameVerdict]:
         config = config_for(point, scheme)
         key = _walk_key(config)
         if key not in played:
-            series = _run_averaged(config, workspace)
+            series = run_averaged(config)
             played[key] = (series.final_gain, series.final_stderr, classify_game(series))
         return played[key]
 
@@ -131,7 +127,7 @@ def sweep_rho4(
         game_b = replace(b, ll=replace(b.ll, rho=value))
         return replace(base, scheme=scheme, game_b=game_b)
 
-    return [SweepRecord(*row) for row in _sweep(values, config_for, schemes, base.rounds)]
+    return [SweepRecord(*row) for row in _sweep(values, config_for, schemes)]
 
 
 def sweep_entanglement(
@@ -144,7 +140,7 @@ def sweep_entanglement(
     def config_for(omega: float, scheme: GameScheme) -> SimulationConfig:
         return replace(base, initial=j_entangled(omega), scheme=scheme)
 
-    return [SweepRecord(*row) for row in _sweep(omegas, config_for, schemes, base.rounds)]
+    return [SweepRecord(*row) for row in _sweep(omegas, config_for, schemes)]
 
 
 def _grid_count(step: float, span: float) -> int:
@@ -197,7 +193,7 @@ def sweep_phase_map(
     return [
         MapRecord(theta, phi, label, gain, paradox)
         for (theta, phi), label, gain, _, _, paradox in _sweep(
-            itertools.product(grid, grid), config_for, schemes, base.rounds
+            itertools.product(grid, grid), config_for, schemes
         )
     ]
 

@@ -23,10 +23,10 @@ def test_run_writes_series_csv(tmp_path, capsys):
     assert max(gains) < 1e-9
 
 
-def test_run_rejects_out_of_range_rho(capsys):
-    code = cli_main(["run", "--rho0", "1.5"])
-    assert code != 0
-    assert "rho" in capsys.readouterr().err
+@pytest.mark.parametrize("name", ["rho0", "rho1", "rho2", "rho3", "rho4"])
+def test_run_rejects_out_of_range_rho(capsys, name):
+    assert cli_main(["run", f"--{name}", "1.5"]) == 2
+    assert f"{name} must lie in [0, 1], got 1.5" in capsys.readouterr().err
 
 
 def test_unknown_flag_fails():
@@ -519,7 +519,7 @@ def test_negative_seed_config_field_rejected(tmp_path, capsys, command):
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rounds", ["1", "2"])
+@pytest.mark.parametrize("rounds", ["0", "1", "2"])
 def test_discriminate_rejects_fewer_than_three_rounds(capsys, rounds):
     assert cli_main(["discriminate", "--initial", "w", "--rounds", rounds]) == 2
     assert "rounds must be >= 3" in capsys.readouterr().err

@@ -90,7 +90,7 @@ def test_input_validation():
         discriminate(np.ones(4) / 2.0)
 
 
-@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("rounds", [-1, 0, 1, 2])
 def test_rounds_below_three_rejected(rounds):
     # X_T[L, L] = 0 at 1 or 2 rounds, so the threshold would be 0
     for mode, shots in (("expectation", None), ("sampled", 10)):

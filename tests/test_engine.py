@@ -237,54 +237,49 @@ def test_three_mixed_rounds_match_dense_oracle(initial):
         assert np.max(np.abs(dense_positions(st, 3) - dense)) < 1e-10
 
 
-def walk_payoffs(initial, scheme, rounds, workspace):
-    """Per-round payoffs and final state of one walk played in ``workspace``."""
+def walk_payoffs(initial, scheme, rounds):
+    """Per-round payoffs and final state of one walk."""
     config = SimulationConfig(
         initial=initial, scheme=scheme, rounds=rounds,
         coin_a=CoinParams(0.4, 0.7, 1.9), game_b=GameBParams.from_rhos(rho4=0.3),
     )
     mask = schedule_mask(scheme, rounds, rng_for())
     per_player = np.zeros((rounds + 1, 3))
-    final = engine._walk(initial_coin_state(initial), mask, config, per_player, workspace)
+    final = engine._walk(initial_coin_state(initial), mask, config, per_player)
     return per_player, final
 
 
-def test_walk_in_a_used_workspace_equals_a_fresh_one():
-    # the first walk fills every buffer to its full size; the second, shorter
-    # walk must not see any of it
-    workspace = engine._workspace(12)
-    walk_payoffs(GHZ, PURE_B, 12, workspace)
-    for fresh in (engine._workspace(7), None):
-        expected, expected_final = walk_payoffs(SEPARABLE, periodic(2, 1), 7, fresh)
-        payoffs, final = walk_payoffs(SEPARABLE, periodic(2, 1), 7, workspace)
-        assert np.array_equal(payoffs, expected)
-        assert np.array_equal(final.tensor, expected_final.tensor)
-
-
-def test_runs_of_an_average_share_a_workspace_bitwise():
-    workspace = engine._workspace(10)
-    walk_payoffs(W, PURE_B, 10, workspace)
-    config = SimulationConfig(initial=GHZ, scheme=RANDOM_MIX, rounds=9, seed=3, runs=4)
-    shared = engine._run_averaged(config, workspace)
-    fresh = run_averaged(config)
-    for name in ("per_player", "average_gain", "stderr"):
-        assert np.array_equal(getattr(shared, name), getattr(fresh, name))
-
-
-def test_walk_final_state_is_a_view_of_a_state_buffer():
-    workspace = engine._workspace(5)
-    scratch, *states = workspace
-    for rounds in (4, 5):
-        _, final = walk_payoffs(GHZ, PURE_A, rounds, workspace)
-        assert final.tensor.shape == (8, rounds + 1, rounds + 1, rounds + 1)
-        assert sum(np.shares_memory(final.tensor, s) for s in states) == 1
-        assert not np.shares_memory(final.tensor, scratch)
+def test_walk_after_a_larger_walk_equals_the_walk_played_first():
+    # np.empty hands a walk the amplitudes of earlier walks; it must not see
+    # any of them
+    expected, expected_final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
+    walk_payoffs(GHZ, PURE_B, 12)
+    payoffs, final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
+    assert np.array_equal(payoffs, expected)
+    assert np.array_equal(final.tensor, expected_final.tensor)
 
 
 def test_step_round_into_buffers_matches_allocating_step():
     config = SimulationConfig(initial=W, scheme=PURE_B, game_b=GameBParams.from_rhos(rho4=0.2))
     st = step_round(init_walker_state(initial_coin_state(W)), True, config)
+    expected = step_round(st, True, config).tensor
     scratch, out = np.full((2, 8 * 4**3), np.nan, dtype=complex)
     into = step_round(st, True, config, scratch=scratch, out=out)
     assert np.shares_memory(into.tensor, out)
-    assert np.array_equal(into.tensor, step_round(st, True, config).tensor)
+    assert np.array_equal(into.tensor, expected)
+    # in place: ``out`` is the buffer the input state already lives in
+    scratch, held = np.full((2, 8 * 4**3), np.nan, dtype=complex)
+    st = step_round(init_walker_state(initial_coin_state(W)), True, config, out=held)
+    into = step_round(st, True, config, scratch=scratch, out=held)
+    assert np.shares_memory(into.tensor, held)
+    assert np.array_equal(into.tensor, expected)
+
+
+def test_memory_bound_counts_two_states(monkeypatch):
+    rounds = 9
+    need = 2 * 8 * (rounds + 1) ** 3 * 16
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
+    SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)

@@ -102,9 +102,9 @@ def count_walks(monkeypatch) -> list[str]:
     walked = []
     walk = engine._walk
 
-    def counted(coin_state, schedule, config, per_player=None, workspace=None):
+    def counted(coin_state, schedule, config, per_player=None):
         walked.append(config.scheme.label)
-        return walk(coin_state, schedule, config, per_player, workspace)
+        return walk(coin_state, schedule, config, per_player)
 
     monkeypatch.setattr(engine, "_walk", counted)
     return walked
