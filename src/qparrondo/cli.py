@@ -304,6 +304,9 @@ def _cmd_classical(args: argparse.Namespace) -> int:
                    "--mode original and an unset --pa, --p1 or --p2")
     scheme = parse_scheme(opts["scheme"])
     if opts["mode"] == "original":
+        # OriginalParams calls game A's probability p; name the flag instead
+        if opts["pa"] is not None and not 0.0 <= opts["pa"] <= 1.0:
+            raise ValueError(f"pa must lie in [0, 1], got {opts['pa']}")
         params = OriginalParams(
             epsilon=float(opts["epsilon"]),
             p=opts["pa"],

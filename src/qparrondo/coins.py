@@ -31,8 +31,15 @@ class CoinParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("theta and phi must be finite")
+        for name in ("theta", "phi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        # the coin's lower-right entry is e^{i(theta+phi)}
+        if not math.isfinite(self.theta + self.phi):
+            raise ValueError(
+                f"theta + phi must be finite, got theta={self.theta} and phi={self.phi}"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ selected by the live coin states of its ring neighbors.
 """
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -111,6 +112,16 @@ class SimulationConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # the walk plays in the frame of coin_a's phi (see _walk), which adds
+        # it to every game B theta and subtracts it from every game B phi
+        phase = self.coin_a.phi
+        for name in ("ww", "wl", "lw", "ll"):
+            coin = getattr(self.game_b, name)
+            if not (math.isfinite(coin.theta + phase) and math.isfinite(coin.phi - phase)):
+                raise ValueError(
+                    f"game_b.{name} phases (theta={coin.theta}, phi={coin.phi}) are not "
+                    f"finite once shifted by coin_a's phi={phase}"
+                )
 
 
 def schedule_mask(
@@ -133,19 +144,33 @@ def schedule_mask(
     return rng.integers(0, 2, size=rounds) == 1
 
 
+# An operator that is real in exact arithmetic still carries rounding in its
+# imaginary part: a coin at theta + phi = pi has e^{i pi} = -1 + 1.2e-16i, and
+# three composed tosses add such terms. Anything within a few ulp of 1 (the
+# scale of a unitary's entries) is that rounding, not a phase.
+_REAL_TOL = 4 * np.finfo(float).eps
+
+
 @lru_cache(maxsize=128)
 def _round_coin_operator(
     label: str, coin_a: CoinParams, game_b: GameBParams
 ) -> np.ndarray:
     """Composed 8x8 coin-register operator of one round of game ``label``
-    ("A" or "B"): the toss of player 1, then player 2, then player 3."""
+    ("A" or "B"): the toss of player 1, then player 2, then player 3.
+
+    The operator is float64 when its imaginary part is zero to rounding,
+    so that the toss runs in real arithmetic, else complex128.
+    """
     if label == "A":
         m = coin_unitary(coin_a)
         ops = [lift_single_coin(m, player) for player in (1, 2, 3)]
     else:
         mats = tuple(coin_unitary(p) for p in (game_b.ww, game_b.wl, game_b.lw, game_b.ll))
         ops = [controlled_coin_operator(player, *mats) for player in (1, 2, 3)]
-    return ops[2] @ ops[1] @ ops[0]
+    op = ops[2] @ ops[1] @ ops[0]
+    if np.abs(op.imag).max() <= _REAL_TOL:
+        return np.ascontiguousarray(op.real)
+    return op
 
 
 def step_round(
@@ -173,6 +198,14 @@ def step_round(
 
 # row c: the step (+1 for |R>, -1 for |L>) that coin component c moves each axis
 _STEP_SIGNS = 2.0 * np.array(COIN_BITS) - 1.0
+# number of |R> coins in component c
+_R_COUNTS = np.array(COIN_BITS).sum(axis=1)
+
+
+def _framed(coin: CoinParams, phase: float) -> CoinParams:
+    """The coin whose unitary is P(phase)^dagger U P(phase), with
+    P(a) = diag(1, e^{ia}) and U = P(phi) H_rho P(theta)."""
+    return CoinParams(coin.rho, coin.theta + phase, coin.phi - phase)
 
 
 def _walk(
@@ -191,17 +224,39 @@ def _walk(
     ``states``, the state's own buffer, which the toss has read in full by
     then. The final state is a view of ``states``.
 
+    The rounds are played in the frame chi = D^dagger psi of the diagonal
+    D = P(phi_a)^(x3), where phi_a is ``config.coin_a.phi``. Diagonal coin
+    operators commute with the shift and with game B's neighbour
+    projectors, so a round's operator in that frame is D^dagger op D: every
+    coin's (theta, phi) becomes (theta + phi_a, phi - phi_a). When all coins
+    share (theta, phi), as the CLI sets them, each framed coin is
+    P(0) H_rho P(theta + phi), which is real where theta + phi is a
+    multiple of pi (the default pi/2, pi/2 among them), so the toss runs in
+    real arithmetic there. The walk starts from D^dagger psi0 and returns
+    D chi, the true state.
+
     Round t moves axis i by +1 with the weight of the coin components whose
     bit i is |R> after the toss, and by -1 otherwise; the shift only moves
     sites within each coin component, so the weights can be read after it:
-    <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1).
+    <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1). D leaves every
+    weight as it is.
     """
+    phase = config.coin_a.phi
+    frame = np.exp(1j * phase * _R_COUNTS)[:, None, None, None]
+    b = config.game_b
+    framed = replace(
+        config,
+        coin_a=_framed(config.coin_a, phase),
+        game_b=GameBParams(*(_framed(coin, phase) for coin in (b.ww, b.wl, b.lw, b.ll))),
+    )
     tossed, states = np.empty((2, 8 * (len(mask) + 1) ** 3), dtype=complex)
     state = init_walker_state(coin_state)
+    state.tensor *= frame.conj()
     for t, plays_b in enumerate(mask.tolist(), start=1):
-        state = step_round(state, plays_b, config, scratch=tossed, out=states)
+        state = step_round(state, plays_b, framed, scratch=tossed, out=states)
         if per_player is not None:
             per_player[t] = per_player[t - 1] + coin_weights(state) @ _STEP_SIGNS
+    state.tensor *= frame
     return state
 
 

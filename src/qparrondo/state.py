@@ -82,9 +82,18 @@ def _apply_coin_register_op(
     state: WalkerState, op8: np.ndarray, out: np.ndarray | None = None
 ) -> WalkerState:
     """Apply an 8x8 operator to the coin axis, writing into the flat
-    buffer ``out`` when one is given."""
+    buffer ``out`` when one is given.
+
+    A float64 operator acts alike on the real and imaginary parts, so it
+    multiplies the interleaved float64 view of the amplitudes: a real GEMM
+    with half the flops of the complex one that a complex128 operator runs.
+    """
     flat = state.tensor.reshape(8, -1)
-    tossed = np.matmul(op8, flat, out=_prefix(out, flat.shape))
+    tossed = _prefix(out, flat.shape)
+    if op8.dtype == np.float64:
+        np.matmul(op8, np.ascontiguousarray(flat).view(np.float64), out=tossed.view(np.float64))
+    else:
+        np.matmul(op8, flat, out=tossed)
     return WalkerState(tossed.reshape(state.tensor.shape))
 
 

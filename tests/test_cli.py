@@ -29,6 +29,20 @@ def test_run_rejects_out_of_range_rho(capsys, name):
     assert f"{name} must lie in [0, 1], got 1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta", "nan"], "theta must be finite, got nan"),
+        (["--phi=-inf"], "phi must be finite, got -inf"),
+        (["--theta", "1e308", "--phi", "1e308"],
+         "theta + phi must be finite, got theta=1e+308 and phi=1e+308"),
+    ],
+)
+def test_run_rejects_non_finite_phases(capsys, flags, message):
+    assert cli_main(["run", "--rounds", "2", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_flag_fails():
     assert cli_main(["run", "--bogus", "1"]) != 0
 
@@ -498,6 +512,7 @@ def test_epsilon_with_a_null_original_probability_accepted(tmp_path):
         (["--epsilon", "0.6"], "epsilon 0.6 sets the default p to -0.1, outside [0, 1]"),
         (["--pa", "0.5", "--epsilon", "0.2"],
          "epsilon 0.2 sets the default p1 to -0.1, outside [0, 1]"),
+        (["--pa", "2"], "pa must lie in [0, 1], got 2.0"),
     ],
 )
 def test_classical_bad_epsilon_named(capsys, flags, message):

@@ -48,6 +48,22 @@ def test_coin_params_nonfinite():
         CoinParams(0.5, theta=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "theta, phi, message",
+    [
+        (float("nan"), 0.0, "theta must be finite, got nan"),
+        (0.0, float("inf"), "phi must be finite, got inf"),
+        (1e308, 1e308, "theta + phi must be finite, got theta=1e+308 and phi=1e+308"),
+        (-1e308, -1e308, "theta + phi must be finite, got theta=-1e+308 and phi=-1e+308"),
+    ],
+)
+def test_coin_params_non_finite_phase_named(theta, phi, message):
+    # e^{i(theta+phi)} of an overflowing pair is nan: refused, not played
+    with pytest.raises(ValueError) as excinfo:
+        CoinParams(0.5, theta, phi)
+    assert str(excinfo.value) == message
+
+
 def test_coin_unitary_is_unitary_over_random_parameters():
     rng = np.random.default_rng(42)
     for _ in range(200):

@@ -12,8 +12,10 @@ from qparrondo import (
     CoinParams,
     GameBParams,
     SimulationConfig,
+    coin_weights,
     init_walker_state,
     initial_coin_state,
+    j_entangled,
     parse_scheme,
     periodic,
     run_averaged,
@@ -283,3 +285,87 @@ def test_memory_bound_counts_two_states(monkeypatch):
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match="physical memory"):
         SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
+
+
+# --- the coin-phase frame ---------------------------------------------------
+
+FRAME_ROUNDS = 6
+# row c: the step (+1 for |R>, -1 for |L>) of axes 1, 2, 3 under coin c = 4 b1 + 2 b2 + b3
+STEPS = np.array([[2 * ((c >> shift) & 1) - 1 for shift in (2, 1, 0)] for c in range(8)])
+
+
+def random_coin_state():
+    v = np.random.default_rng(7).normal(size=(8, 2)) @ np.array([1.0, 1j])
+    return v / np.linalg.norm(v)
+
+
+FRAME_STATES = {
+    "ghz": initial_coin_state(GHZ),
+    "w": initial_coin_state(W),
+    "sep": initial_coin_state(SEPARABLE),
+    "j": initial_coin_state(j_entangled(0.7)),
+    "random": random_coin_state(),
+}
+
+
+def shared_phases(theta, phi):
+    return CoinParams(0.3, theta, phi), GameBParams.from_rhos(0.8, 0.15, 0.6, 0.35, theta, phi)
+
+
+# (coin_a, game_b, dtype of the operators the framed walk tosses with)
+FRAME_PHASES = {
+    "default": (*shared_phases(np.pi / 2, np.pi / 2), np.float64),
+    "zero": (*shared_phases(0.0, 0.0), np.float64),
+    "complex": (*shared_phases(0.7, 1.9), np.complex128),
+    "branches": (
+        CoinParams(0.3, 0.7, 1.9),
+        GameBParams(
+            ww=CoinParams(0.8, 0.4, 2.5),
+            wl=CoinParams(0.15, 1.1, 0.2),
+            lw=CoinParams(0.6, 2.9, 1.3),
+            ll=CoinParams(0.35, 0.9, 0.6),
+        ),
+        np.complex128,
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", ["a", "b", "periodic:2,1", "mix"])
+@pytest.mark.parametrize("phases", FRAME_PHASES)
+@pytest.mark.parametrize("start", FRAME_STATES)
+def test_framed_walk_matches_unframed_step_rounds(monkeypatch, start, phases, scheme):
+    coin_a, game_b, dtype = FRAME_PHASES[phases]
+    config = SimulationConfig(
+        initial=GHZ, scheme=parse_scheme(scheme), rounds=FRAME_ROUNDS,
+        coin_a=coin_a, game_b=game_b,
+    )
+    mask = schedule_mask(config.scheme, FRAME_ROUNDS, rng_for(3))
+    # oracle: the public round on the true state, payoffs from its weights
+    state = init_walker_state(FRAME_STATES[start])
+    expected = np.zeros((FRAME_ROUNDS + 1, 3))
+    for t, plays_b in enumerate(mask, start=1):
+        state = step_round(state, plays_b, config)
+        expected[t] = expected[t - 1] + coin_weights(state) @ STEPS
+    tossed_with = []
+    apply = engine._apply_coin_register_op
+
+    def recording(state, op8, out=None):
+        tossed_with.append(op8.dtype)
+        return apply(state, op8, out)
+
+    monkeypatch.setattr(engine, "_apply_coin_register_op", recording)
+    per_player = np.zeros((FRAME_ROUNDS + 1, 3))
+    final = engine._walk(FRAME_STATES[start], mask, config, per_player)
+    assert set(tossed_with) == {np.dtype(dtype)}
+    assert np.max(np.abs(per_player - expected)) < 1e-12
+    assert np.max(np.abs(final.tensor - state.tensor)) < 1e-12
+
+
+def test_game_b_phases_beyond_the_frame_refused():
+    # the frame adds coin_a's phi to every game B theta
+    with pytest.raises(ValueError, match="game_b.lw phases"):
+        SimulationConfig(
+            initial=GHZ, scheme=PURE_B, coin_a=CoinParams(0.5, 0.0, 1e308),
+            game_b=GameBParams(*[CoinParams(0.5)] * 2, CoinParams(0.5, 1e308, 0.0),
+                               CoinParams(0.5)),
+        )
