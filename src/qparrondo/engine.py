@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -99,17 +99,23 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
         # a state after t rounds holds 8 (t+1)^3 complex128 amplitudes, and a
         # walk holds two of them: the toss output and the state
         need = 2 * 8 * (self.rounds + 1) ** 3 * 16
+        what = f"rounds {self.rounds} needs"
+        if self.scheme.is_random:
+            # run_averaged keeps every run's (rounds+1, 3) payoffs and
+            # (rounds+1) gains, float64
+            need += self.runs * (self.rounds + 1) * 4 * 8
+            what = f"runs {self.runs} of {self.rounds} rounds need"
         physical = _physical_memory_bytes()
         if need > physical:
             raise ValueError(
-                f"rounds {self.rounds} needs {need / 2**30:.3g} GiB of walker state, "
+                f"{what} {need / 2**30:.3g} GiB of walker state and payoffs, "
                 f"more than the {physical / 2**30:.3g} GiB of physical memory"
             )
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the walk plays in the frame of coin_a's phi (see _walk), which adds
@@ -208,6 +214,19 @@ def _framed(coin: CoinParams, phase: float) -> CoinParams:
     return CoinParams(coin.rho, coin.theta + phase, coin.phi - phase)
 
 
+@lru_cache(maxsize=128)
+def _framed_round_operators(
+    coin_a: CoinParams, game_b: GameBParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The round operators of game A and game B, in that order, in the
+    frame of ``coin_a``'s phi that ``_walk`` plays in."""
+    phase = coin_a.phi
+    framed_a = _framed(coin_a, phase)
+    branches = (game_b.ww, game_b.wl, game_b.lw, game_b.ll)
+    framed_b = GameBParams(*(_framed(coin, phase) for coin in branches))
+    return tuple(_round_coin_operator(label, framed_a, framed_b) for label in "AB")
+
+
 def _walk(
     coin_state: np.ndarray,
     mask: np.ndarray,
@@ -216,8 +235,9 @@ def _walk(
 ) -> WalkerState:
     """Play the schedule ``mask`` (True where a round plays B, as from
     ``schedule_mask``) from ``coin_state`` at the origin and return the
-    final state; row t of ``per_player``, when given, receives the expected
-    positions after round t, accumulated from row 0.
+    final state in the frame chi below; row t of ``per_player``, when
+    given, receives the expected positions after round t, accumulated from
+    row 0.
 
     The walk owns two flat buffers of one final state's size: each round
     tosses the state into ``tossed``, then shifts the toss back into
@@ -233,30 +253,26 @@ def _walk(
     P(0) H_rho P(theta + phi), which is real where theta + phi is a
     multiple of pi (the default pi/2, pi/2 among them), so the toss runs in
     real arithmetic there. The walk starts from D^dagger psi0 and returns
-    D chi, the true state.
+    chi: callers after the true state psi = D chi multiply by D themselves.
 
     Round t moves axis i by +1 with the weight of the coin components whose
-    bit i is |R> after the toss, and by -1 otherwise; the shift only moves
-    sites within each coin component, so the weights can be read after it:
-    <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1). D leaves every
-    weight as it is.
+    bit i is |R> after the toss, and by -1 otherwise. The shift only moves
+    sites within each coin component, so the weights are read off the
+    contiguous toss output: <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1).
+    D leaves every weight as it is.
     """
-    phase = config.coin_a.phi
-    frame = np.exp(1j * phase * _R_COUNTS)[:, None, None, None]
-    b = config.game_b
-    framed = replace(
-        config,
-        coin_a=_framed(config.coin_a, phase),
-        game_b=GameBParams(*(_framed(coin, phase) for coin in (b.ww, b.wl, b.lw, b.ll))),
-    )
+    ops = _framed_round_operators(config.coin_a, config.game_b)
     tossed, states = np.empty((2, 8 * (len(mask) + 1) ** 3), dtype=complex)
+    weights = np.empty((len(mask), 8))
     state = init_walker_state(coin_state)
-    state.tensor *= frame.conj()
-    for t, plays_b in enumerate(mask.tolist(), start=1):
-        state = step_round(state, plays_b, framed, scratch=tossed, out=states)
-        if per_player is not None:
-            per_player[t] = per_player[t - 1] + coin_weights(state) @ _STEP_SIGNS
-    state.tensor *= frame
+    state.tensor *= np.exp(1j * config.coin_a.phi * _R_COUNTS).conj()[:, None, None, None]
+    for t, plays_b in enumerate(mask.tolist()):
+        toss = _apply_coin_register_op(state, ops[plays_b], tossed)
+        weights[t] = coin_weights(toss)
+        state = apply_position_update(toss, out=states)
+    if per_player is not None:
+        per_player[1:] = weights @ _STEP_SIGNS
+        np.cumsum(per_player, axis=0, out=per_player)
     return state
 
 
@@ -284,13 +300,16 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
     a single run or a fixed schedule).
     """
     runs = config.runs if config.scheme.is_random else 1
-    series = [_run_indexed(config, k) for k in range(runs)]
-    per_player = np.mean([s.per_player for s in series], axis=0)
-    gains = np.stack([s.average_gain for s in series])
+    # SimulationConfig's memory check counts these two arrays
+    per_player = np.empty((runs, config.rounds + 1, 3))
+    gains = np.empty((runs, config.rounds + 1))
+    for k in range(runs):
+        series = _run_indexed(config, k)
+        per_player[k], gains[k] = series.per_player, series.average_gain
     if runs > 1:
         stderr = gains.std(axis=0, ddof=1) / np.sqrt(runs)
     else:
         stderr = np.zeros(config.rounds + 1)
     return PayoffSeries(
-        per_player=per_player, average_gain=gains.mean(axis=0), stderr=stderr
+        per_player=per_player.mean(axis=0), average_gain=gains.mean(axis=0), stderr=stderr
     )

@@ -138,10 +138,19 @@ def apply_position_update(state: WalkerState, *, out: np.ndarray | None = None) 
     |L> branch keeps it, and every axis grows by one site. The shifted
     state is written into the leading entries of the flat complex buffer
     ``out`` when one is given, else into a new array.
+
+    Component c = 4*b1 + 2*b2 + b3 at counts (i, j, k) lands at
+    (c, i + b1, j + b2, k + b3), an offset affine in (b1, b2, b3, i, j, k).
+    So one strided view of the zeroed output, indexed like the input split
+    into its coin bits, receives all eight components in a single copy.
     """
-    t = state.rounds
-    shifted = _prefix(out, (8, t + 2, t + 2, t + 2))
+    n = state.tensor.shape[1]
+    shifted = _prefix(out, (8, n + 1, n + 1, n + 1))
     shifted.fill(0)
-    for c, (b1, b2, b3) in enumerate(COIN_BITS):
-        shifted[c, b1:b1 + t + 1, b2:b2 + t + 1, b3:b3 + t + 1] = state.tensor[c]
+    sc, s1, s2, s3 = shifted.strides
+    target = np.ndarray(
+        (2, 2, 2, n, n, n), complex, buffer=shifted,
+        strides=(4 * sc + s1, 2 * sc + s2, sc + s3, s1, s2, s3),
+    )
+    np.copyto(target, state.tensor.reshape(2, 2, 2, n, n, n))
     return WalkerState(shifted)

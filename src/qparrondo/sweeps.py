@@ -92,8 +92,7 @@ def _sweep(
     schemes = _distinct(schemes)
     played: dict[tuple, tuple[float, float, GameVerdict]] = {}
 
-    def play(point, scheme: GameScheme) -> tuple[float, float, GameVerdict]:
-        config = config_for(point, scheme)
+    def play(config: SimulationConfig) -> tuple[float, float, GameVerdict]:
         key = _walk_key(config)
         if key not in played:
             series = run_averaged(config)
@@ -101,9 +100,11 @@ def _sweep(
         return played[key]
 
     for point in points:
-        verdict_a = play(point, PURE_A)[2]
-        verdict_b = play(point, PURE_B)[2]
-        rows = [(s.label, *play(point, s)) for s in schemes]
+        # every config of a point is built, and so checked, before it plays a walk
+        configs = {s.label: config_for(point, s) for s in (PURE_A, PURE_B, *schemes)}
+        verdict_a = play(configs["a"])[2]
+        verdict_b = play(configs["b"])[2]
+        rows = [(s.label, *play(configs[s.label])) for s in schemes]
         combined = {label: v for label, _, _, v in rows if label not in ("a", "b")}
         paradox = detect_paradox(verdict_a, verdict_b, combined).paradox
         for label, gain, stderr, verdict in rows:

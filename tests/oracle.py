@@ -1,6 +1,6 @@
 """Independent oracles for the structured walk: per-player coin tosses, the
-joint position distribution, and a dense Kronecker round on a small
-position lattice.
+joint position distribution, the position update slice by slice, and a
+dense Kronecker round on a small position lattice.
 
 The engine composes a round's three tosses into one 8x8 operator and
 shifts in count space; these helpers toss one player at a time, and the
@@ -9,7 +9,7 @@ matrix on the position lattice -H..H per axis.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,6 +86,18 @@ def apply_controlled_coin(
     return _apply_coin_register_op(state, controlled_coin_operator(player, *mats))
 
 
+def slice_shift(state: WalkerState) -> WalkerState:
+    """Position update one coin component at a time: component
+    c = 4*b1 + 2*b2 + b3 is copied into a zeroed state one site larger per
+    axis, advanced by one count along each axis whose bit is |R>."""
+    t = state.rounds
+    shifted = np.zeros((8, t + 2, t + 2, t + 2), dtype=complex)
+    for c in range(8):
+        b1, b2, b3 = (c >> 2) & 1, (c >> 1) & 1, c & 1
+        shifted[c, b1:b1 + t + 1, b2:b2 + t + 1, b3:b3 + t + 1] = state.tensor[c]
+    return WalkerState(shifted)
+
+
 # --- dense Kronecker round -------------------------------------------------
 
 # a full round matrix has dimension 8 * (2T+1)^3; T=3 is already 2744
@@ -102,20 +114,21 @@ def _dense_shift_matrix(size: int) -> np.ndarray:
     return s
 
 
-def _dense_round_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.ndarray]:
-    """Dense factors of one round in application order, each assembled by
-    Kronecker products: the tosses of players 1..3, then the shift."""
+def _check_half_extent(half_extent: int) -> None:
     if not 1 <= half_extent <= MAX_ORACLE_HALF_EXTENT:
         raise ValueError(
             f"dense oracle supports 1 <= half_extent <= {MAX_ORACLE_HALF_EXTENT}, "
             f"got {half_extent}"
         )
+
+
+def dense_toss_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.ndarray]:
+    """Dense toss factors of players 1..3 in application order, each
+    assembled by Kronecker products."""
+    _check_half_extent(half_extent)
     if len(coin_ops) != 3:
         raise ValueError("coin_ops must hold one entry per player")
-    L = 2 * half_extent + 1
-    eye_pos = np.eye(L, dtype=complex)
-    s = _dense_shift_matrix(L)
-    dim = 8 * L**3
+    eye_pos = np.eye(2 * half_extent + 1, dtype=complex)
     for player, spec in enumerate(coin_ops, start=1):
         if isinstance(spec, tuple) and len(spec) == 4:
             coin_part = np.zeros((8, 8), dtype=complex)
@@ -133,6 +146,14 @@ def _dense_round_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.
             ops[player - 1] = np.asarray(spec, dtype=complex)
             coin_part = _kron3(ops)
         yield np.kron(coin_part, np.kron(eye_pos, np.kron(eye_pos, eye_pos)))
+
+
+def dense_shift_factor(half_extent: int) -> np.ndarray:
+    """Dense position update of one round, assembled by Kronecker products."""
+    _check_half_extent(half_extent)
+    L = 2 * half_extent + 1
+    s = _dense_shift_matrix(L)
+    dim = 8 * L**3
     upos = np.zeros((dim, dim), dtype=complex)
     for c in range(8):
         bits = ((c >> 2) & 1, (c >> 1) & 1, c & 1)
@@ -141,7 +162,14 @@ def _dense_round_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.
         upos += np.kron(
             _kron3(proj), np.kron(shifts[0], np.kron(shifts[1], shifts[2]))
         )
-    yield upos
+    return upos
+
+
+def _dense_round_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.ndarray]:
+    """Dense factors of one round in application order: the tosses of
+    players 1..3, then the shift."""
+    yield from dense_toss_factors(half_extent, coin_ops)
+    yield dense_shift_factor(half_extent)
 
 
 def dense_round_matrix(half_extent: int, coin_ops: CoinOpSpec) -> np.ndarray:
@@ -180,7 +208,14 @@ def dense_step_oracle(amplitudes: np.ndarray, coin_ops: CoinOpSpec) -> np.ndarra
     Requires interior support (the cyclic dense shift and the structured
     shift agree exactly away from the boundary).
     """
+    factors = _dense_round_factors((amplitudes.shape[1] - 1) // 2, coin_ops)
+    return apply_dense_factors(amplitudes, factors)
+
+
+def apply_dense_factors(amplitudes: np.ndarray, factors: Iterable[np.ndarray]) -> np.ndarray:
+    """Apply dense factors, in order, to position-lattice amplitudes
+    (8, L, L, L)."""
     vec = amplitudes.reshape(-1)
-    for factor in _dense_round_factors((amplitudes.shape[1] - 1) // 2, coin_ops):
+    for factor in factors:
         vec = factor @ vec
     return vec.reshape(amplitudes.shape)

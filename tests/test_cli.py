@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from qparrondo import sweeps
+from qparrondo import engine, sweeps
 from qparrondo.cli import build_parser, cli_main
 
 
@@ -259,6 +259,26 @@ def test_rounds_beyond_physical_memory_rejected(capsys, command):
     # rejected from the state size alone, before any walker state exists
     assert cli_main([command, "--rounds", "100000"]) == 2
     assert "rounds 100000" in capsys.readouterr().err
+
+
+def refuse_to_walk(*args, **kwargs):
+    raise AssertionError("a walk started before the runs were checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scheme", "mix"],
+        ["sweep-rho4"],
+        ["sweep-omega", "--schemes", "a,mix"],
+        ["sweep-phase", "--schemes", "mix"],
+    ],
+)
+def test_mix_runs_beyond_physical_memory_rejected_before_any_walk(monkeypatch, capsys, argv):
+    # the payoffs of every mix run are counted up front
+    monkeypatch.setattr(engine, "_walk", refuse_to_walk)
+    assert cli_main([*argv, "--rounds", "2", "--runs", "100000000000"]) == 2
+    assert "runs 100000000000" in capsys.readouterr().err
 
 
 def test_classical_rounds_beyond_physical_memory_rejected(capsys):

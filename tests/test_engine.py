@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from oracle import dense_positions, dense_step_oracle, state_norm
+from oracle import (
+    apply_dense_factors,
+    dense_positions,
+    dense_shift_factor,
+    dense_step_oracle,
+    dense_toss_factors,
+    state_norm,
+)
 
 from qparrondo import (
     GHZ,
@@ -216,25 +223,35 @@ def test_one_round_matches_dense_oracle_both_labels():
     assert np.max(np.abs(dense_positions(step_round(st, True, config), 2) - dense_b)) < 1e-10
 
 
-@pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE])
-def test_three_mixed_rounds_match_dense_oracle(initial):
-    # the count window grows every round; each round is checked against
-    # the dense Kronecker round on the fixed lattice -3..3
-    theta, phi = 0.7, 1.9
-    config = SimulationConfig(
-        initial=initial,
-        scheme=PURE_B,
-        coin_a=CoinParams(0.4, theta, phi),
-        game_b=GameBParams.from_rhos(0.6, 0.5, 0.3, 0.2, theta, phi),
-    )
-    b = config.game_b
+# coins of the mixed-round test: non-default rhos and phases theta=0.7, phi=1.9
+MIXED_COIN_A = CoinParams(0.4, 0.7, 1.9)
+MIXED_GAME_B = GameBParams.from_rhos(0.6, 0.5, 0.3, 0.2, 0.7, 1.9)
+
+
+@pytest.fixture(scope="module")
+def mixed_round_factors():
+    """Dense factors of one round of each game with the mixed-round coins on
+    the lattice -3..3, keyed by plays_b: assembled once for every case of
+    this module (seven 0.12 GB matrices, the shift shared) and freed with it."""
+    b = MIXED_GAME_B
     ops = {
-        False: [coin_unitary(config.coin_a)] * 3,
+        False: [coin_unitary(MIXED_COIN_A)] * 3,
         True: [tuple(coin_unitary(p) for p in (b.ww, b.wl, b.lw, b.ll))] * 3,
     }
+    shift = dense_shift_factor(3)
+    return {plays_b: [*dense_toss_factors(3, ops[plays_b]), shift] for plays_b in ops}
+
+
+@pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE])
+def test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_factors):
+    # the count window grows every round; each round is checked against
+    # the dense Kronecker round on the fixed lattice -3..3
+    config = SimulationConfig(
+        initial=initial, scheme=PURE_B, coin_a=MIXED_COIN_A, game_b=MIXED_GAME_B
+    )
     st = init_walker_state(initial_coin_state(initial))
     for plays_b in (True, False, True):
-        dense = dense_step_oracle(dense_positions(st, 3), ops[plays_b])
+        dense = apply_dense_factors(dense_positions(st, 3), mixed_round_factors[plays_b])
         st = step_round(st, plays_b, config)
         assert np.max(np.abs(dense_positions(st, 3) - dense)) < 1e-10
 
@@ -285,6 +302,30 @@ def test_memory_bound_counts_two_states(monkeypatch):
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match="physical memory"):
         SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
+
+
+def test_memory_bound_counts_the_payoffs_of_every_mix_run(monkeypatch):
+    rounds, runs = 9, 1000
+    need = 2 * 8 * (rounds + 1) ** 3 * 16 + runs * (rounds + 1) * 4 * 8
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
+    SimulationConfig(initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, runs=runs)
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match="runs 1000 of 9 rounds .* physical memory"):
+        SimulationConfig(initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, runs=runs)
+    # a fixed schedule is played once, whatever runs says
+    SimulationConfig(initial=GHZ, scheme=periodic(2, 2), rounds=rounds, runs=runs)
+
+
+def test_run_averaged_equals_the_mean_of_its_runs_bitwise():
+    config = SimulationConfig(
+        initial=SEPARABLE, scheme=RANDOM_MIX, runs=7, game_b=GameBParams.from_rhos(rho4=0.2)
+    )
+    series = [engine._run_indexed(config, k) for k in range(config.runs)]
+    gains = np.stack([s.average_gain for s in series])
+    avg = run_averaged(config)
+    assert np.array_equal(avg.per_player, np.mean([s.per_player for s in series], axis=0))
+    assert np.array_equal(avg.average_gain, gains.mean(axis=0))
+    assert np.array_equal(avg.stderr, gains.std(axis=0, ddof=1) / np.sqrt(config.runs))
 
 
 # --- the coin-phase frame ---------------------------------------------------
@@ -358,7 +399,9 @@ def test_framed_walk_matches_unframed_step_rounds(monkeypatch, start, phases, sc
     final = engine._walk(FRAME_STATES[start], mask, config, per_player)
     assert set(tossed_with) == {np.dtype(dtype)}
     assert np.max(np.abs(per_player - expected)) < 1e-12
-    assert np.max(np.abs(final.tensor - state.tensor)) < 1e-12
+    # _walk returns the framed state chi; the true state is D chi
+    frame = np.exp(1j * coin_a.phi * (STEPS > 0).sum(axis=1))[:, None, None, None]
+    assert np.max(np.abs(frame * final.tensor - state.tensor)) < 1e-12
 
 
 def test_game_b_phases_beyond_the_frame_refused():

@@ -10,6 +10,7 @@ from oracle import (
     dense_positions,
     dense_round_matrix,
     dense_step_oracle,
+    slice_shift,
     state_norm,
 )
 from qparrondo import (
@@ -252,3 +253,17 @@ def test_dense_positions_places_counts_at_x_2n_minus_t():
     assert np.count_nonzero(dense) == 1
     with pytest.raises(ValueError, match="half_extent"):
         dense_positions(st, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17])
+def test_position_update_equals_slice_shift_bitwise(n):
+    # the one strided copy against the eight slice copies, on amplitudes
+    # that are nonzero everywhere, allocating and into a NaN-filled buffer
+    rng = np.random.default_rng(n)
+    st = WalkerState(rng.normal(size=(8, n, n, n)) + 1j * rng.normal(size=(8, n, n, n)))
+    expected = slice_shift(st).tensor
+    assert np.array_equal(apply_position_update(st).tensor, expected)
+    out = np.full(8 * (n + 1) ** 3 + 5, np.nan, dtype=complex)
+    into = apply_position_update(st, out=out)
+    assert np.shares_memory(into.tensor, out)
+    assert np.array_equal(into.tensor, expected)
