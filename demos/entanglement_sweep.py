@@ -23,6 +23,13 @@ from qparrondo import (
     sweep_entanglement,
 )
 
+
+def signed(gain: float) -> str:
+    """The gain to four decimals; one that rounds to zero prints +0.0000
+    whatever the sign of its rounding noise (adding 0.0 turns -0.0 into 0.0)."""
+    return f"{round(gain, 4) + 0.0:+.4f}"
+
+
 # rho4 > 0.5 makes game B losing for GHZ-class coins, the regime where
 # alternation pays off
 base = SimulationConfig(
@@ -43,8 +50,8 @@ for omega in omegas:
     row = by_value[omega]
     flags = [label for label, r in row.items() if r.paradox]
     print(
-        f"{omega:.4f}  {row['a'].gain:+.4f}  {row['b'].gain:+.4f}  "
-        f"{row['periodic:2,2'].gain:+.4f}  {row['mix'].gain:+.4f}  "
+        f"{omega:.4f}  {signed(row['a'].gain)}  {signed(row['b'].gain)}  "
+        f"{signed(row['periodic:2,2'].gain)}  {signed(row['mix'].gain)}  "
         f"{','.join(flags) if flags else '-'}"
     )
 

@@ -28,6 +28,13 @@ from qparrondo import (
 OUT = pathlib.Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
+
+def signed(gain: float) -> str:
+    """The gain to four decimals; one that rounds to zero prints +0.0000
+    whatever the sign of its rounding noise (adding 0.0 turns -0.0 into 0.0)."""
+    return f"{round(gain, 4) + 0.0:+.4f}"
+
+
 SCHEMES = (PURE_A, PURE_B, periodic(2, 2), RANDOM_MIX)
 
 for name, initial in [("separable", SEPARABLE), ("ghz", GHZ), ("w", W)]:
@@ -45,8 +52,8 @@ for name, initial in [("separable", SEPARABLE), ("ghz", GHZ), ("w", W)]:
         row = by_value[value]
         flags = [label for label, r in row.items() if r.paradox]
         print(
-            f"{value:.1f}  {row['a'].gain:+.4f}  {row['b'].gain:+.4f}  "
-            f"{row['periodic:2,2'].gain:+.4f}  {row['mix'].gain:+.4f}  "
+            f"{value:.1f}  {signed(row['a'].gain)}  {signed(row['b'].gain)}  "
+            f"{signed(row['periodic:2,2'].gain)}  {signed(row['mix'].gain)}  "
             f"{','.join(flags) if flags else '-'}"
         )
     print(f"(written to {path})\n")
@@ -63,6 +70,6 @@ for r in records:
 for value in sorted(by_value):
     row = by_value[value]
     print(
-        f"{value:.1f}  {row['periodic:3,2'].gain:+.4f}  "
-        f"{row['periodic:2,3'].gain:+.4f}  {row['periodic:3,3'].gain:+.4f}"
+        f"{value:.1f}  {signed(row['periodic:3,2'].gain)}  "
+        f"{signed(row['periodic:2,3'].gain)}  {signed(row['periodic:3,3'].gain)}"
     )

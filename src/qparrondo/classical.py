@@ -14,15 +14,18 @@ trial the stream is consumed in a fixed order:
    the players of round t in index order (one column for the original game).
 
 A play wins when its uniform u is below the win probability p of its game
-and branch. The distinct win probabilities of a parameter set (at most
-five), sorted, are the thresholds; each uniform is stored in one byte as its
-rank, the number of thresholds <= u. With k(p) the rank of p itself,
-u < p holds exactly when rank(u) < k(p), ties included, so the ranks replay
-the float decisions exactly. The round loop advances all trials of a chunk
-at once and looks each play's bound k up in a table indexed by the game and
-by the neighbors' winner flags (cooperative) or by the capital mod 3
-(original). The per-round sums over trials of the capital and of its square
-are exact integers formed after the loop. A run whose single trial cannot
+and context. The distinct win probabilities of a parameter set (at most
+five), sorted, are the thresholds; a uniform's rank is the number of
+thresholds <= u. With k(p) the rank of p itself, u < p holds exactly when
+rank(u) < k(p), ties included, so ranks replay the float decisions exactly.
+Each play is stored in one byte as the code
+``(game * levels + rank) * width``, with ``levels`` the number of ranks and
+``width`` the number of contexts: the neighbors' winner flags (cooperative,
+width 4) or the capital mod 3 (original, width 3). One table, indexed by
+code + context, holds every decision, so the round loop, which advances all
+trials of a chunk at once, looks each play up once. The per-round sums over
+trials of the capital and of its square are exact integers, formed a row of
+running capitals at a time after the loop. A run whose single trial cannot
 fit in physical memory is refused before anything is drawn.
 """
 from __future__ import annotations
@@ -35,8 +38,8 @@ import numpy as np
 from .engine import GameScheme, _physical_memory_bytes, schedule_mask
 
 # Bytes of per-trial state that one chunk of trials may hold: each trial
-# keeps ``rounds * (players + 1 + w)`` bytes of draw ranks, schedule and
-# winner counts of w bytes each.
+# keeps ``rounds * (players + w)`` bytes of play codes and winner counts of
+# w bytes each.
 _CHUNK_BYTES = 1 << 26
 # Rounds whose standard errors are formed together from Python integers,
 # so those objects take a bounded few MB however long the run.
@@ -140,23 +143,23 @@ class ClassicalSeries:
 
 
 def _win_table(params: OriginalParams | CooperativeParams) -> np.ndarray:
-    """Win probability by game (row 0: A, row 1: B) and branch: column
-    2 * prev_won + next_won (cooperative) or capital mod 3 (original)."""
+    """Win probability by game (row 0: A, row 1: B) and context: column
+    prev_won + 2 * next_won (cooperative) or capital mod 3 (original)."""
     if isinstance(params, CooperativeParams):
         pa = params.pa
-        return np.array([[pa, pa, pa, pa], [params.p4, params.p3, params.p2, params.p1]])
+        return np.array([[pa, pa, pa, pa], [params.p4, params.p2, params.p3, params.p1]])
     a = params.win_a
     return np.array([[a, a, a], [params.win_b1, params.win_b2, params.win_b2]])
 
 
 def _check_trial_size(rounds: int, n: int) -> None:
     """One trial must fit in physical memory. Per round it holds its float
-    draws with their comparison and rank temporaries and its stored ranks
-    (11n bytes), and under 40 bytes of schedule with its int64 draw,
-    winner counts and the run's statistics (int64 capital sums, the two
-    int64 words of the squared sums, float mean and standard error). The
-    blocks in which the statistics are formed take at most _CHUNK_BYTES.
-    Its squared capital must fit in int64."""
+    draws with their comparison temporaries and its stored play codes
+    (at most 11n bytes), and under 40 bytes of schedule with its int64
+    draw, winner counts and the run's statistics (int64 capital sums, the
+    two int64 words of the squared sums, float mean and standard error).
+    The blocks in which the statistics are formed take at most
+    _CHUNK_BYTES. Its squared capital must fit in int64."""
     need = rounds * (11 * n + 40) + _CHUNK_BYTES
     physical = _physical_memory_bytes()
     if need > physical:
@@ -177,71 +180,96 @@ def _replay_streams(
     trial_indices: range,
     thresholds: np.ndarray,
     width: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw the streams of one chunk of trials, trial by trial.
 
-    Returns the draw ranks ``(rounds, trials, n)``, the game offsets
-    ``width * in_b`` (``(rounds, trials)`` for the random mix, drawn per
-    trial; ``(rounds, 1)`` for a fixed scheme) and the initial winner flags
-    ``(n, trials)``, all uint8.
+    Returns the play codes ``(trials, rounds, n)``, one contiguous row per
+    trial, and the initial winner flags ``(n, trials)``, both uint8. A
+    play's code is ``(game * levels + rank) * width``, with game 1 for B
+    and ``levels = len(thresholds) + 1``.
     """
     cooperative = isinstance(params, CooperativeParams)
     n = params.n_players if cooperative else 1
     m = len(trial_indices)
-    ranks = np.empty((rounds, m, n), dtype=np.uint8)
+    levels = np.uint8(len(thresholds) + 1)
+    codes = np.empty((m, rounds, n), dtype=np.uint8)
     flags = np.zeros((n, m), dtype=np.uint8)
     if cooperative and params.initial_flags == "winners":
         flags[:] = 1
-    if scheme.is_random:
-        in_b = np.empty((rounds, m), dtype=bool)
-    else:
-        in_b = schedule_mask(scheme, rounds, None)[:, None]
+
+    # levels for each play of a B round: np.repeat lays the schedule out
+    # play by play, which adds faster than a (rounds, 1) broadcast
+    def game_offsets(in_b: np.ndarray) -> np.ndarray:
+        return np.repeat(in_b * levels, n).reshape(rounds, n)
+
+    if not scheme.is_random:
+        game = game_offsets(schedule_mask(scheme, rounds, None))
     uniforms = np.empty((rounds, n))
-    rank = np.empty((rounds, n), dtype=np.uint8)
+    above = np.empty((rounds, n), dtype=bool)
     for col, k in enumerate(trial_indices):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         if cooperative and params.initial_flags == "random":
             flags[:, col] = rng.random(n) < 0.5
         if scheme.is_random:
-            in_b[:, col] = schedule_mask(scheme, rounds, rng)
+            game = game_offsets(schedule_mask(scheme, rounds, rng))
         rng.random(out=uniforms)
-        np.greater_equal(uniforms, thresholds[0], out=rank)
+        code = codes[col]
+        np.greater_equal(uniforms, thresholds[0], out=code.view(bool))
         for threshold in thresholds[1:]:
-            rank += uniforms >= threshold
-        ranks[:, col] = rank
-    return ranks, np.uint8(width) * in_b, flags
+            np.greater_equal(uniforms, threshold, out=above)
+            code += above.view(np.uint8)
+        code += game
+        code *= np.uint8(width)
+    return codes, flags
 
 
 def _play_cooperative(
-    params: CooperativeParams, ranks: np.ndarray, games: np.ndarray,
-    flags: np.ndarray, bound: np.ndarray,
+    sequential: bool, codes: np.ndarray, flags: np.ndarray, lut: np.ndarray
 ) -> np.ndarray:
     """Winners per round and trial, ``(rounds, trials)``, in the smallest
-    unsigned type that holds ``n_players``."""
-    rounds, m, n = ranks.shape
+    unsigned type that holds ``n_players``. ``flags`` ``(n, trials)`` holds
+    the winner flags and is updated in place."""
+    m, rounds, n = codes.shape
     wins = np.empty((rounds, m), dtype=np.min_scalar_type(n))
-    sequential = params.update_order == "sequential"
-    for t in range(rounds):
-        source = flags if sequential else flags.copy()
-        rank, game = ranks[t], games[t]
-        for i in range(n):
-            index = game + 2 * source[i - 1] + source[(i + 1) % n]
-            np.less(rank[:, i], bound[index], out=flags[i])
-        np.sum(flags, axis=0, dtype=wins.dtype, out=wins[t])
+    # sequential players read the live flags, synchronous ones the flags
+    # as the round started
+    source = flags if sequential else np.empty_like(flags)
+    base = np.empty((n, m), dtype=np.uint8)
+    index = np.empty(m, dtype=np.uint8)
+    successors, heads = source[1:], base[:-1]
+    last, first = base[-1], source[0]
+    players = [(base[i], source[i - 1], flags[i]) for i in range(n)]
+    for code, won in zip(codes.transpose(1, 2, 0), wins):
+        if not sequential:
+            np.copyto(source, flags)
+        # the part of each index known as the round starts: players
+        # 0..n-2 count their successor's flag twice, before it plays
+        np.add(code[:-1], successors, out=heads)
+        np.add(heads, successors, out=heads)
+        for i, (row, predecessor, flag) in enumerate(players):
+            np.add(row, predecessor, out=index)
+            lut.take(index, out=flag, mode="clip")
+            if i == 0:
+                # player n-1's successor is player 0, who has now played
+                np.add(code[-1], first, out=last)
+                np.add(last, first, out=last)
+        np.add.reduce(flags, axis=0, dtype=wins.dtype, out=won)
     return wins
 
 
-def _play_original(ranks: np.ndarray, games: np.ndarray, bound: np.ndarray) -> np.ndarray:
+def _play_original(codes: np.ndarray, lut: np.ndarray) -> np.ndarray:
     """Wins (0/1) per round and trial, ``(rounds, trials)`` uint8."""
-    rounds, m, _ = ranks.shape
+    m, rounds, _ = codes.shape
     wins = np.empty((rounds, m), dtype=np.uint8)
-    # capital mod 3 after a loss (won = 0) or a win (won = 1)
-    step = np.array([2, 1, 0, 2, 1, 0], dtype=np.uint8)
+    # capital mod 3 after the play at each index: the index mod 3 is the
+    # capital mod 3 before it, which a win raises and a loss lowers by one
+    step = ((np.arange(len(lut)) + 2 * lut.astype(int) - 1) % 3).astype(np.uint8)
     mod3 = np.zeros(m, dtype=np.uint8)
-    for t in range(rounds):
-        won = ranks[t, :, 0] < bound[games[t] + mod3]
-        mod3 = step[2 * mod3 + won]
-        wins[t] = won
+    index = np.empty(m, dtype=np.uint8)
+    for code, won in zip(codes[:, :, 0].T, wins):
+        np.add(code, mod3, out=index)
+        lut.take(index, out=won, mode="clip")
+        step.take(index, out=mod3, mode="clip")
     return wins
 
 
@@ -256,20 +284,25 @@ def _add_capital_sums(
     # a block of int64 running capitals takes at most an eighth of the
     # budget, as a chunk holds at most _CHUNK_BYTES // 64 trials. A row's
     # sum of squares, at most m (n rounds)^2, fits in int64: for m = 1 by
-    # the size check, otherwise because rounds (n + 1 + w) <= _CHUNK_BYTES / 2
+    # the size check, otherwise because rounds (n + w) <= _CHUNK_BYTES / 2
     rows = max(1, _CHUNK_BYTES // (64 * m))
-    capital = np.zeros(m, dtype=np.int64)
+    block = np.empty((min(rows, rounds), m), dtype=np.int64)
+    total = np.zeros(m, dtype=np.int64)  # wins so far, per trial
     for start in range(0, rounds, rows):
-        block = np.cumsum(wins[start:start + rows], axis=0, dtype=np.int64)
-        block *= 2
-        block -= n * np.arange(1, len(block) + 1)[:, None]
-        block += capital
-        stop = start + len(block)
-        sums[start:stop] += block.sum(axis=1)
-        squares = np.einsum("ij,ij->i", block, block)
+        stop = min(start + rows, rounds)
+        part = block[:stop - start]
+        previous = total
+        for row, count in zip(part, wins[start:stop]):
+            np.add(previous, count, out=row)
+            previous = row
+        np.copyto(total, previous)
+        # capital = wins - losses = 2 wins - n t
+        part *= 2
+        part -= n * np.arange(start + 1, stop + 1)[:, None]
+        sums[start:stop] += part.sum(axis=1)
+        squares = np.einsum("ij,ij->i", part, part)
         high[start:stop] += squares >> 32
         low[start:stop] += squares & 0xFFFFFFFF
-        capital = block[-1]
 
 
 def run_classical(
@@ -296,23 +329,24 @@ def run_classical(
     table = _win_table(params)
     width = table.shape[1]
     thresholds = np.unique(table)
-    # k(p) of each table entry: a play wins when its draw's rank is below it
-    bound = np.searchsorted(thresholds, table.ravel(), side="right").astype(np.uint8)
+    # k(p) of each table entry: a play wins when its draw's rank is below
+    # it. lut[code + context] is that comparison for every code
+    bound = np.searchsorted(thresholds, table, side="right")
+    ranks = np.arange(len(thresholds) + 1)
+    lut = (ranks[None, :, None] < bound[:, None, :]).astype(np.uint8).ravel()
     sums = np.zeros(rounds, dtype=np.int64)
     high = np.zeros(rounds, dtype=np.int64)
     low = np.zeros(rounds, dtype=np.int64)
-    per_trial = rounds * (n + 1 + np.min_scalar_type(n).itemsize)
+    per_trial = rounds * (n + np.min_scalar_type(n).itemsize)
     chunk = max(1, min(trials, _CHUNK_BYTES // per_trial, _CHUNK_BYTES // 64))
     for start in range(0, trials, chunk):
         idx = range(start, min(start + chunk, trials))
-        ranks, games, flags = _replay_streams(
-            params, scheme, rounds, seed, idx, thresholds, width
-        )
+        codes, flags = _replay_streams(params, scheme, rounds, seed, idx, thresholds, width)
         if cooperative:
-            wins = _play_cooperative(params, ranks, games, flags, bound)
+            wins = _play_cooperative(params.update_order == "sequential", codes, flags, lut)
         else:
-            wins = _play_original(ranks, games, bound)
-        del ranks, games  # freed before the statistics allocate their blocks
+            wins = _play_original(codes, lut)
+        del codes  # freed before the statistics allocate their block
         _add_capital_sums(wins, n, sums, high, low)
         del wins
     scale = n * trials

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +93,13 @@ def oracle_labels(scheme: GameScheme, rounds: int, rng) -> list[str]:
     return [scheme.kind.upper()] * rounds
 
 
-def oracle_series(params, scheme: GameScheme, rounds: int, trials: int, seed: int):
-    """Mean and standard error of the player-averaged gain, replayed trial
-    by trial through the scalar step functions from the same streams."""
+def oracle_capitals(params, scheme: GameScheme, rounds: int, trials: int, seed: int):
+    """Player-summed capital per trial and round, ``(trials, rounds + 1)``,
+    replayed trial by trial through the scalar step functions from the same
+    streams."""
     cooperative = isinstance(params, CooperativeParams)
     n = params.n_players if cooperative else 1
-    gains = np.zeros((trials, rounds + 1))
+    capitals = np.zeros((trials, rounds + 1), dtype=np.int64)
     for k in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         if cooperative and params.initial_flags == "random":
@@ -112,7 +114,15 @@ def oracle_series(params, scheme: GameScheme, rounds: int, trials: int, seed: in
                 state = cooperative_step(state, label, params, draws)
             else:
                 state.capitals[0] = original_step(state.capitals[0], label, params, draws)
-            gains[k, t + 1] = state.capitals.mean()
+            capitals[k, t + 1] = state.capitals.sum()
+    return capitals
+
+
+def oracle_series(params, scheme: GameScheme, rounds: int, trials: int, seed: int):
+    """Mean and standard error of the player-averaged gain over the oracle's
+    trials, in floating point."""
+    n = params.n_players if isinstance(params, CooperativeParams) else 1
+    gains = oracle_capitals(params, scheme, rounds, trials, seed) / n
     return gains.mean(axis=0), gains.std(axis=0, ddof=1) / np.sqrt(trials)
 
 
@@ -252,6 +262,20 @@ REPLAY_CASES = [
     # n_players, past 127 (one byte, signed) and past 255 (one byte)
     (cooperative(pa=1.0, n_players=130), PURE_A, 7),
     (cooperative(p1=1.0, n_players=300, initial_flags="winners"), PURE_B, 7),
+] + [
+    # the edges of the win table: a probability of exactly 0 (never won)
+    # and of 1, five distinct probabilities (a uniform above the largest
+    # gives the largest play code), all probabilities equal (one threshold)
+    (cooperative(p1=0.7, p2=0.0, p3=0.4, p4=0.0, pa=0.0), RANDOM_MIX, 12),
+    (OriginalParams(epsilon=0.0, p=0.0, p1=1.0, p2=0.6), RANDOM_MIX, 40),
+    (cooperative(p1=0.95, p2=0.35, p3=0.65, p4=0.05, pa=0.2, n_players=4), RANDOM_MIX, 12),
+    (cooperative(p1=0.3, p2=0.3, p3=0.3, p4=0.3, pa=0.3), RANDOM_MIX, 12),
+    (OriginalParams(epsilon=0.0, p=0.4, p1=0.4, p2=0.4), periodic(2, 3), 40),
+] + [
+    # an even ring: player n-1's successor is player 0
+    (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=4, update_order=order),
+     scheme, 9)
+    for order in ("sequential", "synchronous") for scheme in (PURE_B, RANDOM_MIX)
 ]
 
 
@@ -266,6 +290,47 @@ def test_run_classical_matches_stepwise_reference():
         case = f"{params} {scheme.label}"
         assert np.max(np.abs(series.mean_gain - mean)) < 1e-12, case
         assert np.max(np.abs(series.stderr - stderr)) < 1e-12, case
+
+
+def exact_series(capitals: np.ndarray, n: int):
+    """Mean and standard error of the player-averaged gain formed, as
+    run_classical forms them, from exact integer sums over trials."""
+    trials = len(capitals)
+    sums = capitals.sum(axis=0)
+    squares = [sum(int(x) ** 2 for x in column) for column in capitals.T]
+    scale = n * trials
+    mean = sums / scale
+    variance = [
+        (trials * q - int(s) ** 2) / (scale * scale * (trials - 1))
+        for s, q in zip(sums, squares)
+    ]
+    return mean, np.sqrt(variance)
+
+
+def test_random_parameter_sets_replay_the_oracle_bitwise():
+    # probabilities on a coarse grid, so that ties between branches and
+    # probabilities of exactly 0 and 1 come up often
+    rng = np.random.default_rng(20261017)
+    grid = np.linspace(0.0, 1.0, 5)
+    schemes = (PURE_A, PURE_B, RANDOM_MIX, periodic(2, 3), periodic(1, 1))
+    trials, rounds = 4, 15
+    for case in range(20):
+        pa, p1, p2, p3, p4 = (float(p) for p in rng.choice(grid, size=5))
+        scheme = schemes[rng.integers(len(schemes))]
+        if case % 4 == 3:
+            params = OriginalParams(epsilon=0.0, p=pa, p1=p1, p2=p2)
+        else:
+            params = cooperative(
+                p1=p1, p2=p2, p3=p3, p4=p4, pa=pa,
+                n_players=int(rng.integers(3, 7)),
+                update_order=("sequential", "synchronous")[rng.integers(2)],
+                initial_flags=("random", "winners", "losers")[rng.integers(3)],
+            )
+        n = params.n_players if isinstance(params, CooperativeParams) else 1
+        series = run_classical(params, scheme, rounds=rounds, trials=trials, seed=case)
+        mean, stderr = exact_series(oracle_capitals(params, scheme, rounds, trials, case), n)
+        assert np.array_equal(series.mean_gain, mean), f"{params} {scheme.label}"
+        assert np.array_equal(series.stderr, stderr), f"{params} {scheme.label}"
 
 
 @pytest.mark.parametrize("n,rounds", [(127, 4), (128, 4), (255, 4), (256, 4), (300, 250)])
@@ -298,6 +363,41 @@ def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
     split = run_classical(params, scheme, rounds=50, trials=11, seed=4)
     assert np.array_equal(whole.mean_gain, split.mean_gain)
     assert np.array_equal(whole.stderr, split.stderr)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=5,
+                    update_order="synchronous"),
+        OriginalParams(epsilon=0.005),
+    ],
+)
+def test_traced_peak_stays_within_the_memory_accounting(monkeypatch, params):
+    # a run holds at most one chunk's per-trial arrays, rounds * (n + w)
+    # bytes a trial, plus one trial's draw temporaries plus one statistics
+    # block; several chunks and statistics blocks are played here
+    monkeypatch.setattr(classical, "_CHUNK_BYTES", 1 << 20)
+    rounds, trials = 1000, 600
+    n = params.n_players if isinstance(params, CooperativeParams) else 1
+    per_trial = rounds * (n + 1)
+    chunk = min(trials, classical._CHUNK_BYTES // per_trial)
+    # float uniforms and their comparison, the schedule's int64 draw and
+    # mask, and the game offsets of this trial and the last before and
+    # after their repeat
+    draws = rounds * (11 * n + 11)
+    block = min(rounds, classical._CHUNK_BYTES // (64 * chunk)) * chunk * 8
+    statistics = 5 * (rounds + 1) * 8  # sums, high, low, mean, stderr
+    # the first run imports what numpy loads lazily
+    run_classical(params, RANDOM_MIX, rounds=2, trials=1)
+    tracemalloc.start()
+    try:
+        run_classical(params, RANDOM_MIX, rounds=rounds, trials=trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= chunk * per_trial + draws + block + statistics
 
 
 def exact_cooperative_mix_mean(params: CooperativeParams, rounds: int) -> float:
