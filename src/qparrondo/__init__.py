@@ -37,7 +37,6 @@ from .engine import (
     periodic,
     run_averaged,
     run_simulation,
-    step_round,
 )
 from .observables import (
     GameVerdict,
@@ -49,7 +48,6 @@ from .observables import (
     detect_paradox,
 )
 from .state import (
-    WalkerState,
     apply_position_update,
     init_walker_state,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "SweepRecord",
     "Verdict",
     "W",
-    "WalkerState",
     "apply_position_update",
     "classify_game",
     "coin_unitary",
@@ -105,7 +102,6 @@ __all__ = [
     "run_averaged",
     "run_classical",
     "run_simulation",
-    "step_round",
     "sweep_entanglement",
     "sweep_phase_map",
     "sweep_rho4",

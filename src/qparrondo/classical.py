@@ -328,7 +328,8 @@ def run_classical(
     _check_trial_size(rounds, n)
     table = _win_table(params)
     width = table.shape[1]
-    thresholds = np.unique(table)
+    # sorted distinct entries; np.unique would import numpy.ma on first use
+    thresholds = np.array(sorted(set(table.ravel().tolist())))
     # k(p) of each table entry: a play wins when its draw's rank is below
     # it. lut[code + context] is that comparison for every code
     bound = np.searchsorted(thresholds, table, side="right")

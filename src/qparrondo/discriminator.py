@@ -86,7 +86,7 @@ def discriminate(
     if rounds < 3:
         raise ValueError(f"rounds must be >= 3 to tell W from GHZ, got {rounds}")
     config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds)
-    coins = init_walker_state(coin_state).tensor.reshape(2, 2, 2)  # validates coin_state
+    coins = init_walker_state(coin_state).reshape(2, 2, 2)  # validates coin_state
     povm = _position_povm(coin_unitary(config.coin_a), rounds)
     x_moments = np.tensordot(2 * np.arange(rounds + 1) - rounds, povm, axes=1)
     statistic = _summed_payoff(coins, x_moments)

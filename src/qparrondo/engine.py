@@ -24,7 +24,6 @@ from .coins import (
 from .observables import PayoffSeries, coin_weights
 from .state import (
     COIN_BITS,
-    WalkerState,
     _apply_coin_register_op,
     apply_position_update,
     controlled_coin_operator,
@@ -128,6 +127,13 @@ class SimulationConfig:
                     f"game_b.{name} phases (theta={coin.theta}, phi={coin.phi}) are not "
                     f"finite once shifted by coin_a's phi={phase}"
                 )
+        # the frame's phases are multiples of that phi by up to 3, the number
+        # of |R> coins
+        if not math.isfinite(3 * phase):
+            raise ValueError(
+                f"coin_a's phi={phase} is too large for the walk's frame, which "
+                f"multiplies it by up to 3"
+            )
 
 
 def schedule_mask(
@@ -150,58 +156,6 @@ def schedule_mask(
     return rng.integers(0, 2, size=rounds) == 1
 
 
-# An operator that is real in exact arithmetic still carries rounding in its
-# imaginary part: a coin at theta + phi = pi has e^{i pi} = -1 + 1.2e-16i, and
-# three composed tosses add such terms. Anything within a few ulp of 1 (the
-# scale of a unitary's entries) is that rounding, not a phase.
-_REAL_TOL = 4 * np.finfo(float).eps
-
-
-@lru_cache(maxsize=128)
-def _round_coin_operator(
-    label: str, coin_a: CoinParams, game_b: GameBParams
-) -> np.ndarray:
-    """Composed 8x8 coin-register operator of one round of game ``label``
-    ("A" or "B"): the toss of player 1, then player 2, then player 3.
-
-    The operator is float64 when its imaginary part is zero to rounding,
-    so that the toss runs in real arithmetic, else complex128.
-    """
-    if label == "A":
-        m = coin_unitary(coin_a)
-        ops = [lift_single_coin(m, player) for player in (1, 2, 3)]
-    else:
-        mats = tuple(coin_unitary(p) for p in (game_b.ww, game_b.wl, game_b.lw, game_b.ll))
-        ops = [controlled_coin_operator(player, *mats) for player in (1, 2, 3)]
-    op = ops[2] @ ops[1] @ ops[0]
-    if np.abs(op.imag).max() <= _REAL_TOL:
-        return np.ascontiguousarray(op.real)
-    return op
-
-
-def step_round(
-    state: WalkerState,
-    plays_b: bool,
-    config: SimulationConfig,
-    *,
-    scratch: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> WalkerState:
-    """Advance one round of game B if ``plays_b``, else of game A: the
-    tosses of players 1, 2 and 3 in turn, composed into a single
-    coin-register operator, then apply_position_update.
-
-    The toss is written into the flat complex buffer ``scratch`` and the
-    shifted state into ``out``, each allocated when missing. ``out`` may
-    hold ``state`` itself, since the toss has read all of it before the
-    shift writes; ``scratch`` must overlap neither.
-    """
-    if not isinstance(plays_b, (bool, np.bool_)):
-        raise ValueError(f"plays_b must be a bool (True plays game B), got label {plays_b!r}")
-    op = _round_coin_operator("B" if plays_b else "A", config.coin_a, config.game_b)
-    return apply_position_update(_apply_coin_register_op(state, op, scratch), out=out)
-
-
 # row c: the step (+1 for |R>, -1 for |L>) that coin component c moves each axis
 _STEP_SIGNS = 2.0 * np.array(COIN_BITS) - 1.0
 # number of |R> coins in component c
@@ -214,30 +168,51 @@ def _framed(coin: CoinParams, phase: float) -> CoinParams:
     return CoinParams(coin.rho, coin.theta + phase, coin.phi - phase)
 
 
+# An operator that is real in exact arithmetic still carries rounding in its
+# imaginary part: a coin at theta + phi = pi has e^{i pi} = -1 + 1.2e-16i, and
+# three composed tosses add such terms. Anything within a few ulp of 1 (the
+# scale of a unitary's entries) is that rounding, not a phase.
+_REAL_TOL = 4 * np.finfo(float).eps
+
+
 @lru_cache(maxsize=128)
-def _framed_round_operators(
+def _round_operators(
     coin_a: CoinParams, game_b: GameBParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The round operators of game A and game B, in that order, in the
-    frame of ``coin_a``'s phi that ``_walk`` plays in."""
+    """The composed 8x8 coin-register operators of one round of game A and
+    of game B, in that order, in the frame of ``coin_a``'s phi that
+    ``_walk`` plays in: the toss of player 1, then player 2, then player 3.
+
+    An operator is float64 when its imaginary part is zero to rounding,
+    so that the toss runs in real arithmetic, else complex128.
+    """
     phase = coin_a.phi
-    framed_a = _framed(coin_a, phase)
+    m = coin_unitary(_framed(coin_a, phase))
     branches = (game_b.ww, game_b.wl, game_b.lw, game_b.ll)
-    framed_b = GameBParams(*(_framed(coin, phase) for coin in branches))
-    return tuple(_round_coin_operator(label, framed_a, framed_b) for label in "AB")
+    mats = tuple(coin_unitary(_framed(coin, phase)) for coin in branches)
+    operators = []
+    for ops in (
+        [lift_single_coin(m, player) for player in (1, 2, 3)],
+        [controlled_coin_operator(player, *mats) for player in (1, 2, 3)],
+    ):
+        op = ops[2] @ ops[1] @ ops[0]
+        if np.abs(op.imag).max() <= _REAL_TOL:
+            op = np.ascontiguousarray(op.real)
+        operators.append(op)
+    return tuple(operators)
 
 
 def _walk(
     coin_state: np.ndarray,
     mask: np.ndarray,
     config: SimulationConfig,
-    per_player=None,
-) -> WalkerState:
+    per_player: np.ndarray,
+) -> np.ndarray:
     """Play the schedule ``mask`` (True where a round plays B, as from
     ``schedule_mask``) from ``coin_state`` at the origin and return the
-    final state in the frame chi below; row t of ``per_player``, when
-    given, receives the expected positions after round t, accumulated from
-    row 0.
+    final state in the frame chi below; row t of ``per_player``, shape
+    (len(mask) + 1, 3), receives the expected positions after round t,
+    accumulated from row 0.
 
     The walk owns two flat buffers of one final state's size: each round
     tosses the state into ``tossed``, then shifts the toss back into
@@ -261,18 +236,17 @@ def _walk(
     contiguous toss output: <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1).
     D leaves every weight as it is.
     """
-    ops = _framed_round_operators(config.coin_a, config.game_b)
+    ops = _round_operators(config.coin_a, config.game_b)
     tossed, states = np.empty((2, 8 * (len(mask) + 1) ** 3), dtype=complex)
     weights = np.empty((len(mask), 8))
     state = init_walker_state(coin_state)
-    state.tensor *= np.exp(1j * config.coin_a.phi * _R_COUNTS).conj()[:, None, None, None]
+    state *= np.exp(1j * config.coin_a.phi * _R_COUNTS).conj()[:, None, None, None]
     for t, plays_b in enumerate(mask.tolist()):
         toss = _apply_coin_register_op(state, ops[plays_b], tossed)
         weights[t] = coin_weights(toss)
         state = apply_position_update(toss, out=states)
-    if per_player is not None:
-        per_player[1:] = weights @ _STEP_SIGNS
-        np.cumsum(per_player, axis=0, out=per_player)
+    per_player[1:] = weights @ _STEP_SIGNS
+    np.cumsum(per_player, axis=0, out=per_player)
     return state
 
 
@@ -282,7 +256,11 @@ def _run_indexed(config: SimulationConfig, run_index: int) -> PayoffSeries:
     mask = schedule_mask(config.scheme, config.rounds, rng)
     per_player = np.zeros((config.rounds + 1, 3))
     _walk(initial_coin_state(config.initial), mask, config, per_player)
-    return PayoffSeries(per_player=per_player, average_gain=per_player.mean(axis=1))
+    return PayoffSeries(
+        per_player=per_player,
+        average_gain=per_player.mean(axis=1),
+        stderr=np.zeros(config.rounds + 1),
+    )
 
 
 def run_simulation(config: SimulationConfig) -> PayoffSeries:

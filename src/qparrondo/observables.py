@@ -7,15 +7,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .state import WalkerState
-
 DEFAULT_TOL = 1e-9
 
 
-def coin_weights(state: WalkerState) -> np.ndarray:
+def coin_weights(state: np.ndarray) -> np.ndarray:
     """Probability of each of the 8 coin components, sum over all sites of
-    |amp|^2, from a single pass over the amplitudes."""
-    flat = np.ascontiguousarray(state.tensor).reshape(8, -1).view(np.float64)
+    |amp|^2, from a single pass over the amplitudes (8, ...)."""
+    flat = np.ascontiguousarray(state).reshape(8, -1).view(np.float64)
     # one BLAS dot product per component: faster than einsum's running sum,
     # and its blocked partial sums round far less
     return (flat[:, None, :] @ flat[:, :, None]).reshape(8)
@@ -26,13 +24,13 @@ class PayoffSeries:
     """Per-round expected positions and the player-averaged capital gain.
 
     Row t corresponds to the state after t rounds; row 0 is the start.
-    ``stderr`` holds per-round standard errors of the mean gain when the
-    series was averaged over runs, else None.
+    ``stderr`` holds per-round standard errors of the mean gain over runs,
+    zero for a single run or a fixed schedule.
     """
 
     per_player: np.ndarray  # (rounds + 1, 3)
     average_gain: np.ndarray  # (rounds + 1,)
-    stderr: np.ndarray | None = None
+    stderr: np.ndarray  # (rounds + 1,)
 
     @property
     def rounds(self) -> int:
@@ -44,7 +42,7 @@ class PayoffSeries:
 
     @property
     def final_stderr(self) -> float:
-        return 0.0 if self.stderr is None else float(self.stderr[-1])
+        return float(self.stderr[-1])
 
 
 class Verdict(Enum):
@@ -63,8 +61,6 @@ class GameVerdict:
 def default_tolerance(series: PayoffSeries) -> float:
     """Classification tolerance: 1e-9, widened to 3 standard errors for
     series averaged over random schedules."""
-    if series.stderr is None:
-        return DEFAULT_TOL
     return max(DEFAULT_TOL, 3.0 * series.final_stderr)
 
 

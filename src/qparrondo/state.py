@@ -11,8 +11,6 @@ update advances count axis i wherever coin bit b_i is set.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,29 +29,13 @@ _P_L = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _P_R = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
-@dataclass
-class WalkerState:
-    """Amplitude tensor over (coin index, n1, n2, n3) after t rounds."""
-
-    tensor: np.ndarray  # complex128, shape (8, t+1, t+1, t+1)
-
-    @property
-    def rounds(self) -> int:
-        return self.tensor.shape[1] - 1
-
-    @property
-    def coordinates(self) -> np.ndarray:
-        """Position x = 2n - t of each count index n along one axis."""
-        t = self.rounds
-        return 2 * np.arange(t + 1) - t
-
-
 def _kron3(ops: Sequence[np.ndarray]) -> np.ndarray:
     return np.kron(ops[0], np.kron(ops[1], ops[2]))
 
 
-def init_walker_state(coin_state: np.ndarray) -> WalkerState:
-    """Place a unit-norm coin vector at the position origin (t = 0).
+def init_walker_state(coin_state: np.ndarray) -> np.ndarray:
+    """Place a unit-norm coin vector at the position origin (t = 0): the
+    amplitude array of shape (8, 1, 1, 1).
 
     Args:
         coin_state: 8-component complex vector, unit norm to 1e-10.
@@ -67,34 +49,25 @@ def init_walker_state(coin_state: np.ndarray) -> WalkerState:
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"coin_state must have unit norm, got {norm!r}")
-    return WalkerState(v.reshape(8, 1, 1, 1).copy())
+    return v.reshape(8, 1, 1, 1).copy()
 
 
-def _prefix(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading entries of the flat complex ``buffer`` viewed as an array
-    of ``shape``, or a new array of that shape when there is no buffer."""
-    if buffer is None:
-        return np.empty(shape, dtype=complex)
-    return buffer[: math.prod(shape)].reshape(shape)
-
-
-def _apply_coin_register_op(
-    state: WalkerState, op8: np.ndarray, out: np.ndarray | None = None
-) -> WalkerState:
-    """Apply an 8x8 operator to the coin axis, writing into the flat
-    buffer ``out`` when one is given.
+def _apply_coin_register_op(state: np.ndarray, op8: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Apply an 8x8 operator to the coin axis of the amplitudes ``state``,
+    writing into the leading entries of the flat complex buffer ``out``,
+    and return them in the shape of ``state``.
 
     A float64 operator acts alike on the real and imaginary parts, so it
     multiplies the interleaved float64 view of the amplitudes: a real GEMM
     with half the flops of the complex one that a complex128 operator runs.
     """
-    flat = state.tensor.reshape(8, -1)
-    tossed = _prefix(out, flat.shape)
+    flat = state.reshape(8, -1)
+    tossed = out[: flat.size].reshape(flat.shape)
     if op8.dtype == np.float64:
         np.matmul(op8, np.ascontiguousarray(flat).view(np.float64), out=tossed.view(np.float64))
     else:
         np.matmul(op8, flat, out=tossed)
-    return WalkerState(tossed.reshape(state.tensor.shape))
+    return tossed.reshape(state.shape)
 
 
 def lift_single_coin(m: np.ndarray, player: int) -> np.ndarray:
@@ -131,26 +104,26 @@ def controlled_coin_operator(
     return op
 
 
-def apply_position_update(state: WalkerState, *, out: np.ndarray | None = None) -> WalkerState:
+def apply_position_update(state: np.ndarray, *, out: np.ndarray) -> np.ndarray:
     """Shift axis i by +1 where player i's coin is |R> and -1 where |L>.
 
     In count space the |R> branch of axis i advances n_i by one while the
     |L> branch keeps it, and every axis grows by one site. The shifted
-    state is written into the leading entries of the flat complex buffer
-    ``out`` when one is given, else into a new array.
+    amplitudes are written into the leading entries of the flat complex
+    buffer ``out``, and returned in their (8, n+1, n+1, n+1) shape.
 
     Component c = 4*b1 + 2*b2 + b3 at counts (i, j, k) lands at
     (c, i + b1, j + b2, k + b3), an offset affine in (b1, b2, b3, i, j, k).
     So one strided view of the zeroed output, indexed like the input split
     into its coin bits, receives all eight components in a single copy.
     """
-    n = state.tensor.shape[1]
-    shifted = _prefix(out, (8, n + 1, n + 1, n + 1))
+    n = state.shape[1]
+    shifted = out[: 8 * (n + 1) ** 3].reshape(8, n + 1, n + 1, n + 1)
     shifted.fill(0)
     sc, s1, s2, s3 = shifted.strides
     target = np.ndarray(
         (2, 2, 2, n, n, n), complex, buffer=shifted,
         strides=(4 * sc + s1, 2 * sc + s2, sc + s3, s1, s2, s3),
     )
-    np.copyto(target, state.tensor.reshape(2, 2, 2, n, n, n))
-    return WalkerState(shifted)
+    np.copyto(target, state.reshape(2, 2, 2, n, n, n))
+    return shifted

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .coins import GameBParams, j_entangled
 from .engine import (
     PURE_A,
@@ -219,11 +217,10 @@ def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> N
 
 def emit_series_csv(series: PayoffSeries, path) -> None:
     """Write one row per round (round 0 included) with 15 significant digits."""
-    stderr = series.stderr if series.stderr is not None else np.zeros(series.rounds + 1)
     rows = (
         [str(t)]
         + [_fmt(series.per_player[t, i]) for i in range(3)]
-        + [_fmt(series.average_gain[t]), _fmt(stderr[t])]
+        + [_fmt(series.average_gain[t]), _fmt(series.stderr[t])]
         for t in range(series.rounds + 1)
     )
     _write_rows(path, ["round", "gain_p1", "gain_p2", "gain_p3", "gain_avg", "stderr"], rows)

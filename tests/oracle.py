@@ -1,11 +1,15 @@
 """Independent oracles for the structured walk: per-player coin tosses, the
-joint position distribution, the position update slice by slice, and a
-dense Kronecker round on a small position lattice.
+joint position distribution, the position update slice by slice, an
+unframed round built from them, and a dense Kronecker round on a small
+position lattice; and ``true_state``, the engine's walk taken out of its
+coin-phase frame.
 
-The engine composes a round's three tosses into one 8x8 operator and
-shifts in count space; these helpers toss one player at a time, and the
-dense oracle assembles every factor of a round, shift included, as a full
-matrix on the position lattice -H..H per axis.
+The engine composes a round's three tosses into one 8x8 operator, plays
+in the frame of coin A's phi and shifts in count space; these helpers
+toss one player at a time on the true state, and the dense oracle
+assembles every factor of a round, shift included, as a full matrix on
+the position lattice -H..H per axis. Amplitudes after t rounds are arrays
+of shape (8, t+1, t+1, t+1), count index n at position x = 2n - t.
 """
 from __future__ import annotations
 
@@ -13,14 +17,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from qparrondo import engine
+from qparrondo.coins import coin_unitary
 from qparrondo.state import (
     _I2,
     _P_L,
     _P_R,
+    COIN_BITS,
     RING_NEXT,
     RING_PREV,
-    WalkerState,
-    _apply_coin_register_op,
     _kron3,
     controlled_coin_operator,
     lift_single_coin,
@@ -47,34 +52,39 @@ def _check_player(player: int) -> None:
         raise ValueError(f"player must be 1, 2 or 3, got {player}")
 
 
-def state_norm(state: WalkerState) -> float:
-    """Euclidean norm sqrt(sum |amp|^2) of the full amplitude tensor."""
-    return float(np.linalg.norm(state.tensor))
+def state_norm(state: np.ndarray) -> float:
+    """Euclidean norm sqrt(sum |amp|^2) of the full amplitude array."""
+    return float(np.linalg.norm(state))
 
 
-def position_distribution(state: WalkerState) -> np.ndarray:
+def position_distribution(state: np.ndarray) -> np.ndarray:
     """Joint probability over step counts (t+1, t+1, t+1), coin register
-    traced out; index n of each axis is position ``state.coordinates[n]``."""
-    a = np.abs(state.tensor)
+    traced out; index n of each axis is position x = 2n - t."""
+    a = np.abs(state)
     np.multiply(a, a, out=a)
     return a.sum(axis=0)
 
 
-def apply_coin_matrix(state: WalkerState, player: int, m: np.ndarray) -> WalkerState:
+def _toss(state: np.ndarray, op8: np.ndarray) -> np.ndarray:
+    """An 8x8 operator applied to the coin axis, into a new array."""
+    return np.tensordot(op8, state, axes=1)
+
+
+def apply_coin_matrix(state: np.ndarray, player: int, m: np.ndarray) -> np.ndarray:
     """Toss one player's coin with a 2x2 unitary, identity elsewhere."""
     _check_player(player)
     m = _check_coin_unitary(m, "coin matrix")
-    return _apply_coin_register_op(state, lift_single_coin(m, player))
+    return _toss(state, lift_single_coin(m, player))
 
 
 def apply_controlled_coin(
-    state: WalkerState,
+    state: np.ndarray,
     player: int,
     m_rr: np.ndarray,
     m_rl: np.ndarray,
     m_lr: np.ndarray,
     m_ll: np.ndarray,
-) -> WalkerState:
+) -> np.ndarray:
     """Toss one player's coin with the branch selected by its ring neighbors."""
     _check_player(player)
     mats = [
@@ -83,19 +93,49 @@ def apply_controlled_coin(
             (m_rr, "m_rr"), (m_rl, "m_rl"), (m_lr, "m_lr"), (m_ll, "m_ll"),
         )
     ]
-    return _apply_coin_register_op(state, controlled_coin_operator(player, *mats))
+    return _toss(state, controlled_coin_operator(player, *mats))
 
 
-def slice_shift(state: WalkerState) -> WalkerState:
+def slice_shift(state: np.ndarray) -> np.ndarray:
     """Position update one coin component at a time: component
     c = 4*b1 + 2*b2 + b3 is copied into a zeroed state one site larger per
     axis, advanced by one count along each axis whose bit is |R>."""
-    t = state.rounds
+    t = state.shape[1] - 1
     shifted = np.zeros((8, t + 2, t + 2, t + 2), dtype=complex)
     for c in range(8):
         b1, b2, b3 = (c >> 2) & 1, (c >> 1) & 1, c & 1
-        shifted[c, b1:b1 + t + 1, b2:b2 + t + 1, b3:b3 + t + 1] = state.tensor[c]
-    return WalkerState(shifted)
+        shifted[c, b1:b1 + t + 1, b2:b2 + t + 1, b3:b3 + t + 1] = state[c]
+    return shifted
+
+
+def unframed_round(state: np.ndarray, plays_b: bool, config) -> np.ndarray:
+    """One round of game B if ``plays_b``, else of game A, on the true
+    state with ``config``'s coins as given: the tosses of players 1, 2
+    and 3 one at a time, then slice_shift."""
+    if plays_b:
+        b = config.game_b
+        mats = [coin_unitary(coin) for coin in (b.ww, b.wl, b.lw, b.ll)]
+        for player in (1, 2, 3):
+            state = apply_controlled_coin(state, player, *mats)
+    else:
+        m = coin_unitary(config.coin_a)
+        for player in (1, 2, 3):
+            state = apply_coin_matrix(state, player, m)
+    return slice_shift(state)
+
+
+# --- the engine's walk out of its frame -------------------------------------
+
+
+def true_state(coin_state: np.ndarray, mask, config) -> np.ndarray:
+    """The state psi = D chi after the rounds of ``mask`` (True plays B)
+    from ``coin_state``: engine._walk returns chi, in the frame of
+    D = P(phi_a)^(x3), which multiplies coin component c by e^{i phi_a}
+    for each of its |R> coins."""
+    mask = np.asarray(mask, dtype=bool)
+    chi = engine._walk(coin_state, mask, config, np.zeros((len(mask) + 1, 3)))
+    d = np.exp(1j * config.coin_a.phi * np.sum(COIN_BITS, axis=1))
+    return d[:, None, None, None] * chi
 
 
 # --- dense Kronecker round -------------------------------------------------
@@ -187,17 +227,17 @@ def dense_round_matrix(half_extent: int, coin_ops: CoinOpSpec) -> np.ndarray:
     return u
 
 
-def dense_positions(state: WalkerState, half_extent: int) -> np.ndarray:
+def dense_positions(state: np.ndarray, half_extent: int) -> np.ndarray:
     """Amplitudes of a count state on the position lattice
     -half_extent..half_extent per axis, shape (8, L, L, L) with
     L = 2*half_extent + 1; count index n lands at x = 2n - t."""
-    t = state.rounds
+    t = state.shape[1] - 1
     if t > half_extent:
         raise ValueError(f"a state after {t} rounds does not fit half_extent {half_extent}")
     L = 2 * half_extent + 1
     dense = np.zeros((8, L, L, L), dtype=complex)
     sites = slice(half_extent - t, half_extent + t + 1, 2)
-    dense[:, sites, sites, sites] = state.tensor
+    dense[:, sites, sites, sites] = state
     return dense
 
 

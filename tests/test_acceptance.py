@@ -20,9 +20,9 @@ from oracle import (
     dense_step_oracle,
     position_distribution,
     state_norm,
+    true_state,
 )
 
-import qparrondo as qp
 from qparrondo import (
     GHZ,
     PURE_A,
@@ -41,7 +41,6 @@ from qparrondo import (
     initial_coin_state,
     periodic,
     run_simulation,
-    step_round,
     sweep_entanglement,
     sweep_phase_map,
     sweep_rho4,
@@ -104,13 +103,13 @@ def test_criterion_1_fair_toss_state_identity():
     fair = coin_unitary(CoinParams(0.5))
     for player in (1, 2, 3):
         st = apply_coin_matrix(st, player, fair)
-    coin_vec = st.tensor[:, 0, 0, 0]
+    coin_vec = st[:, 0, 0, 0]
     expect = np.array([1 - 1j, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1 - 1j]) / 4
     dev = float(np.max(np.abs(coin_vec - expect)))
     report("1a exact coin vector after one fair triple toss", dev <= 1e-12, f"dev={dev:.2e}")
     for player in (1, 2, 3):
         st = apply_coin_matrix(st, player, fair)
-    overlap = abs(np.vdot(initial_coin_state(GHZ), st.tensor[:, 0, 0, 0]))
+    overlap = abs(np.vdot(initial_coin_state(GHZ), st[:, 0, 0, 0]))
     report(
         "1b second triple toss returns GHZ up to phase",
         abs(overlap - 1.0) <= 1e-10,
@@ -294,7 +293,8 @@ def test_criterion_7_oracle_equivalence():
             (False, [fair] * 3),
             (True, [(fair, fair, fair, special)] * 3),
         ):
-            structured = dense_positions(step_round(st, plays_b, cfg), 2)
+            walked = true_state(initial_coin_state(initial), [plays_b], cfg)
+            structured = dense_positions(walked, 2)
             dense = dense_step_oracle(dense_positions(st, 2), ops)
             worst = max(worst, float(np.max(np.abs(structured - dense))))
     report("7 structured rounds match the dense oracle (T=2)", worst <= 1e-10, f"max dev={worst:.2e}")
@@ -316,13 +316,12 @@ def test_criterion_8a_unitarity_over_random_draws():
 
 def test_criterion_8b_norm_support_parity_every_round():
     cfg = config(SEPARABLE, periodic(2, 2), rho4=0.3)
-    st = init_walker_state(initial_coin_state(SEPARABLE))
     schedule = schedule_mask(cfg.scheme, ROUNDS, np.random.default_rng(0))
     coords = np.arange(-ROUNDS, ROUNDS + 1)
     worst_norm = 0.0
     leakage = 0.0
-    for t, plays_b in enumerate(schedule, start=1):
-        st = step_round(st, plays_b, cfg)
+    for t in range(1, ROUNDS + 1):
+        st = true_state(initial_coin_state(SEPARABLE), schedule[:t], cfg)
         worst_norm = max(worst_norm, abs(state_norm(st) - 1.0))
         prob = np.abs(dense_positions(st, ROUNDS)) ** 2
         for axis in range(3):
@@ -365,11 +364,9 @@ def test_criterion_9_discriminator():
     )
     # exact spread of the coordinate-sum statistic under the final state
     cfg = config(W, PURE_A)
-    final = qp.init_walker_state(initial_coin_state(W))
-    for _ in range(ROUNDS):
-        final = step_round(final, False, cfg)
+    final = true_state(initial_coin_state(W), [False] * ROUNDS, cfg)
     joint = position_distribution(final)
-    coords = final.coordinates
+    coords = 2 * np.arange(ROUNDS + 1) - ROUNDS
     sums = coords[:, None, None] + coords[None, :, None] + coords[None, None, :]
     mean = float((joint * sums).sum())
     var = float((joint * (sums - mean) ** 2).sum())

@@ -43,6 +43,17 @@ def test_run_rejects_non_finite_phases(capsys, flags, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep-rho4"])
+def test_phi_beyond_the_frame_refused(capsys, command):
+    # theta + phi is finite, but the frame's e^{3i phi} is not
+    argv = [command, "--initial", "ghz", "--rounds", "3", "--phi", "7e307", "--theta=-7e307"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: coin_a's phi=7e+307 is too large for the walk's frame, "
+        "which multiplies it by up to 3\n"
+    )
+
+
 def test_unknown_flag_fails():
     assert cli_main(["run", "--bogus", "1"]) != 0
 

@@ -7,6 +7,8 @@ from oracle import (
     dense_step_oracle,
     dense_toss_factors,
     state_norm,
+    true_state,
+    unframed_round,
 )
 
 from qparrondo import (
@@ -27,7 +29,6 @@ from qparrondo import (
     periodic,
     run_averaged,
     run_simulation,
-    step_round,
 )
 from qparrondo import engine
 from qparrondo.coins import coin_unitary
@@ -93,29 +94,19 @@ def test_step_round_b_with_equal_branches_matches_a():
     config_b = SimulationConfig(
         initial=SEPARABLE, scheme=PURE_B, game_b=GameBParams.from_rhos()
     )
-    st = init_walker_state(initial_coin_state(SEPARABLE))
-    a = step_round(st, False, config_a)
-    b = step_round(st, True, config_b)
-    assert np.max(np.abs(a.tensor - b.tensor)) < 1e-12
+    a = true_state(initial_coin_state(SEPARABLE), [False], config_a)
+    b = true_state(initial_coin_state(SEPARABLE), [True], config_b)
+    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_step_round_a_distributes_toss_result_over_shifted_positions():
     config = SimulationConfig(initial=GHZ, scheme=PURE_A)
-    st = init_walker_state(initial_coin_state(GHZ))
-    out = step_round(st, False, config)
+    out = true_state(initial_coin_state(GHZ), [False], config)
     expect = np.array([1 - 1j, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1j - 1, 1 - 1j]) / 4
     for c in range(8):
         n = [(c >> (2 - a)) & 1 for a in range(3)]
-        assert abs(out.tensor[c, n[0], n[1], n[2]] - expect[c]) < 1e-12
-    assert np.count_nonzero(out.tensor) == 8
-
-
-@pytest.mark.parametrize("label", ["A", "C"])
-def test_step_round_rejects_bad_label(label):
-    config = SimulationConfig(initial=GHZ, scheme=PURE_A)
-    st = init_walker_state(initial_coin_state(GHZ))
-    with pytest.raises(ValueError, match="label"):
-        step_round(st, label, config)
+        assert abs(out[c, n[0], n[1], n[2]] - expect[c]) < 1e-12
+    assert np.count_nonzero(out) == 8
 
 
 def test_coin_marginal_after_two_a_rounds_is_uniform():
@@ -124,10 +115,8 @@ def test_coin_marginal_after_two_a_rounds_is_uniform():
     # a uniform coin distribution (the tosses alone would restore the
     # initial entangled state)
     config = SimulationConfig(initial=GHZ, scheme=PURE_A)
-    st = init_walker_state(initial_coin_state(GHZ))
-    for _ in range(2):
-        st = step_round(st, False, config)
-    coin_marginal = (np.abs(st.tensor) ** 2).reshape(8, -1).sum(axis=1)
+    st = true_state(initial_coin_state(GHZ), [False, False], config)
+    coin_marginal = (np.abs(st) ** 2).reshape(8, -1).sum(axis=1)
     assert np.max(np.abs(coin_marginal - 0.125)) < 1e-12
 
 
@@ -169,11 +158,10 @@ def test_norm_and_support_every_round():
         initial=SEPARABLE, scheme=periodic(2, 2), game_b=GameBParams.from_rhos(rho4=0.3)
     )
     rounds = 8
-    st = init_walker_state(initial_coin_state(SEPARABLE))
     schedule = schedule_mask(config.scheme, rounds, rng_for())
     coords = np.arange(-rounds, rounds + 1)
-    for t, plays_b in enumerate(schedule, start=1):
-        st = step_round(st, plays_b, config)
+    for t in range(1, rounds + 1):
+        st = true_state(initial_coin_state(SEPARABLE), schedule[:t], config)
         assert abs(state_norm(st) - 1.0) < 1e-10
         prob = np.abs(dense_positions(st, rounds)) ** 2
         for axis in range(3):
@@ -216,11 +204,14 @@ def test_one_round_matches_dense_oracle_both_labels():
     )
     fair = coin_unitary(CoinParams(0.5))
     special = coin_unitary(CoinParams(rho4))
-    st = init_walker_state(initial_coin_state(SEPARABLE))
+    coin_state = initial_coin_state(SEPARABLE)
+    st = init_walker_state(coin_state)
     dense_a = dense_step_oracle(dense_positions(st, 2), [fair] * 3)
-    assert np.max(np.abs(dense_positions(step_round(st, False, config), 2) - dense_a)) < 1e-10
+    walked_a = true_state(coin_state, [False], config)
+    assert np.max(np.abs(dense_positions(walked_a, 2) - dense_a)) < 1e-10
     dense_b = dense_step_oracle(dense_positions(st, 2), [(fair, fair, fair, special)] * 3)
-    assert np.max(np.abs(dense_positions(step_round(st, True, config), 2) - dense_b)) < 1e-10
+    walked_b = true_state(coin_state, [True], config)
+    assert np.max(np.abs(dense_positions(walked_b, 2) - dense_b)) < 1e-10
 
 
 # coins of the mixed-round test: non-default rhos and phases theta=0.7, phi=1.9
@@ -249,10 +240,11 @@ def test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_factors):
     config = SimulationConfig(
         initial=initial, scheme=PURE_B, coin_a=MIXED_COIN_A, game_b=MIXED_GAME_B
     )
+    schedule = (True, False, True)
     st = init_walker_state(initial_coin_state(initial))
-    for plays_b in (True, False, True):
+    for t, plays_b in enumerate(schedule, start=1):
         dense = apply_dense_factors(dense_positions(st, 3), mixed_round_factors[plays_b])
-        st = step_round(st, plays_b, config)
+        st = true_state(initial_coin_state(initial), schedule[:t], config)
         assert np.max(np.abs(dense_positions(st, 3) - dense)) < 1e-10
 
 
@@ -275,23 +267,7 @@ def test_walk_after_a_larger_walk_equals_the_walk_played_first():
     walk_payoffs(GHZ, PURE_B, 12)
     payoffs, final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
     assert np.array_equal(payoffs, expected)
-    assert np.array_equal(final.tensor, expected_final.tensor)
-
-
-def test_step_round_into_buffers_matches_allocating_step():
-    config = SimulationConfig(initial=W, scheme=PURE_B, game_b=GameBParams.from_rhos(rho4=0.2))
-    st = step_round(init_walker_state(initial_coin_state(W)), True, config)
-    expected = step_round(st, True, config).tensor
-    scratch, out = np.full((2, 8 * 4**3), np.nan, dtype=complex)
-    into = step_round(st, True, config, scratch=scratch, out=out)
-    assert np.shares_memory(into.tensor, out)
-    assert np.array_equal(into.tensor, expected)
-    # in place: ``out`` is the buffer the input state already lives in
-    scratch, held = np.full((2, 8 * 4**3), np.nan, dtype=complex)
-    st = step_round(init_walker_state(initial_coin_state(W)), True, config, out=held)
-    into = step_round(st, True, config, scratch=scratch, out=held)
-    assert np.shares_memory(into.tensor, held)
-    assert np.array_equal(into.tensor, expected)
+    assert np.array_equal(final, expected_final)
 
 
 def test_memory_bound_counts_two_states(monkeypatch):
@@ -381,16 +357,16 @@ def test_framed_walk_matches_unframed_step_rounds(monkeypatch, start, phases, sc
         coin_a=coin_a, game_b=game_b,
     )
     mask = schedule_mask(config.scheme, FRAME_ROUNDS, rng_for(3))
-    # oracle: the public round on the true state, payoffs from its weights
+    # oracle: the unframed round on the true state, payoffs from its weights
     state = init_walker_state(FRAME_STATES[start])
     expected = np.zeros((FRAME_ROUNDS + 1, 3))
     for t, plays_b in enumerate(mask, start=1):
-        state = step_round(state, plays_b, config)
+        state = unframed_round(state, plays_b, config)
         expected[t] = expected[t - 1] + coin_weights(state) @ STEPS
     tossed_with = []
     apply = engine._apply_coin_register_op
 
-    def recording(state, op8, out=None):
+    def recording(state, op8, out):
         tossed_with.append(op8.dtype)
         return apply(state, op8, out)
 
@@ -401,7 +377,7 @@ def test_framed_walk_matches_unframed_step_rounds(monkeypatch, start, phases, sc
     assert np.max(np.abs(per_player - expected)) < 1e-12
     # _walk returns the framed state chi; the true state is D chi
     frame = np.exp(1j * coin_a.phi * (STEPS > 0).sum(axis=1))[:, None, None, None]
-    assert np.max(np.abs(frame * final.tensor - state.tensor)) < 1e-12
+    assert np.max(np.abs(frame * final - state)) < 1e-12
 
 
 def test_game_b_phases_beyond_the_frame_refused():
@@ -412,3 +388,10 @@ def test_game_b_phases_beyond_the_frame_refused():
             game_b=GameBParams(*[CoinParams(0.5)] * 2, CoinParams(0.5, 1e308, 0.0),
                                CoinParams(0.5)),
         )
+
+
+def test_coin_a_phi_beyond_the_frame_refused():
+    # the frame's phases reach 3 phi_a, which overflows although phi_a does not
+    with pytest.raises(ValueError, match="coin_a's phi=7e\\+307 is too large"):
+        SimulationConfig(initial=GHZ, scheme=PURE_A, coin_a=CoinParams(0.5, -7e307, 7e307))
+    SimulationConfig(initial=GHZ, scheme=PURE_A, coin_a=CoinParams(0.5, -5e307, 5e307))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import position_distribution
+from oracle import position_distribution, true_state
 
 from qparrondo import (
     GHZ,
@@ -18,7 +18,6 @@ from qparrondo import (
     SimulationConfig,
     Verdict,
     W,
-    WalkerState,
     apply_position_update,
     classify_game,
     coin_weights,
@@ -28,17 +27,16 @@ from qparrondo import (
     j_entangled,
     periodic,
     run_simulation,
-    step_round,
 )
 from qparrondo.engine import schedule_mask
 
 
-def expected_positions(state: WalkerState) -> np.ndarray:
+def expected_positions(state: np.ndarray) -> np.ndarray:
     """Oracle: mean position of each axis from the joint position
     distribution, |amp|^2 summed over the coin, then one marginal per axis."""
-    t = state.tensor.shape[1] - 1
+    t = state.shape[1] - 1
     coords = 2 * np.arange(t + 1) - t
-    joint = (np.abs(state.tensor) ** 2).sum(axis=0)
+    joint = (np.abs(state) ** 2).sum(axis=0)
     return np.array(
         [joint.sum(axis=tuple(a for a in range(3) if a != axis)) @ coords for axis in range(3)]
     )
@@ -48,7 +46,7 @@ def place(c, x1, x2, x3, t):
     """Unit amplitude of coin c at position (x1, x2, x3) after t rounds."""
     amps = np.zeros((8, t + 1, t + 1, t + 1), dtype=complex)
     amps[c, (x1 + t) // 2, (x2 + t) // 2, (x3 + t) // 2] = 1.0
-    return WalkerState(amps)
+    return amps
 
 
 def test_expected_position_origin():
@@ -68,7 +66,7 @@ def test_coin_weights_basis_state():
 
 def test_expected_position_ghz_after_one_update():
     st = init_walker_state(initial_coin_state(GHZ))
-    st = apply_position_update(st)
+    st = apply_position_update(st, out=np.empty(8 * 2**3, dtype=complex))
     assert np.max(np.abs(expected_positions(st))) < 1e-15
 
 
@@ -109,19 +107,19 @@ def test_payoffs_match_position_oracle(initial, scheme):
     series = run_simulation(config)
     # run_simulation draws its schedule from the seed key (seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
-    state = init_walker_state(initial_coin_state(initial))
+    schedule = schedule_mask(scheme, ORACLE_ROUNDS, rng)
     assert series.per_player[0].tolist() == [0.0, 0.0, 0.0]
-    for t, plays_b in enumerate(schedule_mask(scheme, ORACLE_ROUNDS, rng), start=1):
-        state = step_round(state, plays_b, config)
+    for t, plays_b in enumerate(schedule, start=1):
+        state = true_state(initial_coin_state(initial), schedule[:t], config)
         assert abs(coin_weights(state).sum() - 1.0) < 1e-12
         oracle = expected_positions(state)
         assert np.max(np.abs(series.per_player[t] - oracle)) < 1e-12, (t, plays_b)
 
 
-def series_with_final(gain, stderr=None):
+def series_with_final(gain, stderr=0.0):
     per_player = np.zeros((2, 3))
     per_player[1] = gain
-    err = None if stderr is None else np.array([0.0, stderr])
+    err = np.array([0.0, stderr])
     return PayoffSeries(per_player=per_player, average_gain=per_player.mean(axis=1), stderr=err)
 
 
@@ -147,7 +145,9 @@ def test_classify_default_tolerance_uses_stderr():
 
 
 def test_classify_empty_series():
-    empty = PayoffSeries(per_player=np.zeros((0, 3)), average_gain=np.zeros(0))
+    empty = PayoffSeries(
+        per_player=np.zeros((0, 3)), average_gain=np.zeros(0), stderr=np.zeros(0)
+    )
     with pytest.raises(ValueError, match="empty"):
         classify_game(empty)
 
