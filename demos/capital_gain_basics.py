@@ -18,13 +18,13 @@ from qparrondo import (
     W,
     GameBParams,
     SimulationConfig,
-    run_simulation,
+    run_averaged,
 )
 
 # The fair unconditional game is exactly fair when the coins start in the
 # GHZ state, and losing when they start in the W state.
 for name, initial in [("GHZ", GHZ), ("W", W), ("separable", SEPARABLE)]:
-    series = run_simulation(SimulationConfig(initial=initial, scheme=PURE_A))
+    series = run_averaged(SimulationConfig(initial=initial, scheme=PURE_A))
     print(f"game A from {name:>9}: final gain {series.final_gain:+.6f}")
 
 print()
@@ -35,7 +35,7 @@ print()
 for rho4 in (0.2, 0.8):
     game_b = GameBParams.from_rhos(rho4=rho4)
     for name, initial in [("GHZ", GHZ), ("separable", SEPARABLE)]:
-        series = run_simulation(
+        series = run_averaged(
             SimulationConfig(initial=initial, scheme=PURE_B, game_b=game_b)
         )
         print(f"game B (rho4={rho4}) from {name:>9}: final gain {series.final_gain:+.6f}")
@@ -44,7 +44,7 @@ print()
 
 # Round-by-round evolution of the W state under game A: the loss builds
 # up gradually and the three players stay synchronized.
-series = run_simulation(SimulationConfig(initial=W, scheme=PURE_A))
+series = run_averaged(SimulationConfig(initial=W, scheme=PURE_A))
 print("round  <x1>      <x2>      <x3>      average")
 for t in range(0, 17, 2):
     p = series.per_player[t]

@@ -36,11 +36,9 @@ from .engine import (
     parse_scheme,
     periodic,
     run_averaged,
-    run_simulation,
 )
 from .observables import (
     GameVerdict,
-    ParadoxReport,
     PayoffSeries,
     Verdict,
     classify_game,
@@ -76,7 +74,6 @@ __all__ = [
     "OriginalParams",
     "PURE_A",
     "PURE_B",
-    "ParadoxReport",
     "PayoffSeries",
     "RANDOM_MIX",
     "SEPARABLE",
@@ -101,7 +98,6 @@ __all__ = [
     "periodic",
     "run_averaged",
     "run_classical",
-    "run_simulation",
     "sweep_entanglement",
     "sweep_phase_map",
     "sweep_rho4",

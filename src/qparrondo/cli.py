@@ -15,16 +15,7 @@ import sys
 import numpy as np
 
 from .classical import CooperativeParams, OriginalParams, run_classical
-from .coins import (
-    GHZ,
-    SEPARABLE,
-    W,
-    CoinParams,
-    GameBParams,
-    InitialCoin,
-    initial_coin_state,
-    j_entangled,
-)
+from .coins import CoinParams, GameBParams, InitialCoin, initial_coin_state
 from .discriminator import discriminate
 from .engine import (
     PURE_A,
@@ -128,24 +119,14 @@ def _merge(args: argparse.Namespace) -> tuple[dict, set]:
     return merged, explicit
 
 
-def _initial_coin(opts: dict) -> InitialCoin:
-    kind = opts["initial"]
-    if kind == "ghz":
-        return GHZ
-    if kind == "w":
-        return W
-    if kind == "separable":
-        return SEPARABLE
-    return j_entangled(float(opts["omega"]))
-
-
 def _sim_config(opts: dict) -> SimulationConfig:
     for name in ("rho0", "rho1", "rho2", "rho3", "rho4"):
         rho = float(opts[name])
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {rho}")
+    kind = opts["initial"]
     return SimulationConfig(
-        initial=_initial_coin(opts),
+        initial=InitialCoin(kind, float(opts["omega"]) if kind == "j" else None),
         scheme=parse_scheme(opts["scheme"]),
         rounds=int(opts["rounds"]),
         coin_a=CoinParams(float(opts["rho0"]), float(opts["theta"]), float(opts["phi"])),
@@ -274,7 +255,10 @@ def _cmd_discriminate(args: argparse.Namespace) -> int:
     )
     if opts["seed"] < 0:
         raise ValueError(f"seed must be >= 0, got {opts['seed']}")
-    coin_state = initial_coin_state(_initial_coin(opts))
+    kind = opts["initial"]
+    coin_state = initial_coin_state(
+        InitialCoin(kind, float(opts["omega"]) if kind == "j" else None)
+    )
     rng = np.random.default_rng(int(opts["seed"]))
     result = discriminate(
         coin_state,

@@ -28,7 +28,6 @@ from .state import (
     apply_position_update,
     controlled_coin_operator,
     init_walker_state,
-    lift_single_coin,
 )
 
 
@@ -152,7 +151,10 @@ def schedule_mask(
     if scheme.kind == "b":
         return np.ones(rounds, dtype=bool)
     if scheme.kind == "periodic":
-        return np.arange(rounds) % (scheme.m + scheme.n) >= scheme.m
+        # blocks longer than the schedule change no entry of it, and capped
+        # they fit numpy's integers
+        period = min(scheme.m + scheme.n, rounds)
+        return np.arange(rounds) % period >= min(scheme.m, rounds)
     return rng.integers(0, 2, size=rounds) == 1
 
 
@@ -192,7 +194,8 @@ def _round_operators(
     mats = tuple(coin_unitary(_framed(coin, phase)) for coin in branches)
     operators = []
     for ops in (
-        [lift_single_coin(m, player) for player in (1, 2, 3)],
+        # the four neighbour projectors sum to the identity
+        [controlled_coin_operator(player, m, m, m, m) for player in (1, 2, 3)],
         [controlled_coin_operator(player, *mats) for player in (1, 2, 3)],
     ):
         op = ops[2] @ ops[1] @ ops[0]
@@ -250,24 +253,6 @@ def _walk(
     return state
 
 
-def _run_indexed(config: SimulationConfig, run_index: int) -> PayoffSeries:
-    """One full simulation; the schedule rng is keyed by (seed, run_index)."""
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, run_index)))
-    mask = schedule_mask(config.scheme, config.rounds, rng)
-    per_player = np.zeros((config.rounds + 1, 3))
-    _walk(initial_coin_state(config.initial), mask, config, per_player)
-    return PayoffSeries(
-        per_player=per_player,
-        average_gain=per_player.mean(axis=1),
-        stderr=np.zeros(config.rounds + 1),
-    )
-
-
-def run_simulation(config: SimulationConfig) -> PayoffSeries:
-    """Run the configured game once; deterministic for a fixed config."""
-    return _run_indexed(config, 0)
-
-
 def run_averaged(config: SimulationConfig) -> PayoffSeries:
     """Mean payoff series over ``config.runs`` independent runs.
 
@@ -278,12 +263,13 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
     a single run or a fixed schedule).
     """
     runs = config.runs if config.scheme.is_random else 1
-    # SimulationConfig's memory check counts these two arrays
-    per_player = np.empty((runs, config.rounds + 1, 3))
-    gains = np.empty((runs, config.rounds + 1))
+    coin_state = initial_coin_state(config.initial)
+    # SimulationConfig's memory check counts this array and the gains
+    per_player = np.zeros((runs, config.rounds + 1, 3))
     for k in range(runs):
-        series = _run_indexed(config, k)
-        per_player[k], gains[k] = series.per_player, series.average_gain
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, k)))
+        _walk(coin_state, schedule_mask(config.scheme, config.rounds, rng), config, per_player[k])
+    gains = per_player.mean(axis=2)
     if runs > 1:
         stderr = gains.std(axis=0, ddof=1) / np.sqrt(runs)
     else:

@@ -1,7 +1,7 @@
 """Payoffs, game classification and paradox detection."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -58,18 +58,16 @@ class GameVerdict:
     tol: float
 
 
-def default_tolerance(series: PayoffSeries) -> float:
-    """Classification tolerance: 1e-9, widened to 3 standard errors for
-    series averaged over random schedules."""
-    return max(DEFAULT_TOL, 3.0 * series.final_stderr)
-
-
 def classify_game(series: PayoffSeries, tol: float | None = None) -> GameVerdict:
-    """Winning/fair/losing from the final-round average gain against +-tol."""
+    """Winning/fair/losing from the final-round average gain against +-tol.
+
+    The default tolerance is 1e-9, widened to 3 standard errors for series
+    averaged over random schedules.
+    """
     if len(series.average_gain) == 0:
         raise ValueError("series is empty")
     if tol is None:
-        tol = default_tolerance(series)
+        tol = max(DEFAULT_TOL, 3.0 * series.final_stderr)
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     gain = series.final_gain
@@ -82,26 +80,13 @@ def classify_game(series: PayoffSeries, tol: float | None = None) -> GameVerdict
     return GameVerdict(verdict, gain, tol)
 
 
-@dataclass
-class ParadoxReport:
-    """Verdicts for the pure games and each combined scheme, with a
-    paradox flag per combined scheme."""
-
-    game_a: GameVerdict
-    game_b: GameVerdict
-    combined: dict[str, GameVerdict] = field(default_factory=dict)
-    paradox: dict[str, bool] = field(default_factory=dict)
-
-
 def detect_paradox(
     a: GameVerdict, b: GameVerdict, combined: Mapping[str, GameVerdict]
-) -> ParadoxReport:
-    """Flag a combined scheme when it wins while neither pure game does."""
-    report = ParadoxReport(game_a=a, game_b=b, combined=dict(combined))
-    for label, verdict in combined.items():
-        report.paradox[label] = (
-            a.verdict is not Verdict.WINNING
-            and b.verdict is not Verdict.WINNING
-            and verdict.verdict is Verdict.WINNING
-        )
-    return report
+) -> dict[str, bool]:
+    """Paradox flag per combined scheme label: the scheme wins while
+    neither pure game does."""
+    neither = a.verdict is not Verdict.WINNING and b.verdict is not Verdict.WINNING
+    return {
+        label: neither and verdict.verdict is Verdict.WINNING
+        for label, verdict in combined.items()
+    }

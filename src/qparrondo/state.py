@@ -24,7 +24,6 @@ RING_NEXT = {1: 2, 2: 3, 3: 1}
 # (b1, b2, b3) of each coin index c = 4*b1 + 2*b2 + b3
 COIN_BITS = tuple(((c >> 2) & 1, (c >> 1) & 1, c & 1) for c in range(8))
 
-_I2 = np.eye(2, dtype=complex)
 _P_L = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _P_R = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -68,13 +67,6 @@ def _apply_coin_register_op(state: np.ndarray, op8: np.ndarray, out: np.ndarray)
     else:
         np.matmul(op8, flat, out=tossed)
     return tossed.reshape(state.shape)
-
-
-def lift_single_coin(m: np.ndarray, player: int) -> np.ndarray:
-    """8x8 operator applying a 2x2 matrix to one player's coin qubit."""
-    ops = [_I2, _I2, _I2]
-    ops[player - 1] = np.asarray(m, dtype=complex)
-    return _kron3(ops)
 
 
 def controlled_coin_operator(

@@ -104,7 +104,7 @@ def _sweep(
         verdict_b = play(configs["b"])[2]
         rows = [(s.label, *play(configs[s.label])) for s in schemes]
         combined = {label: v for label, _, _, v in rows if label not in ("a", "b")}
-        paradox = detect_paradox(verdict_a, verdict_b, combined).paradox
+        paradox = detect_paradox(verdict_a, verdict_b, combined)
         for label, gain, stderr, verdict in rows:
             yield point, label, gain, stderr, verdict.verdict.value, paradox.get(label, False)
 

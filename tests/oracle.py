@@ -20,7 +20,6 @@ import numpy as np
 from qparrondo import engine
 from qparrondo.coins import coin_unitary
 from qparrondo.state import (
-    _I2,
     _P_L,
     _P_R,
     COIN_BITS,
@@ -28,10 +27,10 @@ from qparrondo.state import (
     RING_PREV,
     _kron3,
     controlled_coin_operator,
-    lift_single_coin,
 )
 
 UNITARY_TOL = 1e-12
+_I2 = np.eye(2, dtype=complex)
 
 
 # --- per-player tosses -----------------------------------------------------
@@ -74,7 +73,9 @@ def apply_coin_matrix(state: np.ndarray, player: int, m: np.ndarray) -> np.ndarr
     """Toss one player's coin with a 2x2 unitary, identity elsewhere."""
     _check_player(player)
     m = _check_coin_unitary(m, "coin matrix")
-    return _toss(state, lift_single_coin(m, player))
+    ops = [_I2, _I2, _I2]
+    ops[player - 1] = m
+    return _toss(state, np.kron(ops[0], np.kron(ops[1], ops[2])))
 
 
 def apply_controlled_coin(

@@ -40,7 +40,7 @@ from qparrondo import (
     init_walker_state,
     initial_coin_state,
     periodic,
-    run_simulation,
+    run_averaged,
     sweep_entanglement,
     sweep_phase_map,
     sweep_rho4,
@@ -127,7 +127,7 @@ def test_criterion_2_entangler_identity():
 
 
 def test_criterion_3_ghz_fairness_of_pure_a():
-    series = run_simulation(config(GHZ, PURE_A))
+    series = run_averaged(config(GHZ, PURE_A))
     worst = float(np.max(np.abs(series.average_gain)))
     report("3 GHZ pure-A gain zero at every round", worst <= 1e-10, f"max|gain|={worst:.2e}")
 
@@ -337,8 +337,8 @@ def test_criterion_8b_norm_support_parity_every_round():
 
 def test_criterion_8c_determinism_of_runs_and_sweeps():
     cfg = config(SEPARABLE, RANDOM_MIX, rho4=0.4)
-    s1 = run_simulation(cfg)
-    s2 = run_simulation(cfg)
+    s1 = run_averaged(cfg)
+    s2 = run_averaged(cfg)
     same_runs = np.array_equal(s1.per_player, s2.per_player)
     first = sweep_rho4(cfg, [0.2, 0.4, 0.6], SCHEMES)
     again = sweep_rho4(cfg, [0.2, 0.4, 0.6], SCHEMES)

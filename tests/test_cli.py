@@ -292,6 +292,40 @@ def test_mix_runs_beyond_physical_memory_rejected_before_any_walk(monkeypatch, c
     assert "runs 100000000000" in capsys.readouterr().err
 
 
+HUGE_BLOCK = str(10**21)
+
+
+def csv_without_scheme(path):
+    """The rows of a CSV, its scheme column (if any) taken out."""
+    rows = list(csv.reader(path.open()))
+    if "scheme" in rows[0]:
+        col = rows[0].index("scheme")
+        rows = [row[:col] + row[col + 1:] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--initial", "separable", "--rho4", "0.3", "--scheme"],
+        ["sweep-rho4", "--initial", "separable", "--values", "0.3,0.8", "--schemes"],
+        ["classical", "--trials", "20", "--scheme"],
+    ],
+)
+@pytest.mark.parametrize(
+    "block, small",
+    [(f"periodic:{HUGE_BLOCK},1", "a"), (f"periodic:1,{HUGE_BLOCK}", "periodic:1,5")],
+)
+def test_periodic_blocks_longer_than_the_schedule(tmp_path, argv, block, small):
+    # a block longer than the 5 rounds plays as its first 5 rounds
+    outs = [tmp_path / "block.csv", tmp_path / "small.csv"]
+    for scheme, out in zip((block, small), outs):
+        assert cli_main([*argv, scheme, "--rounds", "5", "--out", str(out)]) == 0
+    assert csv_without_scheme(outs[0]) == csv_without_scheme(outs[1])
+    if argv[0] != "sweep-rho4":
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_classical_rounds_beyond_physical_memory_rejected(capsys):
     # rejected from one trial's stream size, before any draw is allocated
     assert cli_main(["classical", "--rounds", "1000000000000"]) == 2

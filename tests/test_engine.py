@@ -28,7 +28,6 @@ from qparrondo import (
     parse_scheme,
     periodic,
     run_averaged,
-    run_simulation,
 )
 from qparrondo import engine
 from qparrondo.coins import coin_unitary
@@ -49,6 +48,18 @@ def test_schedule_periodic_2_2():
 
 def test_schedule_periodic_3_2_truncates():
     assert labels(schedule_mask(periodic(3, 2), 5, rng_for())) == "AAABB"
+
+
+def test_schedule_periodic_blocks_capped_at_the_schedule_length():
+    for rounds in range(1, 13):
+        t = np.arange(rounds)
+        for m in range(1, 16):
+            for n in range(1, 16):
+                mask = schedule_mask(periodic(m, n), rounds, None)
+                assert np.array_equal(mask, t % (m + n) >= m), (rounds, m, n)
+    huge = 10**21
+    assert labels(schedule_mask(periodic(huge, 1), 4, None)) == "AAAA"
+    assert labels(schedule_mask(periodic(1, huge), 4, None)) == "ABBB"
 
 
 def test_schedule_pure():
@@ -121,19 +132,19 @@ def test_coin_marginal_after_two_a_rounds_is_uniform():
 
 
 def test_run_simulation_ghz_pure_a_fair_every_round():
-    series = run_simulation(SimulationConfig(initial=GHZ, scheme=PURE_A))
+    series = run_averaged(SimulationConfig(initial=GHZ, scheme=PURE_A))
     assert np.max(np.abs(series.average_gain)) < 1e-10
 
 
 def test_run_simulation_w_pure_a_losing():
-    series = run_simulation(SimulationConfig(initial=W, scheme=PURE_A))
+    series = run_averaged(SimulationConfig(initial=W, scheme=PURE_A))
     assert series.final_gain < 0
 
 
 def test_run_simulation_deterministic():
     config = SimulationConfig(initial=SEPARABLE, scheme=RANDOM_MIX, seed=123)
-    a = run_simulation(config)
-    b = run_simulation(config)
+    a = run_averaged(config)
+    b = run_averaged(config)
     assert np.array_equal(a.per_player, b.per_player)
     assert np.array_equal(a.average_gain, b.average_gain)
 
@@ -143,12 +154,12 @@ def test_rho4_unused_by_pure_a():
     alt = SimulationConfig(
         initial=SEPARABLE, scheme=PURE_A, game_b=GameBParams.from_rhos(rho4=0.1)
     )
-    assert np.array_equal(run_simulation(base).per_player, run_simulation(alt).per_player)
+    assert np.array_equal(run_averaged(base).per_player, run_averaged(alt).per_player)
 
 
 @pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE])
 def test_pure_a_player_symmetry(initial):
-    series = run_simulation(SimulationConfig(initial=initial, scheme=PURE_A))
+    series = run_averaged(SimulationConfig(initial=initial, scheme=PURE_A))
     spread = np.max(series.per_player, axis=1) - np.min(series.per_player, axis=1)
     assert np.max(spread) < 1e-10
 
@@ -172,11 +183,22 @@ def test_norm_and_support_every_round():
             assert marginal[odd_parity].sum() < 1e-15
 
 
+def walk_run(config, k):
+    """Run k's per-player payoffs, walked on their own: its schedule comes
+    from the seed key (seed, k)."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, k)))
+    per_player = np.zeros((config.rounds + 1, 3))
+    mask = schedule_mask(config.scheme, config.rounds, rng)
+    engine._walk(initial_coin_state(config.initial), mask, config, per_player)
+    return per_player
+
+
 def test_run_averaged_single_run_matches_run_simulation():
     config = SimulationConfig(initial=SEPARABLE, scheme=RANDOM_MIX, seed=9, runs=1)
     avg = run_averaged(config)
-    single = run_simulation(config)
-    assert np.array_equal(avg.average_gain, single.average_gain)
+    single = walk_run(config, 0)
+    assert np.array_equal(avg.per_player, single)
+    assert np.array_equal(avg.average_gain, single.mean(axis=1))
     assert np.all(avg.stderr == 0)
 
 
@@ -296,10 +318,10 @@ def test_run_averaged_equals_the_mean_of_its_runs_bitwise():
     config = SimulationConfig(
         initial=SEPARABLE, scheme=RANDOM_MIX, runs=7, game_b=GameBParams.from_rhos(rho4=0.2)
     )
-    series = [engine._run_indexed(config, k) for k in range(config.runs)]
-    gains = np.stack([s.average_gain for s in series])
+    runs = [walk_run(config, k) for k in range(config.runs)]
+    gains = np.stack([per_player.mean(axis=1) for per_player in runs])
     avg = run_averaged(config)
-    assert np.array_equal(avg.per_player, np.mean([s.per_player for s in series], axis=0))
+    assert np.array_equal(avg.per_player, np.mean(runs, axis=0))
     assert np.array_equal(avg.average_gain, gains.mean(axis=0))
     assert np.array_equal(avg.stderr, gains.std(axis=0, ddof=1) / np.sqrt(config.runs))
 

@@ -20,7 +20,6 @@ from qparrondo import (
     emit_sweep_csv,
     periodic,
     run_averaged,
-    run_simulation,
     sweep_entanglement,
     sweep_phase_map,
     sweep_rho4,
@@ -66,7 +65,7 @@ def test_sweep_rho4_keeps_per_branch_phases():
     )
     base = SimulationConfig(initial=GHZ, scheme=PURE_B, rounds=4, game_b=game_b)
     (record,) = sweep_rho4(base, values=[0.4], schemes=(PURE_B,))
-    assert record.gain == run_simulation(base).final_gain
+    assert record.gain == run_averaged(base).final_gain
     assert record.gain == pytest.approx(-0.1705, abs=5e-5)
 
 
@@ -114,7 +113,7 @@ def standalone_record(base, value, scheme, verdicts):
     """The record of one (rho4, scheme) from its own walk; ``verdicts``
     collects the pure-game verdicts of the point for the paradox flag."""
     config = replace(base, scheme=scheme, game_b=GameBParams.from_rhos(rho4=value))
-    series = run_averaged(config) if scheme.is_random else run_simulation(config)
+    series = run_averaged(config)
     verdict = classify_game(series).verdict
     verdicts[scheme.label] = verdict
     paradox = (
@@ -232,7 +231,7 @@ def test_sweep_entanglement_omega_domain():
 
 
 def test_emit_series_csv_layout(tmp_path):
-    series = run_simulation(SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=16))
+    series = run_averaged(SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=16))
     path = tmp_path / "series.csv"
     emit_series_csv(series, path)
     lines = path.read_text().splitlines()
@@ -247,7 +246,7 @@ def test_emit_series_csv_layout(tmp_path):
 
 
 def test_emit_series_csv_significant_digits(tmp_path):
-    series = run_simulation(
+    series = run_averaged(
         SimulationConfig(
             initial=SEPARABLE, scheme=PURE_B, rounds=4, game_b=GameBParams.from_rhos(rho4=0.3)
         )
@@ -259,7 +258,7 @@ def test_emit_series_csv_significant_digits(tmp_path):
 
 
 def test_emit_csv_deterministic_bytes(tmp_path):
-    series = run_simulation(SimulationConfig(initial=SEPARABLE, scheme=PURE_A, rounds=4))
+    series = run_averaged(SimulationConfig(initial=SEPARABLE, scheme=PURE_A, rounds=4))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_series_csv(series, p1)
     emit_series_csv(series, p2)
@@ -316,7 +315,7 @@ def test_emit_sweep_csv_layout(tmp_path):
 
 
 def test_emit_csv_reports_path_on_failure(tmp_path):
-    series = run_simulation(SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=2))
+    series = run_averaged(SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=2))
     bad = tmp_path / "missing_dir" / "out.csv"
     with pytest.raises(OSError, match="missing_dir"):
         emit_series_csv(series, bad)
