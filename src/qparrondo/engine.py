@@ -142,7 +142,9 @@ def schedule_mask(
 
     Periodic schedules repeat A^m B^n starting with A; the random mix
     draws each round independently with probability 1/2 from ``rng``,
-    which the fixed schemes never touch.
+    which the fixed schemes never touch. The mix equals
+    ``rng.integers(0, 2, size=rounds) == 1`` and leaves ``rng`` where that
+    call does for every later ``random()``.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -155,7 +157,13 @@ def schedule_mask(
         # they fit numpy's integers
         period = min(scheme.m + scheme.n, rounds)
         return np.arange(rounds) % period >= min(scheme.m, rounds)
-    return rng.integers(0, 2, size=rounds) == 1
+    # integers(0, 2) takes each round from the top bit of one 32-bit half
+    # of a raw 64-bit draw, the low half (bit 31) first, then bit 63
+    raw = rng.bit_generator.random_raw((rounds + 1) // 2)
+    mask = np.empty((len(raw), 2), dtype=bool)
+    np.greater_equal(raw << 32, 1 << 63, out=mask[:, 0])
+    np.greater_equal(raw, 1 << 63, out=mask[:, 1])
+    return mask.ravel()[:rounds]
 
 
 # row c: the step (+1 for |R>, -1 for |L>) that coin component c moves each axis

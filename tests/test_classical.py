@@ -333,6 +333,65 @@ def test_random_parameter_sets_replay_the_oracle_bitwise():
         assert np.array_equal(series.stderr, stderr), f"{params} {scheme.label}"
 
 
+def played_wins(monkeypatch, params, scheme, table_limit):
+    """Winner count per round and trial, ``(rounds, trials)``, as the run
+    hands it to the statistics, and whether it played the round table."""
+    seen, tabled = [], []
+    add_capital_sums, play_rounds = classical._add_capital_sums, classical._play_rounds
+
+    def record(wins, *rest):
+        seen.append(wins.copy())
+        add_capital_sums(wins, *rest)
+
+    def play(*args):
+        tabled.append(True)
+        return play_rounds(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classical, "_add_capital_sums", record)
+        patch.setattr(classical, "_play_rounds", play)
+        patch.setattr(classical, "_TABLE_LIMIT", table_limit)
+        # a few trials a chunk, so that the run plays several chunks
+        patch.setattr(classical, "_CHUNK_BYTES", 3 * 60 * 8)
+        run_classical(params, scheme, rounds=60, trials=11, seed=13)
+    return np.concatenate(seen, axis=1).astype(np.int64), bool(tabled)
+
+
+# probabilities whose round tables fit: five distinct ones on a 3-ring and
+# three, the most a 4-ring's table takes, on a 4-ring
+TABLE_PROBS = {
+    3: dict(p1=0.95, p2=0.35, p3=0.65, p4=0.05, pa=0.2),
+    4: dict(p1=0.3, p2=0.5, p3=0.5, p4=0.8, pa=0.5),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("order", ["sequential", "synchronous"])
+@pytest.mark.parametrize("flags", ["random", "winners", "losers"])
+def test_round_table_plays_as_the_per_player_path(monkeypatch, n, order, flags):
+    # the same trials, played once through the round table and once, with
+    # the table limit forced to 0, player by player: every trial's winner
+    # count agrees in every round
+    params = cooperative(**TABLE_PROBS[n], n_players=n, update_order=order, initial_flags=flags)
+    for scheme in SCHEMES + (periodic(1, 1),):
+        table, tabled = played_wins(monkeypatch, params, scheme, classical._TABLE_LIMIT)
+        per_player, forced = played_wins(monkeypatch, params, scheme, 0)
+        assert tabled and not forced, scheme.label
+        assert np.array_equal(table, per_player), scheme.label
+
+
+def test_original_game_plays_its_table_as_the_oracle(monkeypatch):
+    # the original game has no per-player path: at any table limit it plays
+    # its round table, whose winner counts are the scalar oracle's steps
+    params = OriginalParams(epsilon=0.005)
+    for scheme in SCHEMES:
+        expect = np.diff(oracle_capitals(params, scheme, 60, 11, 13), axis=1).T
+        for limit in (classical._TABLE_LIMIT, 0):
+            wins, tabled = played_wins(monkeypatch, params, scheme, limit)
+            assert tabled, scheme.label
+            assert np.array_equal(2 * wins - 1, expect), scheme.label
+
+
 @pytest.mark.parametrize("n,rounds", [(127, 4), (128, 4), (255, 4), (256, 4), (300, 250)])
 def test_sure_wins_count_every_player(monkeypatch, n, rounds):
     # at 300 players and 250 rounds a capital squared exceeds 2^32, so the
@@ -458,9 +517,10 @@ def test_rounds_beyond_physical_memory_rejected_before_allocating(monkeypatch):
 
 
 def test_single_trial_statistics_count_toward_the_memory_bound(monkeypatch):
-    # beyond its 11 bytes of draws and ranks per round, a single trial keeps
-    # per-round schedule, winner counts and statistics that do not shrink
-    # with chunking; a machine with 39 bytes per round cannot hold them
+    # beyond its draws and codes (26 bytes per round for one player), a
+    # single trial keeps per-round schedule and statistics that do not
+    # shrink with chunking; a machine with 39 bytes per round cannot hold
+    # them
     rounds = 10**6
     monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 39 * rounds)
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)

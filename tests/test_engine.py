@@ -75,6 +75,20 @@ def test_schedule_mix_is_seed_deterministic_and_balanced():
     assert 0.45 < frac < 0.55
 
 
+@pytest.mark.parametrize("rounds", [1, 2, 3, 16, 17, 10**4, 10**4 + 1])
+def test_schedule_mix_replays_integers_bit_for_bit(rounds):
+    # the mix reads the raw bits that integers(0, 2) consumes, so both the
+    # schedule and the generator's next draw are those of the documented
+    # stream, for even and odd lengths
+    for seed in range(6):
+        reference, fast = rng_for(seed), rng_for(seed)
+        expect = reference.integers(0, 2, size=rounds) == 1
+        mask = schedule_mask(RANDOM_MIX, rounds, fast)
+        assert mask.dtype == bool and mask.shape == (rounds,)
+        assert np.array_equal(mask, expect), (rounds, seed)
+        assert fast.random() == reference.random(), (rounds, seed)
+
+
 def test_parse_scheme():
     assert parse_scheme("a") == PURE_A
     assert parse_scheme("periodic:3,2") == periodic(3, 2)
