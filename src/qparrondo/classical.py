@@ -32,10 +32,10 @@ lookup per round. A ring whose table would exceed _TABLE_LIMIT entries
 (more players or more distinct probabilities than a uint16 index reaches)
 plays player by player instead: each play is one byte,
 ``(game * levels + rank) * 4``, and one per-play table indexed by code +
-the neighbors' winner flags decides it. The per-round sums over trials of
-the capital and of its square are exact integers, formed a row of running
-capitals at a time after the loop. A run whose single trial cannot fit in
-physical memory is refused before anything is drawn.
+the neighbors' winner flags decides it. The statistics follow exactly from
+per-round integer sums over trials of the running win total and its square,
+as a capital is twice the wins less the plays. A run whose single trial
+cannot fit in physical memory is refused before anything is drawn.
 """
 from __future__ import annotations
 
@@ -173,10 +173,10 @@ def _check_trial_size(rounds: int, n: int) -> None:
     copy, its game offsets and packed code, its round code and outcome
     (table path) or its game offsets, play codes and winner count (per
     player): at most 14n + 12 bytes. Its schedule's raw draw, shifted copy
-    and mask take 9 bytes, and the run's statistics 40 (int64 capital sums,
+    and mask take 9 bytes, and the run's statistics 40 (int64 win sums,
     the two int64 words of the squared sums, float mean and standard
     error). The blocks in which the statistics are formed take at most
-    _CHUNK_BYTES. Its squared capital must fit in int64."""
+    _CHUNK_BYTES. Its squared win total must fit in int64."""
     need = rounds * (14 * n + 61) + _CHUNK_BYTES
     physical = _physical_memory_bytes()
     if need > physical:
@@ -186,7 +186,7 @@ def _check_trial_size(rounds: int, n: int) -> None:
             f"physical memory"
         )
     if (n * rounds) ** 2 >= 2**63:
-        raise ValueError(f"rounds {rounds} for {n} players overflows the int64 capital sums")
+        raise ValueError(f"rounds {rounds} for {n} players overflows the int64 win sums")
 
 
 def _draws(
@@ -198,18 +198,20 @@ def _draws(
     thresholds: np.ndarray,
 ):
     """Yield each trial's streams in their documented order: its initial
-    winner flags (None unless drawn), its schedule (None for a fixed
+    winner flags, ``n`` bools (drawn, all winners or all losers; one loser,
+    capital 0, in the original game), its schedule (None for a fixed
     scheme) and the rank of every play's uniform, ``(rounds, n)`` uint8 in
     a buffer that the next trial reuses."""
     cooperative = isinstance(params, CooperativeParams)
     n = params.n_players if cooperative else 1
     random_flags = cooperative and params.initial_flags == "random"
+    fixed_flags = np.full(n, cooperative and params.initial_flags == "winners")
     uniforms = np.empty((rounds, n))
     rank = np.empty((rounds, n), dtype=np.uint8)
     above = np.empty((rounds, n), dtype=bool)
     for k in trial_indices:
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        flags = rng.random(n) < 0.5 if random_flags else None
+        flags = rng.random(n) < 0.5 if random_flags else fixed_flags
         in_b = schedule_mask(scheme, rounds, rng) if scheme.is_random else None
         rng.random(out=uniforms)
         np.greater_equal(uniforms, thresholds[0], out=rank.view(bool))
@@ -245,7 +247,8 @@ def _round_table(
     states = 2**n if cooperative else 3
     codes = 2 * levels**n
     size = codes * (n + 1) * states
-    # the original game's table has at most 72 entries
+    # the original game's table has at most 48 entries: three distinct
+    # probabilities give 4 ranks, so 8 round codes x 2 x 3 states
     if cooperative and size > _TABLE_LIMIT:
         return None
     code, state = np.divmod(np.arange(codes * states), states)
@@ -290,8 +293,7 @@ def _round_codes(
     n = len(machine.weights) - 1
     m = len(trial_indices)
     codes = np.empty((m, rounds), dtype=machine.code_type)
-    winners = isinstance(params, CooperativeParams) and params.initial_flags == "winners"
-    starts = np.full(m, machine.states - 1 if winners else 0, dtype=machine.outcomes.dtype)
+    starts = np.empty(m, dtype=machine.outcomes.dtype)
     # the ranks and the game offsets in float32: a round code is below
     # 2^16, so one product with the weights and one add pack it exactly
     ranks = np.empty((rounds, n), dtype=np.float32)
@@ -302,8 +304,7 @@ def _round_codes(
     bits = 1 << np.arange(n)
     streams = _draws(params, scheme, rounds, seed, trial_indices, thresholds)
     for col, (flags, in_b, rank) in enumerate(streams):
-        if flags is not None:
-            starts[col] = bits @ flags
+        starts[col] = bits @ flags
         if in_b is not None:
             np.multiply(in_b, machine.weights[n], out=game)
         np.copyto(ranks, rank)
@@ -314,7 +315,7 @@ def _round_codes(
 
 
 def _play_rounds(codes: np.ndarray, starts: np.ndarray, machine: _RoundTable) -> np.ndarray:
-    """Outcome per round and trial, ``(rounds, trials)``: every trial steps
+    """Winners per round and trial, ``(rounds, trials)``: every trial steps
     its state machine from ``starts``, one table lookup a round."""
     m, rounds = codes.shape
     outcomes = np.empty((rounds, m), dtype=machine.outcomes.dtype)
@@ -328,7 +329,7 @@ def _play_rounds(codes: np.ndarray, starts: np.ndarray, machine: _RoundTable) ->
             np.add(code, previous, out=index)
             machine.outcomes.take(index, out=outcome, mode="clip")
             previous = outcome
-    return outcomes
+    return np.floor_divide(outcomes, machine.states, out=outcomes)
 
 
 def _play_codes(
@@ -350,7 +351,7 @@ def _play_codes(
     m = len(trial_indices)
     levels = np.uint8(len(thresholds) + 1)
     codes = np.empty((m, rounds, n), dtype=np.uint8)
-    flags = np.full((n, m), params.initial_flags == "winners", dtype=np.uint8)
+    flags = np.empty((n, m), dtype=np.uint8)
 
     # levels for each play of a B round: np.repeat lays the schedule out
     # play by play, which adds faster than a (rounds, 1) broadcast
@@ -361,8 +362,7 @@ def _play_codes(
         game = game_offsets(schedule_mask(scheme, rounds, None))
     streams = _draws(params, scheme, rounds, seed, trial_indices, thresholds)
     for col, (start, in_b, rank) in enumerate(streams):
-        if start is not None:
-            flags[:, col] = start
+        flags[:, col] = start
         if in_b is not None:
             game = game_offsets(in_b)
         code = codes[col]
@@ -405,15 +405,13 @@ def _play_cooperative(
     return wins
 
 
-def _add_capital_sums(
-    wins: np.ndarray, n: int, sums: np.ndarray, high: np.ndarray, low: np.ndarray
-) -> None:
-    """Add, per round, the sum over trials of the player-summed capital to
+def _add_win_sums(wins: np.ndarray, sums: np.ndarray, high: np.ndarray, low: np.ndarray) -> None:
+    """Add, per round, the sum over trials of the running win total to
     ``sums`` and the sum of its square, split at bit 32, to ``high`` and
     ``low``. All int64 and exact: a chunk adds less than 2^31 to ``high``
     and 2^32 to ``low``, and ``sums`` stays below trials * n * rounds."""
     rounds, m = wins.shape
-    # a block of int64 running capitals takes at most an eighth of the
+    # a block of int64 running win totals takes at most an eighth of the
     # budget, as a chunk holds at most _CHUNK_BYTES // 64 trials. A row's
     # sum of squares, at most m (n rounds)^2, fits in int64: for m = 1 by
     # the size check; otherwise a chunk's m >= 2 trials store n + 1 bytes
@@ -430,9 +428,6 @@ def _add_capital_sums(
             np.add(previous, count, out=row)
             previous = row
         np.copyto(total, previous)
-        # capital = wins - losses = 2 wins - n t
-        part *= 2
-        part -= n * np.arange(start + 1, stop + 1)[:, None]
         sums[start:stop] += part.sum(axis=1)
         squares = np.einsum("ij,ij->i", part, part)
         high[start:stop] += squares >> 32
@@ -489,22 +484,24 @@ def run_classical(
         else:
             codes, starts = _round_codes(params, scheme, rounds, seed, idx, thresholds, machine)
             wins = _play_rounds(codes, starts, machine)
-            np.floor_divide(wins, machine.states, out=wins)  # the winner counts
         del codes  # freed before the statistics allocate their block
-        _add_capital_sums(wins, n, sums, high, low)
+        _add_win_sums(wins, sums, high, low)
         del wins
     scale = n * trials
     mean = np.zeros(rounds + 1)
-    np.divide(sums, scale, out=mean[1:])
+    # a capital after round t is 2 W - n t for W wins: summed over trials
+    # as (W - n trials t) + W, no partial sum exceeds n trials t in size
+    np.divide(sums - scale * np.arange(1, rounds + 1) + sums, scale, out=mean[1:])
     stderr = np.zeros(rounds + 1)
     if trials > 1:
         # the sample variance of the player-averaged gain over trials, /
-        # trials, from exact integers, a block of rounds at a time
+        # trials, from exact integers, a block of rounds at a time; for
+        # C = 2 W - n t, trials sum(C^2) - sum(C)^2 = 4 (trials sum(W^2) - sum(W)^2)
         denominator = scale * scale * (trials - 1)
         for start in range(0, rounds, _STAT_ROWS):
             part = slice(start, start + _STAT_ROWS)
             stderr[start + 1:start + 1 + _STAT_ROWS] = [
-                (trials * ((h << 32) + lo) - s * s) / denominator
+                4 * (trials * ((h << 32) + lo) - s * s) / denominator
                 for s, h, lo in zip(
                     sums[part].tolist(), high[part].tolist(), low[part].tolist()
                 )

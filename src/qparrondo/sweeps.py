@@ -2,11 +2,11 @@
 
 Every sweep runs through one serial driver that visits the grid points in
 order and plays each distinct walk of the sweep once. A walk is known by
-the inputs it reads: pure A never reads ``game_b``, pure B never reads
-``coin_a``, and only the random mix reads ``seed`` and ``runs``. So
-``sweep_rho4`` plays pure A once for the whole grid, and a scheme listed
-twice is played once. Records come out in grid order, one per point and
-distinct scheme label.
+the inputs it reads: pure A never reads ``game_b``, pure B reads only the
+phi of ``coin_a`` (every walk plays in the frame of that phi), and only
+the random mix reads ``seed`` and ``runs``. So ``sweep_rho4`` plays pure A
+once for the whole grid, and a scheme listed twice is played once. Records
+come out in grid order, one per point and distinct scheme label.
 """
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ def _walk_key(config: SimulationConfig) -> tuple:
         config.initial,
         config.rounds,
         config.scheme.label,
-        None if kind == "b" else config.coin_a,
+        config.coin_a.phi if kind == "b" else config.coin_a,
         None if kind == "a" else config.game_b,
         (config.seed, config.runs) if config.scheme.is_random else None,
     )

@@ -337,18 +337,18 @@ def played_wins(monkeypatch, params, scheme, table_limit):
     """Winner count per round and trial, ``(rounds, trials)``, as the run
     hands it to the statistics, and whether it played the round table."""
     seen, tabled = [], []
-    add_capital_sums, play_rounds = classical._add_capital_sums, classical._play_rounds
+    add_win_sums, play_rounds = classical._add_win_sums, classical._play_rounds
 
     def record(wins, *rest):
         seen.append(wins.copy())
-        add_capital_sums(wins, *rest)
+        add_win_sums(wins, *rest)
 
     def play(*args):
         tabled.append(True)
         return play_rounds(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(classical, "_add_capital_sums", record)
+        patch.setattr(classical, "_add_win_sums", record)
         patch.setattr(classical, "_play_rounds", play)
         patch.setattr(classical, "_TABLE_LIMIT", table_limit)
         # a few trials a chunk, so that the run plays several chunks
@@ -414,7 +414,7 @@ def test_sure_wins_count_every_player(monkeypatch, n, rounds):
     ],
 )
 def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
-    # the capital sums are exact integers, so splitting the trials over
+    # the win sums are exact integers, so splitting the trials over
     # chunks (and the statistics over row blocks) changes no bit
     whole = run_classical(params, scheme, rounds=50, trials=11, seed=4)
     monkeypatch.setattr(classical, "_CHUNK_BYTES", 1000)

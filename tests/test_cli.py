@@ -297,7 +297,8 @@ HUGE_BLOCK = str(10**21)
 
 def csv_without_scheme(path):
     """The rows of a CSV, its scheme column (if any) taken out."""
-    rows = list(csv.reader(path.open()))
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     if "scheme" in rows[0]:
         col = rows[0].index("scheme")
         rows = [row[:col] + row[col + 1:] for row in rows]

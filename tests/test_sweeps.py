@@ -150,6 +150,23 @@ def test_sweep_rho4_walks_pure_a_once(monkeypatch, schemes, walks):
     assert records == expected
 
 
+def test_pure_b_walks_again_when_only_coin_a_phi_changes():
+    # every walk plays in the frame of coin_a's phi, so pure B reads it:
+    # points that differ only there must not share a pure-B walk
+    base = replace(
+        base_config(initial=GHZ), game_b=GameBParams.from_rhos(rho4=0.3, theta=0.7, phi=1.9)
+    )
+    phis = [math.pi / 2, 1.9, 0.3]
+
+    def config_for(phi, scheme):
+        return replace(base, scheme=scheme, coin_a=CoinParams(0.5, phi=phi))
+
+    gains = [gain for _, _, gain, *_ in sweeps._sweep(phis, config_for, (PURE_B,))]
+    expected = [run_averaged(config_for(phi, PURE_B)).final_gain for phi in phis]
+    assert gains == expected
+    assert len(set(gains)) == 3
+
+
 def test_repeated_schemes_and_values_walk_once(monkeypatch):
     # a scheme listed twice gives one row per point; a repeated value
     # repeats its rows but not its walks
