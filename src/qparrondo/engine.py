@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,11 +22,10 @@ from .coins import (
     coin_unitary,
     initial_coin_state,
 )
-from .observables import PayoffSeries, coin_weights
+from .observables import PayoffSeries
 from .state import (
     COIN_BITS,
-    _apply_coin_register_op,
-    apply_position_update,
+    _shift_views,
     controlled_coin_operator,
     init_walker_state,
 )
@@ -100,7 +100,7 @@ class SimulationConfig:
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         # a state after t rounds holds 8 (t+1)^3 complex128 amplitudes, and a
-        # walk holds two of them: the toss output and the state
+        # walk's workspace holds two of them: the toss output and the state
         need = 2 * 8 * (self.rounds + 1) ** 3 * 16
         what = f"rounds {self.rounds} needs"
         if self.scheme.is_random:
@@ -213,6 +213,63 @@ def _round_operators(
     return tuple(operators)
 
 
+def _round_views(tossed: np.ndarray, states: np.ndarray, n: int) -> tuple:
+    """Every view round t = n - 1 of a walk needs, over the flat buffers
+    ``states`` (the state, (8, n, n, n) before the round and (8, n+1, n+1,
+    n+1) after it) and ``tossed`` (the toss output): the float64 and the
+    complex toss input and output, the (8, 1, 2N) and (8, 2N, 1) operands of
+    the coin weights, and the shift's faces, target and source."""
+    size = 8 * n**3
+    state, toss = states[:size].reshape(8, -1), tossed[:size].reshape(8, -1)
+    real = toss.view(np.float64)
+    faces, target = _shift_views(states, n)
+    return (
+        ((state, toss), (state.view(np.float64), real)),
+        real[:, None, :],
+        real[:, :, None],
+        faces,
+        target,
+        tossed[:size].reshape(2, 2, 2, n, n, n),
+    )
+
+
+class _Workspace(threading.local):
+    """One thread's walk buffers, kept between walks: two flat complex
+    buffers of 8 (T+1)^3 amplitudes each, the toss output and the state,
+    with the views of every round of a T-round walk over them. A walk of
+    another length replaces them."""
+
+    rounds = -1
+    buffers: np.ndarray | None = None
+    views: list | tuple = ()
+
+    def prepare(self, rounds: int) -> list:
+        if rounds != self.rounds:
+            # drop the old pair before allocating the new one, so that at
+            # most two states are live
+            self.buffers, self.views, self.rounds = None, (), -1
+            self.buffers = np.empty((2, 8 * (rounds + 1) ** 3), dtype=complex)
+            self.views = [_round_views(*self.buffers, n) for n in range(1, rounds + 1)]
+            self.rounds = rounds
+        return self.views
+
+
+_WORKSPACE = _Workspace()
+
+
+def _toss(op: np.ndarray, pairs: tuple) -> None:
+    """Apply the 8x8 coin-register operator ``op`` to the state's (8, N)
+    input of ``pairs``, writing its output: ``pairs`` holds the complex and
+    the float64 (input, output) views.
+
+    A float64 operator acts alike on the real and imaginary parts, so it
+    multiplies the interleaved float64 view of the amplitudes: a real GEMM
+    with half the flops of the complex one that a complex128 operator runs.
+    """
+    source, out = pairs[op.dtype == np.float64]
+    np.matmul(op, source, out=out)
+
+
 def _walk(
     coin_state: np.ndarray,
     mask: np.ndarray,
@@ -225,10 +282,13 @@ def _walk(
     (len(mask) + 1, 3), receives the expected positions after round t,
     accumulated from row 0.
 
-    The walk owns two flat buffers of one final state's size: each round
-    tosses the state into ``tossed``, then shifts the toss back into
-    ``states``, the state's own buffer, which the toss has read in full by
-    then. The final state is a view of ``states``.
+    The walk runs in its thread's workspace: two flat buffers of one final
+    state's size, kept for the thread's next walk of the same length. Each
+    round tosses the state into the first, then shifts the toss back into
+    the second, the state's own buffer, which the toss has read in full by
+    then; the shift's face fills and copy write every amplitude of the next
+    state, so nothing of an earlier walk survives. The final state is a view of the workspace,
+    valid until the thread's next walk: a caller that keeps it copies it.
 
     The rounds are played in the frame chi = D^dagger psi of the diagonal
     D = P(phi_a)^(x3), where phi_a is ``config.coin_a.phi``. Diagonal coin
@@ -244,21 +304,27 @@ def _walk(
     Round t moves axis i by +1 with the weight of the coin components whose
     bit i is |R> after the toss, and by -1 otherwise. The shift only moves
     sites within each coin component, so the weights are read off the
-    contiguous toss output: <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1).
-    D leaves every weight as it is.
+    contiguous toss output, one dot product per component:
+    <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1). D leaves every weight
+    as it is.
     """
     ops = _round_operators(config.coin_a, config.game_b)
-    tossed, states = np.empty((2, 8 * (len(mask) + 1) ** 3), dtype=complex)
-    weights = np.empty((len(mask), 8))
-    state = init_walker_state(coin_state)
-    state *= np.exp(1j * config.coin_a.phi * _R_COUNTS).conj()[:, None, None, None]
+    views = _WORKSPACE.prepare(len(mask))
+    _, states = _WORKSPACE.buffers
+    start = init_walker_state(coin_state).reshape(8)
+    np.multiply(start, np.exp(1j * config.coin_a.phi * _R_COUNTS).conj(), out=states[:8])
+    weights = np.empty((len(mask), 8, 1, 1))
     for t, plays_b in enumerate(mask.tolist()):
-        toss = _apply_coin_register_op(state, ops[plays_b], tossed)
-        weights[t] = coin_weights(toss)
-        state = apply_position_update(toss, out=states)
-    per_player[1:] = weights @ _STEP_SIGNS
+        pairs, rows, columns, faces, target, source = views[t]
+        _toss(ops[plays_b], pairs)
+        np.matmul(rows, columns, out=weights[t])
+        for face in faces:
+            face.fill(0)
+        np.copyto(target, source)
+    per_player[1:] = weights.reshape(-1, 8) @ _STEP_SIGNS
     np.cumsum(per_player, axis=0, out=per_player)
-    return state
+    n = len(mask) + 1
+    return states.reshape(8, n, n, n)
 
 
 def run_averaged(config: SimulationConfig) -> PayoffSeries:

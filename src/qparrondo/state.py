@@ -51,24 +51,6 @@ def init_walker_state(coin_state: np.ndarray) -> np.ndarray:
     return v.reshape(8, 1, 1, 1).copy()
 
 
-def _apply_coin_register_op(state: np.ndarray, op8: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Apply an 8x8 operator to the coin axis of the amplitudes ``state``,
-    writing into the leading entries of the flat complex buffer ``out``,
-    and return them in the shape of ``state``.
-
-    A float64 operator acts alike on the real and imaginary parts, so it
-    multiplies the interleaved float64 view of the amplitudes: a real GEMM
-    with half the flops of the complex one that a complex128 operator runs.
-    """
-    flat = state.reshape(8, -1)
-    tossed = out[: flat.size].reshape(flat.shape)
-    if op8.dtype == np.float64:
-        np.matmul(op8, np.ascontiguousarray(flat).view(np.float64), out=tossed.view(np.float64))
-    else:
-        np.matmul(op8, flat, out=tossed)
-    return tossed.reshape(state.shape)
-
-
 def controlled_coin_operator(
     player: int,
     m_rr: np.ndarray,
@@ -96,26 +78,49 @@ def controlled_coin_operator(
     return op
 
 
+def _shift_views(out: np.ndarray, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The position update of an (8, n, n, n) state into the leading
+    8 (n+1)^3 entries of the flat complex buffer ``out``, read as the
+    shifted state (8, n+1, n+1, n+1): the three faces the copy leaves, and
+    the copy's target.
+
+    Component c = 4*b1 + 2*b2 + b3 at counts (i, j, k) lands at
+    (c, i + b1, j + b2, k + b3), an offset affine in (b1, b2, b3, i, j, k).
+    So the target, a (2, 2, 2, n, n, n) view of the shifted state, is
+    indexed like the input split into its coin bits and takes all eight
+    components in one copy. On axis i the copy leaves count (1 - b_i) n of
+    component c, again affine in the coin bits: face i is one
+    (2, 2, 2, n+1, n+1) view of those planes of all eight components.
+    """
+    m = n + 1
+    shifted = out[: 8 * m**3].reshape(8, m, m, m)
+    sc, s1, s2, s3 = shifted.strides
+
+    def view(shape, strides, offset=0):
+        return np.ndarray(shape, complex, buffer=shifted, offset=offset, strides=strides)
+
+    faces = (
+        view((2, 2, 2, m, m), (4 * sc - n * s1, 2 * sc, sc, s2, s3), n * s1),
+        view((2, 2, 2, m, m), (4 * sc, 2 * sc - n * s2, sc, s1, s3), n * s2),
+        view((2, 2, 2, m, m), (4 * sc, 2 * sc, sc - n * s3, s1, s2), n * s3),
+    )
+    target = view((2, 2, 2, n, n, n), (4 * sc + s1, 2 * sc + s2, sc + s3, s1, s2, s3))
+    return faces, target
+
+
 def apply_position_update(state: np.ndarray, *, out: np.ndarray) -> np.ndarray:
     """Shift axis i by +1 where player i's coin is |R> and -1 where |L>.
 
     In count space the |R> branch of axis i advances n_i by one while the
     |L> branch keeps it, and every axis grows by one site. The shifted
     amplitudes are written into the leading entries of the flat complex
-    buffer ``out``, and returned in their (8, n+1, n+1, n+1) shape.
-
-    Component c = 4*b1 + 2*b2 + b3 at counts (i, j, k) lands at
-    (c, i + b1, j + b2, k + b3), an offset affine in (b1, b2, b3, i, j, k).
-    So one strided view of the zeroed output, indexed like the input split
-    into its coin bits, receives all eight components in a single copy.
+    buffer ``out``, and returned in their (8, n+1, n+1, n+1) shape: one
+    strided copy of all eight components, and zeros on the faces it leaves
+    (``_shift_views``).
     """
     n = state.shape[1]
-    shifted = out[: 8 * (n + 1) ** 3].reshape(8, n + 1, n + 1, n + 1)
-    shifted.fill(0)
-    sc, s1, s2, s3 = shifted.strides
-    target = np.ndarray(
-        (2, 2, 2, n, n, n), complex, buffer=shifted,
-        strides=(4 * sc + s1, 2 * sc + s2, sc + s3, s1, s2, s3),
-    )
+    faces, target = _shift_views(out, n)
+    for face in faces:
+        face.fill(0)
     np.copyto(target, state.reshape(2, 2, 2, n, n, n))
-    return shifted
+    return out[: 8 * (n + 1) ** 3].reshape(8, n + 1, n + 1, n + 1)

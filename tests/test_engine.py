@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from oracle import (
@@ -285,7 +288,9 @@ def test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_factors):
 
 
 def walk_payoffs(initial, scheme, rounds):
-    """Per-round payoffs and final state of one walk."""
+    """Per-round payoffs and a copy of the final state of one walk: the
+    walk returns a view of its thread's workspace, which the next walk
+    overwrites."""
     config = SimulationConfig(
         initial=initial, scheme=scheme, rounds=rounds,
         coin_a=CoinParams(0.4, 0.7, 1.9), game_b=GameBParams.from_rhos(rho4=0.3),
@@ -293,17 +298,68 @@ def walk_payoffs(initial, scheme, rounds):
     mask = schedule_mask(scheme, rounds, rng_for())
     per_player = np.zeros((rounds + 1, 3))
     final = engine._walk(initial_coin_state(initial), mask, config, per_player)
-    return per_player, final
+    return per_player, final.copy()
 
 
 def test_walk_after_a_larger_walk_equals_the_walk_played_first():
-    # np.empty hands a walk the amplitudes of earlier walks; it must not see
-    # any of them
+    # a workspace built for a walk of another length holds whatever its
+    # allocation held; the walk must not see any of it
     expected, expected_final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
     walk_payoffs(GHZ, PURE_B, 12)
     payoffs, final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
     assert np.array_equal(payoffs, expected)
     assert np.array_equal(final, expected_final)
+
+
+def test_walk_after_a_walk_of_the_same_length_equals_the_walk_played_first():
+    # the workspace is reused as it is: the second walk's amplitudes fill
+    # the faces that the third walk's shifts do not copy into
+    expected, expected_final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
+    _, other_final = walk_payoffs(W, PURE_B, 7)
+    payoffs, final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
+    assert not np.array_equal(other_final, expected_final)
+    assert np.array_equal(payoffs, expected)
+    assert np.array_equal(final, expected_final)
+
+
+def test_walk_in_a_workspace_poisoned_with_nan_equals_the_walk_played_first():
+    expected, expected_final = walk_payoffs(GHZ, RANDOM_MIX, 7)
+    engine._WORKSPACE.buffers.fill(np.nan)
+    payoffs, final = walk_payoffs(GHZ, RANDOM_MIX, 7)
+    assert np.array_equal(payoffs, expected)
+    assert np.array_equal(final, expected_final)
+
+
+@pytest.mark.parametrize("rounds", [(7, 12), (12, 12)])
+def test_two_threads_walking_at_once_equal_the_serial_walks(rounds):
+    # each thread walks in its own workspace; a shortened switch interval
+    # interleaves their rounds
+    plays = [(SEPARABLE, periodic(2, 1), rounds[0]), (GHZ, PURE_B, rounds[1])]
+    serial = [walk_payoffs(*play) for play in plays]
+    results = [[], []]
+    barrier = threading.Barrier(2, timeout=30)
+
+    def walk(k):
+        barrier.wait()
+        for _ in range(20):
+            results[k].append(walk_payoffs(*plays[k]))
+
+    threads = [threading.Thread(target=walk, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(2):
+        assert len(results[k]) == 20
+        for payoffs, final in results[k]:
+            assert np.array_equal(payoffs, serial[k][0])
+            assert np.array_equal(final, serial[k][1])
 
 
 def test_memory_bound_counts_two_states(monkeypatch):
@@ -400,13 +456,13 @@ def test_framed_walk_matches_unframed_step_rounds(monkeypatch, start, phases, sc
         state = unframed_round(state, plays_b, config)
         expected[t] = expected[t - 1] + coin_weights(state) @ STEPS
     tossed_with = []
-    apply = engine._apply_coin_register_op
+    toss = engine._toss
 
-    def recording(state, op8, out):
-        tossed_with.append(op8.dtype)
-        return apply(state, op8, out)
+    def recording(op, pairs):
+        tossed_with.append(op.dtype)
+        toss(op, pairs)
 
-    monkeypatch.setattr(engine, "_apply_coin_register_op", recording)
+    monkeypatch.setattr(engine, "_toss", recording)
     per_player = np.zeros((FRAME_ROUNDS + 1, 3))
     final = engine._walk(FRAME_STATES[start], mask, config, per_player)
     assert set(tossed_with) == {np.dtype(dtype)}
