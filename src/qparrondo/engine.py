@@ -99,9 +99,10 @@ class SimulationConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        # a state after t rounds holds 8 (t+1)^3 complex128 amplitudes, and a
-        # walk's workspace holds two of them: the toss output and the state
-        need = 2 * 8 * (self.rounds + 1) ** 3 * 16
+        # a state after t rounds holds 8 (t+1)^3 complex128 amplitudes; a
+        # walk's workspace holds two of them, the state before and after a
+        # round, and the toss scratch of its largest slab
+        need = (2 * (self.rounds + 1) ** 3 + _scratch_sites(self.rounds)) * 8 * 16
         what = f"rounds {self.rounds} needs"
         if self.scheme.is_random:
             # run_averaged keeps every run's (rounds+1, 3) payoffs and
@@ -111,8 +112,8 @@ class SimulationConfig:
         physical = _physical_memory_bytes()
         if need > physical:
             raise ValueError(
-                f"{what} {need / 2**30:.3g} GiB of walker state and payoffs, "
-                f"more than the {physical / 2**30:.3g} GiB of physical memory"
+                f"{what} {need / 2**30:.3g} GiB of two walker states, the toss "
+                f"scratch and payoffs, more than the {physical / 2**30:.3g} GiB of physical memory"
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -213,43 +214,92 @@ def _round_operators(
     return tuple(operators)
 
 
-def _round_views(tossed: np.ndarray, states: np.ndarray, n: int) -> tuple:
-    """Every view round t = n - 1 of a walk needs, over the flat buffers
-    ``states`` (the state, (8, n, n, n) before the round and (8, n+1, n+1,
-    n+1) after it) and ``tossed`` (the toss output): the float64 and the
-    complex toss input and output, the (8, 1, 2N) and (8, 2N, 1) operands of
-    the coin weights, and the shift's faces, target and source."""
-    size = 8 * n**3
-    state, toss = states[:size].reshape(8, -1), tossed[:size].reshape(8, -1)
-    real = toss.view(np.float64)
-    faces, target = _shift_views(states, n)
-    return (
-        ((state, toss), (state.view(np.float64), real)),
-        real[:, None, :],
-        real[:, :, None],
-        faces,
-        target,
-        tossed[:size].reshape(2, 2, 2, n, n, n),
-    )
+# The sites one slab of a round spans: its toss output, 512 KiB of complex
+# amplitudes, is still in the L2 cache when the slab's coin weights and
+# shifted copy read it back. A slab is a run of whole i-planes, one plane
+# once a plane alone holds more sites; slabs of one plane each at every size
+# ran slower in 16-round walks.
+_SLAB_SITES = 4096
+
+
+def _slab_planes(n: int) -> int:
+    """The i-planes in each slab of a round whose state is (8, n, n, n)."""
+    return max(1, _SLAB_SITES // n**2)
+
+
+def _scratch_sites(rounds: int) -> int:
+    """Sites the toss scratch of a walk of ``rounds`` rounds holds: a slab
+    of round n - 1 spans at most min(n^3, max(_SLAB_SITES, n^2)) sites,
+    which grows with n, so the last round's bound covers every round."""
+    return min(rounds**3, max(_SLAB_SITES, rounds**2))
+
+
+def _round_views(
+    state: np.ndarray, shifted: np.ndarray, scratch: np.ndarray, weights: np.ndarray, n: int
+) -> tuple:
+    """Every view round t = n - 1 of a walk needs, over the flat complex
+    buffers ``state`` (the (8, n, n, n) state before the round), ``shifted``
+    (the (8, n+1, n+1, n+1) state after it) and ``scratch`` (a slab's toss
+    output): the shift's faces in ``shifted``, and for each slab of
+    ``_slab_planes(n)`` i-planes the complex and the float64 toss input and
+    output, the (8, 1, 2w) and (8, 2w, 1) operands of its coin weights, its
+    row of ``weights``, and the shift's target and source."""
+    planes, plane = _slab_planes(n), n * n
+    source = state[: 8 * n * plane].reshape(8, n * plane)
+    real_source = source.view(np.float64)
+    faces, target = _shift_views(shifted, n)
+    slabs = []
+    for weight, i in zip(weights, range(0, n, planes)):
+        j = min(i + planes, n)
+        toss = scratch[: 8 * (j - i) * plane].reshape(8, (j - i) * plane)
+        real = toss.view(np.float64)
+        slabs.append((
+            (
+                (source[:, i * plane : j * plane], toss),
+                (real_source[:, 2 * i * plane : 2 * j * plane], real),
+            ),
+            real[:, None, :],
+            real[:, :, None],
+            weight,
+            target[:, :, :, i:j],
+            toss.reshape(2, 2, 2, j - i, n, n),
+        ))
+    return faces, slabs
 
 
 class _Workspace(threading.local):
-    """One thread's walk buffers, kept between walks: two flat complex
-    buffers of 8 (T+1)^3 amplitudes each, the toss output and the state,
-    with the views of every round of a T-round walk over them. A walk of
-    another length replaces them."""
+    """One thread's walk buffers, kept between walks of T rounds: two flat
+    complex buffers of 8 (T+1)^3 amplitudes, which the rounds alternate
+    between as the state before and after the round, the toss scratch of
+    the walk's largest slab, the (slabs, 8, 1, 1) coin-weight table of all
+    its rounds with the first slab of each round (``starts``), and the views
+    of every round over them. A walk of another length replaces them."""
 
     rounds = -1
     buffers: np.ndarray | None = None
+    scratch: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    starts: np.ndarray | None = None
     views: list | tuple = ()
 
     def prepare(self, rounds: int) -> list:
         if rounds != self.rounds:
-            # drop the old pair before allocating the new one, so that at
-            # most two states are live
-            self.buffers, self.views, self.rounds = None, (), -1
+            # drop the old buffers before allocating the new ones, so that
+            # at most two states are live
+            self.buffers = self.scratch = self.weights = self.starts = None
+            self.views, self.rounds = (), -1
             self.buffers = np.empty((2, 8 * (rounds + 1) ** 3), dtype=complex)
-            self.views = [_round_views(*self.buffers, n) for n in range(1, rounds + 1)]
+            self.scratch = np.empty(8 * _scratch_sites(rounds), dtype=complex)
+            counts = [-(-n // _slab_planes(n)) for n in range(1, rounds + 1)]
+            self.starts = np.cumsum([0, *counts[:-1]])
+            self.weights = np.empty((sum(counts), 8, 1, 1))
+            self.views = [
+                _round_views(
+                    self.buffers[t % 2], self.buffers[1 - t % 2], self.scratch,
+                    self.weights[start : start + count], t + 1,
+                )
+                for t, (start, count) in enumerate(zip(self.starts, counts))
+            ]
             self.rounds = rounds
         return self.views
 
@@ -283,12 +333,18 @@ def _walk(
     accumulated from row 0.
 
     The walk runs in its thread's workspace: two flat buffers of one final
-    state's size, kept for the thread's next walk of the same length. Each
-    round tosses the state into the first, then shifts the toss back into
-    the second, the state's own buffer, which the toss has read in full by
-    then; the shift's face fills and copy write every amplitude of the next
-    state, so nothing of an earlier walk survives. The final state is a view of the workspace,
-    valid until the thread's next walk: a caller that keeps it copies it.
+    state's size, kept for the thread's next walk of the same length. Round
+    t reads the state from buffer t % 2 and writes the next state into the
+    other one, slab by slab, each slab a run of whole i-planes of about
+    ``_SLAB_SITES`` sites: the slab is tossed into a small scratch, the dot
+    products of its coin weights go into its own row of the workspace's
+    weight table, and it is copied to its shifted place while the scratch is
+    still in cache. A slab's copy lands where later slabs of the round are
+    still unread, so the next state never shares the state's buffer. The
+    face fills, once per round, and the slabs' copies write every amplitude
+    of the next state, so nothing of an earlier walk survives. The final
+    state is a view of buffer T % 2 of the workspace, valid until the
+    thread's next walk: a caller that keeps it copies it.
 
     The rounds are played in the frame chi = D^dagger psi of the diagonal
     D = P(phi_a)^(x3), where phi_a is ``config.coin_a.phi``. Diagonal coin
@@ -304,27 +360,29 @@ def _walk(
     Round t moves axis i by +1 with the weight of the coin components whose
     bit i is |R> after the toss, and by -1 otherwise. The shift only moves
     sites within each coin component, so the weights are read off the
-    contiguous toss output, one dot product per component:
+    contiguous toss output, one dot product per component and slab, and
+    summed over a round's slabs after the walk:
     <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1). D leaves every weight
     as it is.
     """
     ops = _round_operators(config.coin_a, config.game_b)
     views = _WORKSPACE.prepare(len(mask))
-    _, states = _WORKSPACE.buffers
+    buffers = _WORKSPACE.buffers
     start = init_walker_state(coin_state).reshape(8)
-    np.multiply(start, np.exp(1j * config.coin_a.phi * _R_COUNTS).conj(), out=states[:8])
-    weights = np.empty((len(mask), 8, 1, 1))
-    for t, plays_b in enumerate(mask.tolist()):
-        pairs, rows, columns, faces, target, source = views[t]
-        _toss(ops[plays_b], pairs)
-        np.matmul(rows, columns, out=weights[t])
+    np.multiply(start, np.exp(1j * config.coin_a.phi * _R_COUNTS).conj(), out=buffers[0, :8])
+    for (faces, slabs), plays_b in zip(views, mask.tolist()):
+        op = ops[plays_b]
         for face in faces:
             face.fill(0)
-        np.copyto(target, source)
-    per_player[1:] = weights.reshape(-1, 8) @ _STEP_SIGNS
+        for pairs, rows, columns, weight, target, source in slabs:
+            _toss(op, pairs)
+            np.matmul(rows, columns, out=weight)
+            np.copyto(target, source)
+    weights = np.add.reduceat(_WORKSPACE.weights.reshape(-1, 8), _WORKSPACE.starts, axis=0)
+    per_player[1:] = weights @ _STEP_SIGNS
     np.cumsum(per_player, axis=0, out=per_player)
     n = len(mask) + 1
-    return states.reshape(8, n, n, n)
+    return buffers[len(mask) % 2, : 8 * n**3].reshape(8, n, n, n)
 
 
 def run_averaged(config: SimulationConfig) -> PayoffSeries:

@@ -1,8 +1,8 @@
 """Independent oracles for the structured walk: per-player coin tosses, the
 joint position distribution, the position update slice by slice, an
-unframed round built from them, and a dense Kronecker round on a small
-position lattice; and ``true_state``, the engine's walk taken out of its
-coin-phase frame.
+unframed round built from them, a dense Kronecker round on a small
+position lattice, and pure A's payoffs from three 1D walks; and
+``true_state``, the engine's walk taken out of its coin-phase frame.
 
 The engine composes a round's three tosses into one 8x8 operator, plays
 in the frame of coin A's phi and shifts in count space; these helpers
@@ -123,6 +123,41 @@ def unframed_round(state: np.ndarray, plays_b: bool, config) -> np.ndarray:
         for player in (1, 2, 3):
             state = apply_coin_matrix(state, player, m)
     return slice_shift(state)
+
+
+# --- pure A as three 1D walks ----------------------------------------------
+
+
+def pure_a_positions(coin_state: np.ndarray, coin, rounds: int) -> np.ndarray:
+    """Expected positions <x_i>_t of pure A with ``coin`` after t = 0..rounds
+    rounds from the coin vector ``coin_state`` at the origin, shape
+    (rounds + 1, 3).
+
+    A game-A round tosses each coin with U = coin_unitary(coin) and moves
+    each axis by its own coin, so the walk is a product of three 1D walks
+    and <x_i>_t = Tr[rho_i X_t]: rho_i is player i's reduced coin state and
+    X_t[a, b] = sum_x x <psi_a(x)|psi_b(x)> for the 1D walks psi_a and psi_b
+    from coins |a> and |b> at position 0, played on the positions
+    -rounds..rounds.
+    """
+    u = coin_unitary(coin)
+    x = np.arange(-rounds, rounds + 1)
+    # psi[b, a, k]: coin b at position x[k] of the 1D walk from coin |a>
+    psi = np.zeros((2, 2, len(x)), dtype=complex)
+    psi[0, 0, rounds] = psi[1, 1, rounds] = 1.0
+    moments = np.zeros((rounds + 1, 2, 2), dtype=complex)
+    for t in range(1, rounds + 1):
+        tossed = np.einsum("cb,bak->cak", u, psi)
+        psi = np.zeros_like(tossed)
+        psi[0, :, :-1] = tossed[0, :, 1:]  # |L> steps to x - 1
+        psi[1, :, 1:] = tossed[1, :, :-1]  # |R> steps to x + 1
+        moments[t] = np.einsum("bak,k,bck->ac", psi.conj(), x, psi)
+    coins = np.asarray(coin_state, dtype=complex).reshape(2, 2, 2)
+    positions = np.empty((rounds + 1, 3))
+    for i in range(3):
+        q = np.moveaxis(coins, i, 0).reshape(2, 4)
+        positions[:, i] = np.einsum("ab,tba->t", q @ q.conj().T, moments).real
+    return positions
 
 
 # --- the engine's walk out of its frame -------------------------------------

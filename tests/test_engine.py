@@ -9,6 +9,7 @@ from oracle import (
     dense_shift_factor,
     dense_step_oracle,
     dense_toss_factors,
+    pure_a_positions,
     state_norm,
     true_state,
     unframed_round,
@@ -287,13 +288,37 @@ def test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_factors):
         assert np.max(np.abs(dense_positions(st, 3) - dense)) < 1e-10
 
 
-def walk_payoffs(initial, scheme, rounds):
+def use_slab_sites(monkeypatch, sites):
+    """Play this test's walks in slabs of ``sites`` sites, in a fresh
+    workspace whose views are built for them."""
+    monkeypatch.setattr(engine, "_SLAB_SITES", sites)
+    monkeypatch.setattr(engine, "_WORKSPACE", engine._Workspace())
+
+
+@pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE])
+def test_three_mixed_rounds_in_one_plane_slabs_match_dense_oracle(
+    monkeypatch, initial, mixed_round_factors
+):
+    # rounds 2 and 3 are played in two and three slabs
+    use_slab_sites(monkeypatch, 1)
+    test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_factors)
+
+
+# (coin_a, game_b) of walk_payoffs: the default phases, where both framed
+# round operators are real, and theta=0.7, phi=1.9, where both are complex
+WALK_COINS = {
+    "real": (CoinParams(0.4), GameBParams.from_rhos(rho4=0.3)),
+    "complex": (MIXED_COIN_A, MIXED_GAME_B),
+}
+
+
+def walk_payoffs(initial, scheme, rounds, coins="complex"):
     """Per-round payoffs and a copy of the final state of one walk: the
     walk returns a view of its thread's workspace, which the next walk
     overwrites."""
+    coin_a, game_b = WALK_COINS[coins]
     config = SimulationConfig(
-        initial=initial, scheme=scheme, rounds=rounds,
-        coin_a=CoinParams(0.4, 0.7, 1.9), game_b=GameBParams.from_rhos(rho4=0.3),
+        initial=initial, scheme=scheme, rounds=rounds, coin_a=coin_a, game_b=game_b
     )
     mask = schedule_mask(scheme, rounds, rng_for())
     per_player = np.zeros((rounds + 1, 3))
@@ -303,34 +328,39 @@ def walk_payoffs(initial, scheme, rounds):
 
 def test_walk_after_a_larger_walk_equals_the_walk_played_first():
     # a workspace built for a walk of another length holds whatever its
-    # allocation held; the walk must not see any of it
-    expected, expected_final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
-    walk_payoffs(GHZ, PURE_B, 12)
-    payoffs, final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
-    assert np.array_equal(payoffs, expected)
-    assert np.array_equal(final, expected_final)
+    # allocation held; the walk must not see any of it. The 20-round walk
+    # plays its last four rounds in two slabs each.
+    for rounds, larger in ((7, 12), (20, 24)):
+        expected, expected_final = walk_payoffs(SEPARABLE, periodic(2, 1), rounds)
+        walk_payoffs(GHZ, PURE_B, larger)
+        payoffs, final = walk_payoffs(SEPARABLE, periodic(2, 1), rounds)
+        assert np.array_equal(payoffs, expected)
+        assert np.array_equal(final, expected_final)
 
 
 def test_walk_after_a_walk_of_the_same_length_equals_the_walk_played_first():
     # the workspace is reused as it is: the second walk's amplitudes fill
     # the faces that the third walk's shifts do not copy into
-    expected, expected_final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
-    _, other_final = walk_payoffs(W, PURE_B, 7)
-    payoffs, final = walk_payoffs(SEPARABLE, periodic(2, 1), 7)
-    assert not np.array_equal(other_final, expected_final)
-    assert np.array_equal(payoffs, expected)
-    assert np.array_equal(final, expected_final)
+    for rounds in (7, 20):
+        expected, expected_final = walk_payoffs(SEPARABLE, periodic(2, 1), rounds)
+        _, other_final = walk_payoffs(W, PURE_B, rounds)
+        payoffs, final = walk_payoffs(SEPARABLE, periodic(2, 1), rounds)
+        assert not np.array_equal(other_final, expected_final)
+        assert np.array_equal(payoffs, expected)
+        assert np.array_equal(final, expected_final)
 
 
 def test_walk_in_a_workspace_poisoned_with_nan_equals_the_walk_played_first():
-    expected, expected_final = walk_payoffs(GHZ, RANDOM_MIX, 7)
-    engine._WORKSPACE.buffers.fill(np.nan)
-    payoffs, final = walk_payoffs(GHZ, RANDOM_MIX, 7)
-    assert np.array_equal(payoffs, expected)
-    assert np.array_equal(final, expected_final)
+    for rounds in (7, 20):
+        expected, expected_final = walk_payoffs(GHZ, RANDOM_MIX, rounds)
+        for buffer in (engine._WORKSPACE.buffers, engine._WORKSPACE.scratch):
+            buffer.fill(np.nan)
+        payoffs, final = walk_payoffs(GHZ, RANDOM_MIX, rounds)
+        assert np.array_equal(payoffs, expected)
+        assert np.array_equal(final, expected_final)
 
 
-@pytest.mark.parametrize("rounds", [(7, 12), (12, 12)])
+@pytest.mark.parametrize("rounds", [(7, 12), (12, 12), (12, 20)])
 def test_two_threads_walking_at_once_equal_the_serial_walks(rounds):
     # each thread walks in its own workspace; a shortened switch interval
     # interleaves their rounds
@@ -362,9 +392,43 @@ def test_two_threads_walking_at_once_equal_the_serial_walks(rounds):
             assert np.array_equal(final, serial[k][1])
 
 
+SCHEMES = {"a": PURE_A, "b": PURE_B, "periodic:2,1": periodic(2, 1), "mix": RANDOM_MIX}
+
+
+@pytest.mark.parametrize("coins", WALK_COINS)
+@pytest.mark.parametrize("rounds", [7, 20])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE], ids=["ghz", "w", "sep"])
+def test_walk_does_not_depend_on_the_slab_size(monkeypatch, initial, scheme, rounds, coins):
+    # slabs of one i-plane, of the engine's 4096 sites (every round of 16
+    # or fewer rounds in one slab), and of a whole round at every size
+    walks = []
+    for sites in (1, 4096, (rounds + 1) ** 3):
+        use_slab_sites(monkeypatch, sites)
+        walks.append(walk_payoffs(initial, SCHEMES[scheme], rounds, coins))
+    (payoffs, final), *others = walks
+    for other_payoffs, other_final in others:
+        assert np.max(np.abs(other_payoffs - payoffs)) < 1e-12
+        assert np.max(np.abs(other_final - final)) < 1e-14
+
+
+@pytest.mark.parametrize("coin_a", [CoinParams(0.5), CoinParams(0.5, 0.3, 1.1)],
+                         ids=["default", "complex"])
+@pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE, j_entangled(0.7)],
+                         ids=["ghz", "w", "sep", "j0.7"])
+@pytest.mark.parametrize("rounds", [24, 40])
+def test_pure_a_matches_three_1d_walks(initial, coin_a, rounds):
+    # rounds past the 16th are played in several slabs
+    config = SimulationConfig(initial=initial, scheme=PURE_A, rounds=rounds, coin_a=coin_a)
+    expected = pure_a_positions(initial_coin_state(initial), coin_a, rounds)
+    assert np.max(np.abs(run_averaged(config).per_player - expected)) < 1e-12
+
+
 def test_memory_bound_counts_two_states(monkeypatch):
+    # two states of 8 * 10^3 amplitudes and the scratch of the largest
+    # slab, all 9^3 sites of the last round's state
     rounds = 9
-    need = 2 * 8 * (rounds + 1) ** 3 * 16
+    need = (2 * 8 * (rounds + 1) ** 3 + 8 * rounds**3) * 16
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
     SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
@@ -374,7 +438,7 @@ def test_memory_bound_counts_two_states(monkeypatch):
 
 def test_memory_bound_counts_the_payoffs_of_every_mix_run(monkeypatch):
     rounds, runs = 9, 1000
-    need = 2 * 8 * (rounds + 1) ** 3 * 16 + runs * (rounds + 1) * 4 * 8
+    need = (2 * 8 * (rounds + 1) ** 3 + 8 * rounds**3) * 16 + runs * (rounds + 1) * 4 * 8
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
     SimulationConfig(initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, runs=runs)
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
@@ -382,6 +446,18 @@ def test_memory_bound_counts_the_payoffs_of_every_mix_run(monkeypatch):
         SimulationConfig(initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, runs=runs)
     # a fixed schedule is played once, whatever runs says
     SimulationConfig(initial=GHZ, scheme=periodic(2, 2), rounds=rounds, runs=runs)
+
+
+@pytest.mark.parametrize("rounds", [1, 16, 17, 40])
+def test_memory_bound_counts_the_workspace_a_walk_allocates(monkeypatch, rounds):
+    workspace = engine._Workspace()
+    workspace.prepare(rounds)
+    need = workspace.buffers.nbytes + workspace.scratch.nbytes
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
+    SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
 
 
 def test_run_averaged_equals_the_mean_of_its_runs_bitwise():
