@@ -1,15 +1,20 @@
 """
-Classical Monte Carlo baseline
-==============================
+Classical baseline
+==================
 
 The original single-player pair: game A is a slightly biased coin, game B
 picks between two coins by whether the capital is a multiple of 3. Both
-games lose on their own, yet alternating them randomly wins. A small
-Markov chain over the capital mod 3 predicts game B's drift exactly and
-cross-checks the Monte Carlo.
+games lose on their own, yet alternating them randomly wins.
+
+run_classical computes these series exactly, from the Markov chain over
+the capital mod 3: the mean gain after each round and the standard error
+of a mean over ``trials`` trials. Nothing is drawn, so the seed is unread.
+The stationary distribution of the same chain under game B predicts its
+drift per round, which the exact finite-time gain approaches.
 
 The cooperative variant conditions each player's game-B coin on whether
-the two ring neighbors won their last game.
+the two ring neighbors won their last game. Its chain runs over the ring's
+winner flags and is exact up to 7 players; larger rings run Monte Carlo.
 
 Run: python demos/classical_baseline.py
 """

@@ -4,8 +4,9 @@ A discrete-time quantum walk on three position axes with a three-qubit
 coin register: game A tosses every coin with one unconditional unitary,
 game B conditions each toss on the ring neighbors' coins, and the joint
 position update moves each axis by its player's coin. Includes payoff
-observables, paradox detection, a classical Monte Carlo baseline, a
-GHZ/W discriminator, and sweep drivers with CSV output.
+observables, paradox detection, a classical baseline (exact Markov chain;
+Monte Carlo for rings of 8 or more players), a GHZ/W discriminator, and
+sweep drivers with CSV output.
 """
 
 from .classical import (
@@ -42,13 +43,9 @@ from .observables import (
     PayoffSeries,
     Verdict,
     classify_game,
-    coin_weights,
     detect_paradox,
 )
-from .state import (
-    apply_position_update,
-    init_walker_state,
-)
+from .state import init_walker_state
 from .sweeps import (
     MapRecord,
     SweepRecord,
@@ -81,10 +78,8 @@ __all__ = [
     "SweepRecord",
     "Verdict",
     "W",
-    "apply_position_update",
     "classify_game",
     "coin_unitary",
-    "coin_weights",
     "detect_paradox",
     "discriminate",
     "emit_map_csv",

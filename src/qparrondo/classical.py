@@ -1,64 +1,71 @@
-"""Monte Carlo baselines: the original capital-dependent Parrondo pair and
+"""Classical baselines: the original capital-dependent Parrondo pair and
 the cooperative neighbor-conditioned variant on a ring of players.
 
-Trial k of a run draws every random number from a generator seeded by the
-key (seed, k), so any single trajectory is reproducible in isolation and
-aggregate results do not depend on execution order or chunking. Within a
-trial the stream is consumed in a fixed order:
+Each trial is a Markov chain whose state is all that the next round reads:
+the capital mod 3 in the original game, the ring's winner flags (2^n
+states, player i at bit i) in the cooperative one. For the original game
+and for rings of at most _EXACT_PLAYERS players the series is exact. Game
+g's round transition T[s, s'] comes from playing the per-player rule on
+every state, and G[s, s'] is the transition's player-averaged gain. The
+lifted map ``L_g = [[T, T∘G, T∘G∘G], [0, T, 2 T∘G], [0, 0, T]]`` carries
+the row vector (P, m, q) over one round: P is the distribution over
+states, m = E[C; s] and q = E[C^2; s] for the player-averaged capital C. A
+fixed schedule applies L_A or L_B each round. Every trial of the random mix
+draws its own schedule, so the mix applies ½(L_A + L_B) every round. The
+mean after a round is sum(m), and its standard error over ``trials``
+trials is sqrt((sum(q) - mean^2) / trials): at one trial it reads the
+standard deviation of the gain. Nothing is drawn, so ``seed`` is unread and
+the time does not depend on ``trials``.
 
-1. the initial winner flags, ``random(n_players) < 1/2`` (cooperative game
-   with random flags only);
+Larger rings, whose chains grow as 2^n, run Monte Carlo. Trial k of a run
+draws every random number from a generator seeded by the key (seed, k), so
+any single trajectory is reproducible in isolation and aggregate results do
+not depend on execution order or chunking. Within a trial the stream is
+consumed in a fixed order:
+
+1. the initial winner flags, ``random(n_players) < 1/2`` (random flags
+   only);
 2. the schedule, ``integers(0, 2, size=rounds)`` with 1 meaning game B
    (random mix only; ``schedule_mask`` reads the same bits);
 3. one win uniform per play, ``random((rounds, n_players))``, row t holding
-   the players of round t in index order (one column for the original game).
+   the players of round t in index order.
 
 A play wins when its uniform u is below the win probability p of its game
 and context. The distinct win probabilities of a parameter set (at most
 five), sorted, are the thresholds; a uniform's rank is the number of
 thresholds <= u. With k(p) the rank of p itself, u < p holds exactly when
 rank(u) < k(p), ties included, so ranks replay the float decisions exactly.
+Each play is one byte, ``(game * levels + rank) * 4``, and one per-play
+table indexed by code + the neighbors' winner flags decides it. The
+statistics follow exactly from per-round integer sums over trials of the
+running win total and its square, as a capital is twice the wins less the
+plays.
 
-Each trial is a finite-state machine whose state is all that the next
-round reads: the ring's winner flags (2^n states) or the capital mod 3. A
-round's outcome packs its winner count with the state it leaves. Trial by
-trial, each round is written as one code that packs the round's game and
-every player's rank, premultiplied by the number of outcomes. One table,
-indexed by code + the previous round's outcome, holds the outcome of every
-round; it is built by playing the per-player rule once on every (state,
-round code) input, so it cannot diverge from the rule. The round loop,
-which advances all trials of a chunk at once, then makes one add and one
-lookup per round. A ring whose table would exceed _TABLE_LIMIT entries
-(more players or more distinct probabilities than a uint16 index reaches)
-plays player by player instead: each play is one byte,
-``(game * levels + rank) * 4``, and one per-play table indexed by code +
-the neighbors' winner flags decides it. The statistics follow exactly from
-per-round integer sums over trials of the running win total and its square,
-as a capital is twice the wins less the plays. A run whose single trial
-cannot fit in physical memory is refused before anything is drawn.
+A run that cannot fit in physical memory is refused before anything is
+drawn or built.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .engine import GameScheme, _physical_memory_bytes, schedule_mask
 
-# Bytes of per-trial arrays that one chunk of trials may hold: its round
-# codes and outcomes and its column of the transposition block (table
-# path), or its play codes and winner counts (per-player path).
+# The largest ring whose series comes from its exact chain, whose lifted
+# map is 3 * 2^n wide. 2,000 random-mix rounds at 1,000 trials on a 2-vCPU
+# Xeon VM: 0.06-0.08 s for the chain against 0.27-0.30 s for the Monte
+# Carlo at 7 players; at 8 the two tie (0.28-0.31 s), and each further
+# player makes a chain round about 4 times dearer.
+_EXACT_PLAYERS = 7
+# Bytes of per-trial arrays that one chunk of Monte Carlo trials may hold:
+# its play codes and winner counts.
 _CHUNK_BYTES = 1 << 26
 # Rounds whose standard errors are formed together from Python integers,
 # so those objects take a bounded few MB however long the run.
 _STAT_ROWS = 1 << 16
-# Entries of the largest round table, all within reach of a uint16 index.
-_TABLE_LIMIT = 1 << 16
-# Rounds whose codes the table path transposes at a time, so that the
-# round loop reads each round's codes as one contiguous row.
-_BLOCK_ROUNDS = 256
 
 
 @dataclass(frozen=True)
@@ -139,10 +146,12 @@ class CooperativeParams:
 
 @dataclass
 class ClassicalSeries:
-    """Per-round mean average capital gain over trials, with standard errors."""
+    """Per-round mean average capital gain over trials, with standard errors;
+    ``exact`` tells the chain's exact series from a Monte Carlo estimate."""
 
     mean_gain: np.ndarray  # (rounds + 1,)
     stderr: np.ndarray  # (rounds + 1,)
+    exact: bool = False
 
     @property
     def rounds(self) -> int:
@@ -167,30 +176,102 @@ def _win_table(params: OriginalParams | CooperativeParams) -> np.ndarray:
     return np.array([[a, a, a], [params.win_b1, params.win_b2, params.win_b2]])
 
 
-def _check_trial_size(rounds: int, n: int) -> None:
-    """One trial must fit in physical memory. Per round it holds its float
-    draws with their comparison and ranks, then either the ranks' float32
-    copy, its game offsets and packed code, its round code and outcome
-    (table path) or its game offsets, play codes and winner count (per
-    player): at most 14n + 12 bytes. Its schedule's raw draw, shifted copy
+def _check_size(rounds: int, n: int, exact: bool) -> None:
+    """A run must fit in physical memory.
+
+    The exact chain holds two float moments a round (16 bytes) and, while
+    drawing a fixed schedule, two int64 and a bool a round (17 bytes).
+
+    A Monte Carlo trial holds per round its float draws with their
+    comparison and ranks, then its game offsets, play codes and winner
+    count: at most 14n + 12 bytes. Its schedule's raw draw, shifted copy
     and mask take 9 bytes, and the run's statistics 40 (int64 win sums,
     the two int64 words of the squared sums, float mean and standard
     error). The blocks in which the statistics are formed take at most
     _CHUNK_BYTES. Its squared win total must fit in int64."""
-    need = rounds * (14 * n + 61) + _CHUNK_BYTES
+    need = rounds * 33 if exact else rounds * (14 * n + 61) + _CHUNK_BYTES
     physical = _physical_memory_bytes()
     if need > physical:
         raise ValueError(
-            f"rounds {rounds} needs {need / 2**30:.3g} GiB per trial "
-            f"at {n} per round, more than the {physical / 2**30:.3g} GiB of "
-            f"physical memory"
+            f"rounds {rounds} needs {need / 2**30:.3g} GiB at {n} per round, "
+            f"more than the {physical / 2**30:.3g} GiB of physical memory"
         )
-    if (n * rounds) ** 2 >= 2**63:
+    if not exact and (n * rounds) ** 2 >= 2**63:
         raise ValueError(f"rounds {rounds} for {n} players overflows the int64 win sums")
 
 
-def _draws(
+def _transitions(
     params: OriginalParams | CooperativeParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each game's round transition ``T[g, s, s']`` and the player-averaged
+    gain ``G[s, s']`` of a transition, broadcastable against T.
+
+    A ring's round is played on every start state s for every flag pattern
+    s' it can leave: every player plays once, so player i's flag after the
+    round is its result, bit i of s'. Sequential players read the live
+    flags, synchronous ones the flags of s."""
+    table = _win_table(params)
+    if isinstance(params, OriginalParams):
+        # a win raises the capital mod 3 by one, a loss lowers it
+        up = np.roll(np.eye(3), 1, axis=1)
+        down = np.roll(np.eye(3), -1, axis=1)
+        return table[:, :, None] * up + (1 - table[:, :, None]) * down, up - down
+    n, states = params.n_players, 2**params.n_players
+    bits = np.arange(states)[:, None] >> np.arange(n) & 1  # (states, n)
+    start = np.broadcast_to(bits[:, None, :], (states, states, n))
+    flags = start.copy()
+    source = flags if params.update_order == "sequential" else start
+    transition = np.ones((2, states, states))
+    for i in range(n):
+        won = bits[:, i]
+        p = table[:, source[..., i - 1] + 2 * source[..., (i + 1) % n]]
+        transition *= np.where(won, p, 1 - p)
+        flags[..., i] = won
+    return transition, (2 * bits.sum(axis=1) - n) / n
+
+
+def _chain_series(
+    params: OriginalParams | CooperativeParams, scheme: GameScheme, rounds: int, trials: int
+) -> ClassicalSeries:
+    """The exact series from the lifted chain (module docstring)."""
+    transition, gain = _transitions(params)
+    states = transition.shape[-1]
+    zero = np.zeros((states, states))
+    maps = [
+        np.block([[t, t * gain, t * gain * gain], [zero, t, 2 * t * gain], [zero, zero, t]])
+        for t in transition
+    ]
+    if scheme.is_random:
+        steps = itertools.repeat((maps[0] + maps[1]) / 2, rounds)
+    else:
+        steps = (maps[b] for b in schedule_mask(scheme, rounds, None).tolist())
+    # the row vector (P, m, q), from P: uniform over random flags, else a
+    # point mass on all winners or on state 0 (all losers, or capital 0)
+    vector = np.zeros(3 * states)
+    if isinstance(params, OriginalParams) or params.initial_flags == "losers":
+        vector[0] = 1.0
+    elif params.initial_flags == "winners":
+        vector[states - 1] = 1.0
+    else:
+        vector[:states] = 1 / states
+    # the m and q blocks' sums
+    totals = np.zeros((3 * states, 2))
+    totals[states:2 * states, 0] = totals[2 * states:, 1] = 1.0
+    moments = np.zeros((2, rounds + 1))
+    for t, step in enumerate(steps, 1):
+        vector = vector @ step
+        np.matmul(vector, totals, out=moments[:, t])
+    mean, stderr = moments
+    # E[C^2] - mean^2, which rounding may take just below 0
+    stderr -= mean * mean
+    np.maximum(stderr, 0.0, out=stderr)
+    stderr /= trials
+    np.sqrt(stderr, out=stderr)
+    return ClassicalSeries(mean_gain=mean, stderr=stderr, exact=True)
+
+
+def _draws(
+    params: CooperativeParams,
     scheme: GameScheme,
     rounds: int,
     seed: int,
@@ -198,14 +279,12 @@ def _draws(
     thresholds: np.ndarray,
 ):
     """Yield each trial's streams in their documented order: its initial
-    winner flags, ``n`` bools (drawn, all winners or all losers; one loser,
-    capital 0, in the original game), its schedule (None for a fixed
-    scheme) and the rank of every play's uniform, ``(rounds, n)`` uint8 in
-    a buffer that the next trial reuses."""
-    cooperative = isinstance(params, CooperativeParams)
-    n = params.n_players if cooperative else 1
-    random_flags = cooperative and params.initial_flags == "random"
-    fixed_flags = np.full(n, cooperative and params.initial_flags == "winners")
+    winner flags, ``n`` bools (drawn, all winners or all losers), its
+    schedule (None for a fixed scheme) and the rank of every play's
+    uniform, ``(rounds, n)`` uint8 in a buffer that the next trial reuses."""
+    n = params.n_players
+    random_flags = params.initial_flags == "random"
+    fixed_flags = np.full(n, params.initial_flags == "winners")
     uniforms = np.empty((rounds, n))
     rank = np.empty((rounds, n), dtype=np.uint8)
     above = np.empty((rounds, n), dtype=bool)
@@ -219,117 +298,6 @@ def _draws(
             np.greater_equal(uniforms, threshold, out=above)
             rank += above.view(np.uint8)
         yield flags, in_b, rank
-
-
-class _RoundTable(NamedTuple):
-    """One round of a trial as a state machine. An outcome is
-    ``wins * states + state``: the round's winner count and the state it
-    leaves, the winner flags with player i at bit i or the capital mod 3. A
-    round code is ``sum_i rank_i * weights[i] + game * weights[n]``, the
-    digits of ``game * levels**n + sum_i rank_i * levels**i`` times the
-    number of outcomes, so that ``outcomes[code + outcome]`` is the outcome
-    of the round that follows ``outcome``."""
-
-    outcomes: np.ndarray
-    states: int
-    weights: np.ndarray  # float32, n + 1
-    code_type: np.dtype
-
-
-def _round_table(
-    params: OriginalParams | CooperativeParams, lut: np.ndarray, levels: int
-) -> _RoundTable | None:
-    """Play every round code from every state once with the per-player
-    rule; None for a ring whose table would have more than _TABLE_LIMIT
-    entries."""
-    cooperative = isinstance(params, CooperativeParams)
-    n = params.n_players if cooperative else 1
-    states = 2**n if cooperative else 3
-    codes = 2 * levels**n
-    size = codes * (n + 1) * states
-    # the original game's table has at most 48 entries: three distinct
-    # probabilities give 4 ranks, so 8 round codes x 2 x 3 states
-    if cooperative and size > _TABLE_LIMIT:
-        return None
-    code, state = np.divmod(np.arange(codes * states), states)
-    # each player's play code (game * levels + rank) * width, from the
-    # digits of the round code: rank i is digit i, the game the top one
-    digits = code[:, None] // levels ** np.arange(n + 1) % levels
-    plays = (digits[:, :n] + digits[:, n:] * levels) * (len(lut) // (2 * levels))
-    if cooperative:
-        flags = (state >> np.arange(n)[:, None] & 1).astype(np.uint8)
-        sequential = params.update_order == "sequential"
-        wins = _play_cooperative(sequential, plays[:, None, :].astype(np.uint8), flags, lut)[0]
-        state = (1 << np.arange(n)) @ flags
-    else:
-        wins = lut[plays[:, 0] + state]
-        # a win raises the capital by one, a loss lowers it
-        state = (state + 2 * wins.astype(int) - 1) % 3
-    outcome = wins.astype(int) * states + state
-    # the winner count of the round before reads nothing
-    table = np.repeat(outcome.reshape(codes, 1, states), n + 1, axis=1).ravel()
-    return _RoundTable(
-        outcomes=table.astype(np.min_scalar_type((n + 1) * states - 1)),
-        states=states,
-        weights=((n + 1) * states * levels ** np.arange(n + 1)).astype(np.float32),
-        code_type=np.min_scalar_type(size - 1),
-    )
-
-
-def _round_codes(
-    params: OriginalParams | CooperativeParams,
-    scheme: GameScheme,
-    rounds: int,
-    seed: int,
-    trial_indices: range,
-    thresholds: np.ndarray,
-    machine: _RoundTable,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the streams of one chunk of trials, trial by trial.
-
-    Returns the round codes ``(trials, rounds)``, one contiguous row per
-    trial, and each trial's first outcome: its initial state, no wins.
-    """
-    n = len(machine.weights) - 1
-    m = len(trial_indices)
-    codes = np.empty((m, rounds), dtype=machine.code_type)
-    starts = np.empty(m, dtype=machine.outcomes.dtype)
-    # the ranks and the game offsets in float32: a round code is below
-    # 2^16, so one product with the weights and one add pack it exactly
-    ranks = np.empty((rounds, n), dtype=np.float32)
-    game = np.empty(rounds, dtype=np.float32)
-    packed = np.empty(rounds, dtype=np.float32)
-    if not scheme.is_random:
-        np.multiply(schedule_mask(scheme, rounds, None), machine.weights[n], out=game)
-    bits = 1 << np.arange(n)
-    streams = _draws(params, scheme, rounds, seed, trial_indices, thresholds)
-    for col, (flags, in_b, rank) in enumerate(streams):
-        starts[col] = bits @ flags
-        if in_b is not None:
-            np.multiply(in_b, machine.weights[n], out=game)
-        np.copyto(ranks, rank)
-        np.matmul(ranks, machine.weights[:n], out=packed)
-        packed += game
-        np.copyto(codes[col], packed, casting="unsafe")
-    return codes, starts
-
-
-def _play_rounds(codes: np.ndarray, starts: np.ndarray, machine: _RoundTable) -> np.ndarray:
-    """Winners per round and trial, ``(rounds, trials)``: every trial steps
-    its state machine from ``starts``, one table lookup a round."""
-    m, rounds = codes.shape
-    outcomes = np.empty((rounds, m), dtype=machine.outcomes.dtype)
-    block = np.empty((min(rounds, _BLOCK_ROUNDS), m), dtype=codes.dtype)
-    index = np.empty(m, dtype=codes.dtype)
-    previous = starts
-    for start in range(0, rounds, _BLOCK_ROUNDS):
-        part = block[:min(_BLOCK_ROUNDS, rounds - start)]
-        np.copyto(part, codes[:, start:start + _BLOCK_ROUNDS].T)
-        for code, outcome in zip(part, outcomes[start:start + _BLOCK_ROUNDS]):
-            np.add(code, previous, out=index)
-            machine.outcomes.take(index, out=outcome, mode="clip")
-            previous = outcome
-    return np.floor_divide(outcomes, machine.states, out=outcomes)
 
 
 def _play_codes(
@@ -415,8 +383,7 @@ def _add_win_sums(wins: np.ndarray, sums: np.ndarray, high: np.ndarray, low: np.
     # budget, as a chunk holds at most _CHUNK_BYTES // 64 trials. A row's
     # sum of squares, at most m (n rounds)^2, fits in int64: for m = 1 by
     # the size check; otherwise a chunk's m >= 2 trials store n + 1 bytes
-    # or more per round when players play one by one, and 2 bytes or more
-    # on the table path, which plays at most 6 players
+    # or more per round
     rows = max(1, _CHUNK_BYTES // (64 * m))
     block = np.empty((min(rows, rounds), m), dtype=np.int64)
     total = np.zeros(m, dtype=np.int64)  # wins so far, per trial
@@ -441,10 +408,10 @@ def run_classical(
     trials: int,
     seed: int = 0,
 ) -> ClassicalSeries:
-    """Monte Carlo over independent trajectories.
-
-    Returns the per-round mean of the player-averaged capital gain and
-    its standard error across trials.
+    """Per-round mean of the player-averaged capital gain over ``trials``
+    independent trials and its standard error: exact from the chain for the
+    original game and rings of at most _EXACT_PLAYERS players, where
+    ``seed`` is unread, and Monte Carlo for larger rings (module docstring).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -452,9 +419,11 @@ def run_classical(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    cooperative = isinstance(params, CooperativeParams)
-    n = params.n_players if cooperative else 1
-    _check_trial_size(rounds, n)
+    n = params.n_players if isinstance(params, CooperativeParams) else 1
+    exact = n <= _EXACT_PLAYERS
+    _check_size(rounds, n, exact)
+    if exact:
+        return _chain_series(params, scheme, rounds, trials)
     table = _win_table(params)
     # sorted distinct entries; np.unique would import numpy.ma on first use
     thresholds = np.array(sorted(set(table.ravel().tolist())))
@@ -463,27 +432,16 @@ def run_classical(
     bound = np.searchsorted(thresholds, table, side="right")
     ranks = np.arange(len(thresholds) + 1)
     lut = (ranks[None, :, None] < bound[:, None, :]).astype(np.uint8).ravel()
-    machine = _round_table(params, lut, len(ranks))
-    if machine is None:
-        # play codes and winner counts
-        per_trial = rounds * (n + np.min_scalar_type(n).itemsize)
-    else:
-        # round codes and outcomes, and a column of the transposition block
-        code = machine.code_type.itemsize
-        per_trial = rounds * (code + machine.outcomes.itemsize)
-        per_trial += min(rounds, _BLOCK_ROUNDS) * code
+    # play codes and winner counts
+    per_trial = rounds * (n + np.min_scalar_type(n).itemsize)
     chunk = max(1, min(trials, _CHUNK_BYTES // per_trial, _CHUNK_BYTES // 64))
     sums = np.zeros(rounds, dtype=np.int64)
     high = np.zeros(rounds, dtype=np.int64)
     low = np.zeros(rounds, dtype=np.int64)
     for start in range(0, trials, chunk):
         idx = range(start, min(start + chunk, trials))
-        if machine is None:
-            codes, flags = _play_codes(params, scheme, rounds, seed, idx, thresholds)
-            wins = _play_cooperative(params.update_order == "sequential", codes, flags, lut)
-        else:
-            codes, starts = _round_codes(params, scheme, rounds, seed, idx, thresholds, machine)
-            wins = _play_rounds(codes, starts, machine)
+        codes, flags = _play_codes(params, scheme, rounds, seed, idx, thresholds)
+        wins = _play_cooperative(params.update_order == "sequential", codes, flags, lut)
         del codes  # freed before the statistics allocate their block
         _add_win_sums(wins, sums, high, low)
         del wins

@@ -316,9 +316,10 @@ def _cmd_classical(args: argparse.Namespace) -> int:
     if args.out:
         emit_classical_csv(series, args.out)
         print(f"wrote {series.rounds + 1} rows to {args.out}")
+    estimator = "exact" if series.exact else "Monte Carlo"
     print(
         f"final mean gain: {series.final_gain:.12g} "
-        f"(stderr {series.final_stderr:.3g}, {opts['trials']} trials)"
+        f"(stderr {series.final_stderr:.3g}, {opts['trials']} trials, {estimator})"
     )
     return 0
 
@@ -377,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--shots", type=int, help="draws for --mode sampled (default 100000)")
 
     _add_command(
-        sub, "classical", "Monte Carlo classical baseline", _cmd_classical,
+        sub, "classical", "classical Parrondo baseline, exact for up to 7 players",
+        _cmd_classical,
         ("scheme", "rounds", "seed", "mode", "players", "pa", "p1", "p2", "p3", "p4",
          "epsilon", "trials"),
     )

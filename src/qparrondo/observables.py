@@ -10,15 +10,6 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def coin_weights(state: np.ndarray) -> np.ndarray:
-    """Probability of each of the 8 coin components, sum over all sites of
-    |amp|^2, from a single pass over the amplitudes (8, ...)."""
-    flat = np.ascontiguousarray(state).reshape(8, -1).view(np.float64)
-    # one BLAS dot product per component: faster than einsum's running sum,
-    # and its blocked partial sums round far less
-    return (flat[:, None, :] @ flat[:, :, None]).reshape(8)
-
-
 @dataclass
 class PayoffSeries:
     """Per-round expected positions and the player-averaged capital gain.

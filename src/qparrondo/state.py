@@ -106,21 +106,3 @@ def _shift_views(out: np.ndarray, n: int) -> tuple[tuple[np.ndarray, ...], np.nd
     )
     target = view((2, 2, 2, n, n, n), (4 * sc + s1, 2 * sc + s2, sc + s3, s1, s2, s3))
     return faces, target
-
-
-def apply_position_update(state: np.ndarray, *, out: np.ndarray) -> np.ndarray:
-    """Shift axis i by +1 where player i's coin is |R> and -1 where |L>.
-
-    In count space the |R> branch of axis i advances n_i by one while the
-    |L> branch keeps it, and every axis grows by one site. The shifted
-    amplitudes are written into the leading entries of the flat complex
-    buffer ``out``, and returned in their (8, n+1, n+1, n+1) shape: one
-    strided copy of all eight components, and zeros on the faces it leaves
-    (``_shift_views``).
-    """
-    n = state.shape[1]
-    faces, target = _shift_views(out, n)
-    for face in faces:
-        face.fill(0)
-    np.copyto(target, state.reshape(2, 2, 2, n, n, n))
-    return out[: 8 * (n + 1) ** 3].reshape(8, n + 1, n + 1, n + 1)

@@ -26,6 +26,7 @@ from qparrondo.state import (
     RING_NEXT,
     RING_PREV,
     _kron3,
+    _shift_views,
     controlled_coin_operator,
 )
 
@@ -62,6 +63,13 @@ def position_distribution(state: np.ndarray) -> np.ndarray:
     a = np.abs(state)
     np.multiply(a, a, out=a)
     return a.sum(axis=0)
+
+
+def coin_weights(state: np.ndarray) -> np.ndarray:
+    """Probability of each of the 8 coin components, sum over all sites of
+    |amp|^2."""
+    flat = np.ascontiguousarray(state).reshape(8, -1).view(np.float64)
+    return (flat[:, None, :] @ flat[:, :, None]).reshape(8)
 
 
 def _toss(state: np.ndarray, op8: np.ndarray) -> np.ndarray:
@@ -107,6 +115,20 @@ def slice_shift(state: np.ndarray) -> np.ndarray:
         b1, b2, b3 = (c >> 2) & 1, (c >> 1) & 1, c & 1
         shifted[c, b1:b1 + t + 1, b2:b2 + t + 1, b3:b3 + t + 1] = state[c]
     return shifted
+
+
+def apply_position_update(state: np.ndarray, *, out: np.ndarray) -> np.ndarray:
+    """The engine's shift (``state._shift_views``) applied to a whole
+    (8, n, n, n) state: zeros on the three faces the copy leaves, then one
+    strided copy of all eight components, into the leading 8 (n+1)^3
+    entries of the flat complex buffer ``out``, returned in their
+    (8, n+1, n+1, n+1) shape. The tests hold it to ``slice_shift``."""
+    n = state.shape[1]
+    faces, target = _shift_views(out, n)
+    for face in faces:
+        face.fill(0)
+    np.copyto(target, state.reshape(2, 2, 2, n, n, n))
+    return out[: 8 * (n + 1) ** 3].reshape(8, n + 1, n + 1, n + 1)
 
 
 def unframed_round(state: np.ndarray, plays_b: bool, config) -> np.ndarray:

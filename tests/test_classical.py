@@ -18,8 +18,9 @@ from qparrondo import (
 )
 
 # Scalar reference implementations of one play (original game) and one
-# round (cooperative game). They are the independent oracle for the
-# table-driven round loop of run_classical.
+# round (cooperative game). Replayed from the same streams, they are the
+# independent oracle for the Monte Carlo of rings of 8 or more players;
+# enumerated over every outcome, the oracle for the exact chain.
 
 
 @dataclass
@@ -244,8 +245,6 @@ def test_run_classical_deterministic():
 
 SCHEMES = (PURE_A, PURE_B, RANDOM_MIX, periodic(2, 3))
 REPLAY_CASES = [
-    (OriginalParams(epsilon=0.005), scheme, 40) for scheme in SCHEMES
-] + [
     (
         cooperative(
             p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45,
@@ -255,7 +254,7 @@ REPLAY_CASES = [
         7,
     )
     for order, n, flags, scheme in itertools.product(
-        ("sequential", "synchronous"), (3, 5), ("random", "winners", "losers"), SCHEMES
+        ("sequential", "synchronous"), (9, 11), ("random", "winners", "losers"), SCHEMES
     )
 ] + [
     # every player wins every round: the per-round winner count reaches
@@ -266,23 +265,23 @@ REPLAY_CASES = [
     # the edges of the win table: a probability of exactly 0 (never won)
     # and of 1, five distinct probabilities (a uniform above the largest
     # gives the largest play code), all probabilities equal (one threshold)
-    (cooperative(p1=0.7, p2=0.0, p3=0.4, p4=0.0, pa=0.0), RANDOM_MIX, 12),
-    (OriginalParams(epsilon=0.0, p=0.0, p1=1.0, p2=0.6), RANDOM_MIX, 40),
-    (cooperative(p1=0.95, p2=0.35, p3=0.65, p4=0.05, pa=0.2, n_players=4), RANDOM_MIX, 12),
-    (cooperative(p1=0.3, p2=0.3, p3=0.3, p4=0.3, pa=0.3), RANDOM_MIX, 12),
-    (OriginalParams(epsilon=0.0, p=0.4, p1=0.4, p2=0.4), periodic(2, 3), 40),
+    (cooperative(p1=0.7, p2=0.0, p3=0.4, p4=0.0, pa=0.0, n_players=9), RANDOM_MIX, 12),
+    (cooperative(p1=1.0, p2=0.6, p3=1.0, p4=0.0, pa=0.0, n_players=9), RANDOM_MIX, 12),
+    (cooperative(p1=0.95, p2=0.35, p3=0.65, p4=0.05, pa=0.2, n_players=8), RANDOM_MIX, 12),
+    (cooperative(p1=0.3, p2=0.3, p3=0.3, p4=0.3, pa=0.3, n_players=9), RANDOM_MIX, 12),
+    (cooperative(p1=0.4, p2=0.4, p3=0.4, p4=0.4, pa=0.4, n_players=8), periodic(2, 3), 12),
 ] + [
     # an even ring: player n-1's successor is player 0
-    (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=4, update_order=order),
+    (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8, update_order=order),
      scheme, 9)
     for order in ("sequential", "synchronous") for scheme in (PURE_B, RANDOM_MIX)
 ]
 
 
 def test_run_classical_matches_stepwise_reference():
-    # the table-driven runner must replay exactly what the scalar step
-    # functions produce from the same per-trial streams, on every path
-    # through its round loop
+    # the Monte Carlo must replay exactly what the scalar step functions
+    # produce from the same per-trial streams, on every path through its
+    # round loop
     trials, seed = 5, 21
     for params, scheme, rounds in REPLAY_CASES:
         series = run_classical(params, scheme, rounds=rounds, trials=trials, seed=seed)
@@ -317,79 +316,167 @@ def test_random_parameter_sets_replay_the_oracle_bitwise():
     for case in range(20):
         pa, p1, p2, p3, p4 = (float(p) for p in rng.choice(grid, size=5))
         scheme = schemes[rng.integers(len(schemes))]
-        if case % 4 == 3:
-            params = OriginalParams(epsilon=0.0, p=pa, p1=p1, p2=p2)
-        else:
-            params = cooperative(
-                p1=p1, p2=p2, p3=p3, p4=p4, pa=pa,
-                n_players=int(rng.integers(3, 7)),
-                update_order=("sequential", "synchronous")[rng.integers(2)],
-                initial_flags=("random", "winners", "losers")[rng.integers(3)],
-            )
-        n = params.n_players if isinstance(params, CooperativeParams) else 1
+        params = cooperative(
+            p1=p1, p2=p2, p3=p3, p4=p4, pa=pa,
+            n_players=int(rng.integers(8, 12)),
+            update_order=("sequential", "synchronous")[rng.integers(2)],
+            initial_flags=("random", "winners", "losers")[rng.integers(3)],
+        )
         series = run_classical(params, scheme, rounds=rounds, trials=trials, seed=case)
-        mean, stderr = exact_series(oracle_capitals(params, scheme, rounds, trials, case), n)
+        capitals = oracle_capitals(params, scheme, rounds, trials, case)
+        mean, stderr = exact_series(capitals, params.n_players)
         assert np.array_equal(series.mean_gain, mean), f"{params} {scheme.label}"
         assert np.array_equal(series.stderr, stderr), f"{params} {scheme.label}"
 
 
-def played_wins(monkeypatch, params, scheme, table_limit):
-    """Winner count per round and trial, ``(rounds, trials)``, as the run
-    hands it to the statistics, and whether it played the round table."""
-    seen, tabled = [], []
-    add_win_sums, play_rounds = classical._add_win_sums, classical._play_rounds
+def enumerated_series(params, scheme: GameScheme, rounds: int, trials: int):
+    """Exact mean and standard error of the player-averaged gain after every
+    round, from every path a run can take: each start (random flags: every
+    flag pattern, weight 2^-n), each schedule (random mix: every one,
+    weight 2^-rounds) and each outcome of every play, weighted by its
+    probability. The plays follow the scalar step functions' rule,
+    numpy-vectorized over the paths."""
+    cooperative = isinstance(params, CooperativeParams)
+    n = params.n_players if cooperative else 1
+    drawn = cooperative and params.initial_flags == "random"
+    mixed = scheme.kind == "mix"
+    # one axis per drawn start flag, per round's game and per play
+    axes = (2,) * (n * drawn + rounds * mixed + rounds * n)
+    digits = np.indices(axes).reshape(len(axes), -1)
+    if drawn:
+        flags, digits = digits[:n].astype(bool), digits[n:]
+    else:
+        start = cooperative and params.initial_flags == "winners"
+        flags = np.full((n, digits.shape[1]), start)
+    if mixed:
+        games, digits = digits[:rounds] == 1, digits[rounds:]
+    else:
+        labels = oracle_labels(scheme, rounds, None)
+        games = np.array([[label == "B"] for label in labels])
+    wins = digits.reshape(rounds, n, -1).astype(bool)
+    weight = np.full(wins.shape[-1], 0.5 ** len(axes[: n * drawn + rounds * mixed]))
+    capital = np.zeros(wins.shape[-1])
+    mean, second = [0.0], [0.0]
+    for t, (plays_b, won) in enumerate(zip(games, wins), 1):
+        snapshot = flags.copy()
+        for i in range(n):
+            if not cooperative:
+                b_win = np.where(capital % 3 == 0, params.win_b1, params.win_b2)
+                p = np.where(plays_b, b_win, params.win_a)
+            else:
+                source = flags if params.update_order == "sequential" else snapshot
+                prev_won, next_won = source[i - 1], source[(i + 1) % n]
+                branch = np.select(
+                    [prev_won & next_won, prev_won, next_won],
+                    [params.p1, params.p2, params.p3],
+                    params.p4,
+                )
+                p = np.where(plays_b, branch, params.pa)
+            weight = weight * np.where(won[i], p, 1 - p)
+            capital = capital + np.where(won[i], 1, -1)
+            flags[i] = won[i]
+        # each path to round t recurs once per outcome of the later plays,
+        # whose probabilities are not yet in its weight
+        gain = capital / n
+        copies = 2 ** (n * (rounds - t))
+        mean.append(float(weight @ gain) / copies)
+        second.append(float(weight @ gain**2) / copies)
+    mean = np.array(mean)
+    return mean, np.sqrt((np.array(second) - mean**2).clip(0) / trials)
 
-    def record(wins, *rest):
-        seen.append(wins.copy())
-        add_win_sums(wins, *rest)
 
-    def play(*args):
-        tabled.append(True)
-        return play_rounds(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(classical, "_add_win_sums", record)
-        patch.setattr(classical, "_play_rounds", play)
-        patch.setattr(classical, "_TABLE_LIMIT", table_limit)
-        # a few trials a chunk, so that the run plays several chunks
-        patch.setattr(classical, "_CHUNK_BYTES", 3 * 60 * 8)
-        run_classical(params, scheme, rounds=60, trials=11, seed=13)
-    return np.concatenate(seen, axis=1).astype(np.int64), bool(tabled)
+def enumerable_rounds(params, scheme: GameScheme, limit: int = 10**5) -> int:
+    """The most rounds whose paths stay within ``limit``."""
+    n = params.n_players if isinstance(params, CooperativeParams) else 1
+    starts = 2**n if n > 1 and params.initial_flags == "random" else 1
+    per_round = 2 ** (n + (scheme.kind == "mix"))
+    rounds = 0
+    while starts * per_round ** (rounds + 1) <= limit:
+        rounds += 1
+    return rounds
 
 
-# probabilities whose round tables fit: five distinct ones on a 3-ring and
-# three, the most a 4-ring's table takes, on a 4-ring
-TABLE_PROBS = {
-    3: dict(p1=0.95, p2=0.35, p3=0.65, p4=0.05, pa=0.2),
-    4: dict(p1=0.3, p2=0.5, p3=0.5, p4=0.8, pa=0.5),
-}
+ENUMERATED_SCHEMES = (PURE_A, PURE_B, RANDOM_MIX, periodic(2, 3), periodic(1, 1))
+# five distinct probabilities, none of them 0 or 1
+ENUMERATED_PROBS = dict(p1=0.95, p2=0.35, p3=0.65, p4=0.05, pa=0.2)
+
+
+def assert_matches_enumeration(params):
+    for scheme in ENUMERATED_SCHEMES:
+        rounds = enumerable_rounds(params, scheme)
+        assert rounds >= 2, scheme.label
+        series = run_classical(params, scheme, rounds=rounds, trials=7, seed=3)
+        mean, stderr = enumerated_series(params, scheme, rounds, 7)
+        assert series.exact, scheme.label
+        assert np.max(np.abs(series.mean_gain - mean)) < 1e-12, scheme.label
+        assert np.max(np.abs(series.stderr - stderr)) < 1e-12, scheme.label
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("order", ["sequential", "synchronous"])
 @pytest.mark.parametrize("flags", ["random", "winners", "losers"])
-def test_round_table_plays_as_the_per_player_path(monkeypatch, n, order, flags):
-    # the same trials, played once through the round table and once, with
-    # the table limit forced to 0, player by player: every trial's winner
-    # count agrees in every round
-    params = cooperative(**TABLE_PROBS[n], n_players=n, update_order=order, initial_flags=flags)
-    for scheme in SCHEMES + (periodic(1, 1),):
-        table, tabled = played_wins(monkeypatch, params, scheme, classical._TABLE_LIMIT)
-        per_player, forced = played_wins(monkeypatch, params, scheme, 0)
-        assert tabled and not forced, scheme.label
-        assert np.array_equal(table, per_player), scheme.label
+def test_chain_matches_enumeration_of_every_path(n, order, flags):
+    # mean and standard error after every round, for every scheme, against
+    # the probability-weighted sum over every path of the scalar rule
+    assert_matches_enumeration(
+        cooperative(**ENUMERATED_PROBS, n_players=n, update_order=order, initial_flags=flags)
+    )
 
 
-def test_original_game_plays_its_table_as_the_oracle(monkeypatch):
-    # the original game has no per-player path: at any table limit it plays
-    # its round table, whose winner counts are the scalar oracle's steps
-    params = OriginalParams(epsilon=0.005)
-    for scheme in SCHEMES:
-        expect = np.diff(oracle_capitals(params, scheme, 60, 11, 13), axis=1).T
-        for limit in (classical._TABLE_LIMIT, 0):
-            wins, tabled = played_wins(monkeypatch, params, scheme, limit)
-            assert tabled, scheme.label
-            assert np.array_equal(2 * wins - 1, expect), scheme.label
+def test_original_chain_matches_enumeration_of_every_path():
+    assert_matches_enumeration(OriginalParams(epsilon=0.005))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=1.0, initial_flags="winners"),
+        cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=0.0, n_players=4,
+                    update_order="synchronous"),
+        OriginalParams(epsilon=0.0, p=0.0, p1=1.0, p2=0.6),
+    ],
+)
+def test_chain_matches_enumeration_at_sure_and_impossible_wins(params):
+    assert_matches_enumeration(params)
+
+
+@pytest.mark.parametrize("order", ["sequential", "synchronous"])
+@pytest.mark.parametrize("scheme", [RANDOM_MIX, periodic(2, 3)])
+def test_chain_agrees_with_the_monte_carlo_at_eight_players(order, scheme):
+    # the two estimators cross at 8 players: the chain, called directly,
+    # and the Monte Carlo that run_classical plays there
+    params = cooperative(**ENUMERATED_PROBS, n_players=8, update_order=order)
+    rounds, trials = 60, 2000
+    exact = classical._chain_series(params, scheme, rounds, trials)
+    sampled = run_classical(params, scheme, rounds=rounds, trials=trials, seed=8)
+    assert exact.exact and not sampled.exact
+    for t in (1, 10, rounds):
+        assert abs(sampled.mean_gain[t] - exact.mean_gain[t]) <= 4 * exact.stderr[t], t
+        assert abs(sampled.stderr[t] / exact.stderr[t] - 1) < 0.1, t
+
+
+def refuse_to_draw(*args):
+    raise AssertionError("an exact row drew a random number")
+
+
+@pytest.mark.parametrize(
+    "params", [OriginalParams(epsilon=0.005), cooperative(**ENUMERATED_PROBS)]
+)
+def test_exact_rows_draw_nothing(monkeypatch, params):
+    # nor do they spend time per trial: 2^31 trials only scale the stderr
+    monkeypatch.setattr(classical, "_draws", refuse_to_draw)
+    series = run_classical(params, RANDOM_MIX, rounds=4, trials=2**31, seed=5)
+    one = run_classical(params, RANDOM_MIX, rounds=4, trials=1)
+    assert series.exact
+    assert np.array_equal(series.mean_gain, one.mean_gain)
+    assert np.allclose(series.stderr * 2**15.5, one.stderr, rtol=1e-12, atol=0)
+
+
+def test_exact_stderr_at_one_trial_is_the_standard_deviation():
+    # pure A at p = 1/2 is a fair +-1 walk: after t rounds sigma = sqrt(t)
+    series = run_classical(OriginalParams(epsilon=0.0), PURE_A, rounds=16, trials=1)
+    assert np.max(np.abs(series.mean_gain)) == 0.0
+    assert np.allclose(series.stderr, np.sqrt(np.arange(17)), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n,rounds", [(127, 4), (128, 4), (255, 4), (256, 4), (300, 250)])
@@ -407,10 +494,12 @@ def test_sure_wins_count_every_player(monkeypatch, n, rounds):
 @pytest.mark.parametrize(
     "params,scheme",
     [
-        (OriginalParams(epsilon=0.005), RANDOM_MIX),
-        (OriginalParams(epsilon=0.005), periodic(2, 3)),
-        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=5), RANDOM_MIX),
-        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, update_order="synchronous"), PURE_B),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8), RANDOM_MIX),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, n_players=9, initial_flags="winners"),
+         periodic(2, 3)),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=11), RANDOM_MIX),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, n_players=9, update_order="synchronous"),
+         PURE_B),
     ],
 )
 def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
@@ -427,10 +516,11 @@ def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
 @pytest.mark.parametrize(
     "params",
     [
-        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45),
-        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=5,
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=9,
                     update_order="synchronous"),
-        OriginalParams(epsilon=0.005),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=12,
+                    initial_flags="losers"),
     ],
 )
 def test_traced_peak_stays_within_the_memory_accounting(monkeypatch, params):
@@ -439,7 +529,7 @@ def test_traced_peak_stays_within_the_memory_accounting(monkeypatch, params):
     # block; several chunks and statistics blocks are played here
     monkeypatch.setattr(classical, "_CHUNK_BYTES", 1 << 20)
     rounds, trials = 1000, 600
-    n = params.n_players if isinstance(params, CooperativeParams) else 1
+    n = params.n_players
     per_trial = rounds * (n + 1)
     chunk = min(trials, classical._CHUNK_BYTES // per_trial)
     # float uniforms and their comparison, the schedule's int64 draw and
@@ -501,7 +591,7 @@ def test_cooperative_mix_agrees_with_exact_flag_chain():
     rounds = 500
     series = run_classical(params, RANDOM_MIX, rounds=rounds, trials=400, seed=9)
     expect = exact_cooperative_mix_mean(params, rounds)
-    assert abs(series.final_gain - expect) <= 5 * series.final_stderr
+    assert abs(series.final_gain - expect) < 1e-9
 
 
 def refuse_to_run(*args):
@@ -509,32 +599,42 @@ def refuse_to_run(*args):
 
 
 def test_rounds_beyond_physical_memory_rejected_before_allocating(monkeypatch):
-    # one trial of 10^12 rounds would need terabytes of draws; the run must
-    # stop before it builds its first table
+    # 10^12 rounds of the exact chain would need terabytes of moments; the
+    # run must stop before it builds its first table
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)
     with pytest.raises(ValueError, match="rounds 1000000000000 .* physical memory"):
         run_classical(OriginalParams(), RANDOM_MIX, rounds=10**12, trials=1)
 
 
 def test_single_trial_statistics_count_toward_the_memory_bound(monkeypatch):
-    # beyond its draws and codes (26 bytes per round for one player), a
-    # single trial keeps per-round schedule and statistics that do not
-    # shrink with chunking; a machine with 39 bytes per round cannot hold
-    # them
+    # beyond its draws and codes (124 bytes per round for 8 players), a
+    # single Monte Carlo trial keeps per-round schedule and statistics that
+    # do not shrink with chunking; a machine with 137 bytes per round
+    # cannot hold them
     rounds = 10**6
-    monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 39 * rounds)
+    monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 137 * rounds)
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)
     with pytest.raises(ValueError, match="physical memory"):
-        run_classical(OriginalParams(), RANDOM_MIX, rounds=rounds, trials=1)
+        run_classical(cooperative(n_players=8), RANDOM_MIX, rounds=rounds, trials=1)
+
+
+def test_exact_chain_counts_its_moments_and_schedule(monkeypatch):
+    # the chain keeps two float moments a round and briefly a fixed
+    # schedule's draw, 33 bytes a round in all
+    rounds = 10**6
+    monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 33 * rounds - 1)
+    monkeypatch.setattr(classical, "_win_table", refuse_to_run)
+    with pytest.raises(ValueError, match="physical memory"):
+        run_classical(OriginalParams(), periodic(2, 3), rounds=rounds, trials=1)
 
 
 def test_rounds_overflowing_capital_sums_rejected(monkeypatch):
     # on a machine large enough to hold the draws, a squared capital of
-    # (6 * 10^9)^2 would still overflow int64
+    # (1.6 * 10^10)^2 would still overflow int64
     monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 2**60)
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)
     with pytest.raises(ValueError, match="rounds 2000000000 .* int64"):
-        run_classical(cooperative(), RANDOM_MIX, rounds=2 * 10**9, trials=1)
+        run_classical(cooperative(n_players=8), RANDOM_MIX, rounds=2 * 10**9, trials=1)
 
 
 def test_capital_parity():

@@ -633,3 +633,26 @@ def test_benchmark_workload_argv_parse():
     for calls in workloads.values():
         for _, argv in calls:
             parser.parse_args([*argv, "--seed", "1", "--out", "x"])
+
+
+@pytest.mark.parametrize(
+    "flags, estimator",
+    [
+        ([], "exact"),
+        ([*COOPERATIVE, "--players", "3"], "exact"),
+        ([*COOPERATIVE, "--players", "7"], "exact"),
+        ([*COOPERATIVE, "--players", "8"], "Monte Carlo"),
+    ],
+)
+def test_classical_summary_names_its_estimator(capsys, flags, estimator):
+    argv = ["classical", *flags, "--rounds", "5", "--trials", "20", "--seed", "3"]
+    assert cli_main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("final mean gain: ")
+    assert line.endswith(f", 20 trials, {estimator})")
+
+
+def test_classical_exact_rows_take_any_number_of_trials(capsys):
+    # the time of an exact row does not grow with --trials
+    assert cli_main(["classical", "--trials", "2147483648", "--rounds", "4"]) == 0
+    assert "2147483648 trials, exact" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracle import (
     apply_dense_factors,
+    coin_weights,
     dense_positions,
     dense_shift_factor,
     dense_step_oracle,
@@ -25,7 +27,6 @@ from qparrondo import (
     CoinParams,
     GameBParams,
     SimulationConfig,
-    coin_weights,
     init_walker_state,
     initial_coin_state,
     j_entangled,
@@ -425,10 +426,11 @@ def test_pure_a_matches_three_1d_walks(initial, coin_a, rounds):
 
 
 def test_memory_bound_counts_two_states(monkeypatch):
-    # two states of 8 * 10^3 amplitudes and the scratch of the largest
-    # slab, all 9^3 sites of the last round's state
+    # two states of 8 * 10^3 amplitudes, the scratch of the largest slab,
+    # all 9^3 sites of the last round's state, and the views of 9 rounds
+    # of one slab each, and of the workspace itself
     rounds = 9
-    need = (2 * 8 * (rounds + 1) ** 3 + 8 * rounds**3) * 16
+    need = (2 * 8 * (rounds + 1) ** 3 + 8 * rounds**3) * 16 + 22 * engine._VIEW_BYTES
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
     SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
@@ -438,7 +440,7 @@ def test_memory_bound_counts_two_states(monkeypatch):
 
 def test_memory_bound_counts_the_payoffs_of_every_mix_run(monkeypatch):
     rounds, runs = 9, 1000
-    need = (2 * 8 * (rounds + 1) ** 3 + 8 * rounds**3) * 16 + runs * (rounds + 1) * 4 * 8
+    need = engine._workspace_bytes(rounds) + runs * (rounds + 1) * 4 * 8
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
     SimulationConfig(initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, runs=runs)
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
@@ -448,16 +450,32 @@ def test_memory_bound_counts_the_payoffs_of_every_mix_run(monkeypatch):
     SimulationConfig(initial=GHZ, scheme=periodic(2, 2), rounds=rounds, runs=runs)
 
 
-@pytest.mark.parametrize("rounds", [1, 16, 17, 40])
+@pytest.mark.parametrize("rounds", [1, 16, 17, 40, 70])
 def test_memory_bound_counts_the_workspace_a_walk_allocates(monkeypatch, rounds):
+    # its buffers, and the views of each of its slabs and rounds and of
+    # the workspace itself
     workspace = engine._Workspace()
     workspace.prepare(rounds)
-    need = workspace.buffers.nbytes + workspace.scratch.nbytes
+    views = (len(workspace.weights) + rounds + 4) * engine._VIEW_BYTES
+    need = workspace.buffers.nbytes + workspace.scratch.nbytes + views
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
     SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match="physical memory"):
         SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
+
+
+@pytest.mark.parametrize("rounds", [1, 16, 100])
+def test_traced_workspace_stays_within_the_memory_bound(rounds):
+    # everything prepare() allocates, the per-slab views that a 100-round
+    # workspace keeps (about 7 MB) among it, is counted by the check
+    tracemalloc.start()
+    try:
+        engine._Workspace().prepare(rounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= engine._workspace_bytes(rounds)
 
 
 def test_run_averaged_equals_the_mean_of_its_runs_bitwise():

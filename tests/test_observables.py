@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle import position_distribution, true_state
+from oracle import apply_position_update, coin_weights, position_distribution, true_state
 
 from qparrondo import (
     GHZ,
@@ -18,9 +18,7 @@ from qparrondo import (
     SimulationConfig,
     Verdict,
     W,
-    apply_position_update,
     classify_game,
-    coin_weights,
     detect_paradox,
     init_walker_state,
     initial_coin_state,

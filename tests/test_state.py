@@ -7,6 +7,7 @@ import pytest
 from oracle import (
     apply_coin_matrix,
     apply_controlled_coin,
+    apply_position_update,
     dense_positions,
     dense_round_matrix,
     dense_step_oracle,
@@ -17,7 +18,6 @@ from qparrondo import (
     GHZ,
     SEPARABLE,
     CoinParams,
-    apply_position_update,
     coin_unitary,
     init_walker_state,
     initial_coin_state,
