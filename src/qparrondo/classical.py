@@ -26,7 +26,7 @@ consumed in a fixed order:
 1. the initial winner flags, ``random(n_players) < 1/2`` (random flags
    only);
 2. the schedule, ``integers(0, 2, size=rounds)`` with 1 meaning game B
-   (random mix only; ``schedule_mask`` reads the same bits);
+   (random mix only, drawn by ``schedule_mask``);
 3. one win uniform per play, ``random((rounds, n_players))``, row t holding
    the players of round t in index order.
 
@@ -184,8 +184,8 @@ def _check_size(rounds: int, n: int, exact: bool) -> None:
 
     A Monte Carlo trial holds per round its float draws with their
     comparison and ranks, then its game offsets, play codes and winner
-    count: at most 14n + 12 bytes. Its schedule's raw draw, shifted copy
-    and mask take 9 bytes, and the run's statistics 40 (int64 win sums,
+    count: at most 14n + 12 bytes. Its schedule's int64 draw and its mask
+    take 9 bytes, and the run's statistics 40 (int64 win sums,
     the two int64 words of the squared sums, float mean and standard
     error). The blocks in which the statistics are formed take at most
     _CHUNK_BYTES. Its squared win total must fit in int64."""
@@ -270,36 +270,6 @@ def _chain_series(
     return ClassicalSeries(mean_gain=mean, stderr=stderr, exact=True)
 
 
-def _draws(
-    params: CooperativeParams,
-    scheme: GameScheme,
-    rounds: int,
-    seed: int,
-    trial_indices: range,
-    thresholds: np.ndarray,
-):
-    """Yield each trial's streams in their documented order: its initial
-    winner flags, ``n`` bools (drawn, all winners or all losers), its
-    schedule (None for a fixed scheme) and the rank of every play's
-    uniform, ``(rounds, n)`` uint8 in a buffer that the next trial reuses."""
-    n = params.n_players
-    random_flags = params.initial_flags == "random"
-    fixed_flags = np.full(n, params.initial_flags == "winners")
-    uniforms = np.empty((rounds, n))
-    rank = np.empty((rounds, n), dtype=np.uint8)
-    above = np.empty((rounds, n), dtype=bool)
-    for k in trial_indices:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        flags = rng.random(n) < 0.5 if random_flags else fixed_flags
-        in_b = schedule_mask(scheme, rounds, rng) if scheme.is_random else None
-        rng.random(out=uniforms)
-        np.greater_equal(uniforms, thresholds[0], out=rank.view(bool))
-        for threshold in thresholds[1:]:
-            np.greater_equal(uniforms, threshold, out=above)
-            rank += above.view(np.uint8)
-        yield flags, in_b, rank
-
-
 def _play_codes(
     params: CooperativeParams,
     scheme: GameScheme,
@@ -308,18 +278,26 @@ def _play_codes(
     trial_indices: range,
     thresholds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the streams of one chunk of trials, trial by trial.
+    """Draw the streams of one chunk of trials, trial by trial, in their
+    documented order: the initial winner flags (drawn, all winners or all
+    losers), the schedule and the uniform of every play.
 
     Returns the play codes ``(trials, rounds, n)``, one contiguous row per
     trial, and the initial winner flags ``(n, trials)``, both uint8. A
-    play's code is ``(game * levels + rank) * 4``, with game 1 for B and
-    ``levels = len(thresholds) + 1``.
+    play's code is ``(game * levels + rank) * 4``, with game 1 for B,
+    ``levels = len(thresholds) + 1`` and the rank of the play's uniform.
     """
     n = params.n_players
     m = len(trial_indices)
     levels = np.uint8(len(thresholds) + 1)
     codes = np.empty((m, rounds, n), dtype=np.uint8)
-    flags = np.empty((n, m), dtype=np.uint8)
+    flags = np.full((n, m), params.initial_flags == "winners", dtype=np.uint8)
+    random_flags = params.initial_flags == "random"
+    uniforms = np.empty((rounds, n))
+    # the ranks are counted in a scratch that every trial reuses, which ran
+    # faster than counting them in the trial's row of codes
+    rank = np.empty((rounds, n), dtype=np.uint8)
+    above = np.empty((rounds, n), dtype=bool)
 
     # levels for each play of a B round: np.repeat lays the schedule out
     # play by play, which adds faster than a (rounds, 1) broadcast
@@ -328,11 +306,17 @@ def _play_codes(
 
     if not scheme.is_random:
         game = game_offsets(schedule_mask(scheme, rounds, None))
-    streams = _draws(params, scheme, rounds, seed, trial_indices, thresholds)
-    for col, (start, in_b, rank) in enumerate(streams):
-        flags[:, col] = start
-        if in_b is not None:
-            game = game_offsets(in_b)
+    for col, k in enumerate(trial_indices):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+        if random_flags:
+            flags[:, col] = rng.random(n) < 0.5
+        if scheme.is_random:
+            game = game_offsets(schedule_mask(scheme, rounds, rng))
+        rng.random(out=uniforms)
+        np.greater_equal(uniforms, thresholds[0], out=rank.view(bool))
+        for threshold in thresholds[1:]:
+            np.greater_equal(uniforms, threshold, out=above)
+            rank += above.view(np.uint8)
         code = codes[col]
         np.add(rank, game, out=code)
         code *= np.uint8(4)

@@ -7,7 +7,6 @@ selected by the live coin states of its ring neighbors.
 """
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -115,23 +114,6 @@ class SimulationConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # the walk plays in the frame of coin_a's phi (see _walk), which adds
-        # it to every game B theta and subtracts it from every game B phi
-        phase = self.coin_a.phi
-        for name in ("ww", "wl", "lw", "ll"):
-            coin = getattr(self.game_b, name)
-            if not (math.isfinite(coin.theta + phase) and math.isfinite(coin.phi - phase)):
-                raise ValueError(
-                    f"game_b.{name} phases (theta={coin.theta}, phi={coin.phi}) are not "
-                    f"finite once shifted by coin_a's phi={phase}"
-                )
-        # the frame's phases are multiples of that phi by up to 3, the number
-        # of |R> coins
-        if not math.isfinite(3 * phase):
-            raise ValueError(
-                f"coin_a's phi={phase} is too large for the walk's frame, which "
-                f"multiplies it by up to 3"
-            )
 
 
 def schedule_mask(
@@ -140,10 +122,9 @@ def schedule_mask(
     """Boolean schedule of length ``rounds``: True where the round plays B.
 
     Periodic schedules repeat A^m B^n starting with A; the random mix
-    draws each round independently with probability 1/2 from ``rng``,
-    which the fixed schemes never touch. The mix equals
-    ``rng.integers(0, 2, size=rounds) == 1`` and leaves ``rng`` where that
-    call does for every later ``random()``.
+    draws each round independently with probability 1/2 from ``rng``, as
+    ``rng.integers(0, 2, size=rounds) == 1``. The fixed schemes never
+    touch ``rng``.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -156,25 +137,13 @@ def schedule_mask(
         # they fit numpy's integers
         period = min(scheme.m + scheme.n, rounds)
         return np.arange(rounds) % period >= min(scheme.m, rounds)
-    # integers(0, 2) takes each round from the top bit of one 32-bit half
-    # of a raw 64-bit draw, the low half (bit 31) first, then bit 63
-    raw = rng.bit_generator.random_raw((rounds + 1) // 2)
-    mask = np.empty((len(raw), 2), dtype=bool)
-    np.greater_equal(raw << 32, 1 << 63, out=mask[:, 0])
-    np.greater_equal(raw, 1 << 63, out=mask[:, 1])
-    return mask.ravel()[:rounds]
+    return rng.integers(0, 2, size=rounds) == 1
 
 
 # row c: the step (+1 for |R>, -1 for |L>) that coin component c moves each axis
 _STEP_SIGNS = 2.0 * np.array(COIN_BITS) - 1.0
 # number of |R> coins in component c
 _R_COUNTS = np.array(COIN_BITS).sum(axis=1)
-
-
-def _framed(coin: CoinParams, phase: float) -> CoinParams:
-    """The coin whose unitary is P(phase)^dagger U P(phase), with
-    P(a) = diag(1, e^{ia}) and U = P(phi) H_rho P(theta)."""
-    return CoinParams(coin.rho, coin.theta + phase, coin.phi - phase)
 
 
 # An operator that is real in exact arithmetic still carries rounding in its
@@ -189,16 +158,19 @@ def _round_operators(
     coin_a: CoinParams, game_b: GameBParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """The composed 8x8 coin-register operators of one round of game A and
-    of game B, in that order, in the frame of ``coin_a``'s phi that
-    ``_walk`` plays in: the toss of player 1, then player 2, then player 3.
+    of game B, in that order, in the frame that ``_walk`` plays in: the
+    toss of player 1, then player 2, then player 3.
 
-    An operator is float64 when its imaginary part is zero to rounding,
-    so that the toss runs in real arithmetic, else complex128.
+    Each coin U is framed as P^dagger U P with P = diag(1, d), d =
+    e^{i phi_a}, which multiplies U's upper-right entry by d and its
+    lower-left one by conj(d), and leaves its diagonal exact. An operator
+    is float64 when its imaginary part is zero to rounding, so that the
+    toss runs in real arithmetic, else complex128.
     """
-    phase = coin_a.phi
-    m = coin_unitary(_framed(coin_a, phase))
-    branches = (game_b.ww, game_b.wl, game_b.lw, game_b.ll)
-    mats = tuple(coin_unitary(_framed(coin, phase)) for coin in branches)
+    d = np.exp(1j * coin_a.phi)
+    frame = np.array([[1, d], [d.conjugate(), 1]])
+    m = coin_unitary(coin_a) * frame
+    mats = [coin_unitary(coin) * frame for coin in (game_b.ww, game_b.wl, game_b.lw, game_b.ll)]
     operators = []
     for ops in (
         # the four neighbour projectors sum to the identity
@@ -372,12 +344,15 @@ def _walk(
     thread's next walk: a caller that keeps it copies it.
 
     The rounds are played in the frame chi = D^dagger psi of the diagonal
-    D = P(phi_a)^(x3), where phi_a is ``config.coin_a.phi``. Diagonal coin
-    operators commute with the shift and with game B's neighbour
-    projectors, so a round's operator in that frame is D^dagger op D: every
-    coin's (theta, phi) becomes (theta + phi_a, phi - phi_a). When all coins
-    share (theta, phi), as the CLI sets them, each framed coin is
-    P(0) H_rho P(theta + phi), which is real where theta + phi is a
+    D = P^(x3), P = diag(1, e^{i phi_a}), where phi_a is
+    ``config.coin_a.phi``: D multiplies coin component c by the unit phase
+    e^{i phi_a} once for each of its |R> coins. Diagonal coin operators
+    commute with the shift and with game B's neighbour projectors, so a
+    round's operator in that frame is D^dagger op D, which conjugates every
+    coin by P. Only unit phases are multiplied, so no finite coin
+    overflows. A framed coin P^dagger U P is P(phi - phi_a) H_rho
+    P(theta + phi_a): when all coins share (theta, phi), as the CLI sets
+    them, that is H_rho P(theta + phi), real where theta + phi is a
     multiple of pi (the default pi/2, pi/2 among them), so the toss runs in
     real arithmetic there. The walk starts from D^dagger psi0 and returns
     chi: callers after the true state psi = D chi multiply by D themselves.
@@ -394,7 +369,7 @@ def _walk(
     views = _WORKSPACE.prepare(len(mask))
     buffers = _WORKSPACE.buffers
     start = init_walker_state(coin_state).reshape(8)
-    np.multiply(start, np.exp(1j * config.coin_a.phi * _R_COUNTS).conj(), out=buffers[0, :8])
+    np.multiply(start, np.exp(-1j * config.coin_a.phi) ** _R_COUNTS, out=buffers[0, :8])
     for (faces, slabs), plays_b in zip(views, mask.tolist()):
         op = ops[plays_b]
         for face in faces:

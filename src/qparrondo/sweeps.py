@@ -2,10 +2,9 @@
 
 Every sweep runs through one serial driver that visits the grid points in
 order and plays each distinct walk of the sweep once. A walk is known by
-the inputs it reads: pure A never reads ``game_b``, pure B reads only the
-phi of ``coin_a`` (every walk plays in the frame of that phi), and only
-the random mix reads ``seed`` and ``runs``. So ``sweep_rho4`` plays pure A
-once for the whole grid, and a scheme listed twice is played once. Records
+the inputs it reads: pure A never reads ``game_b``, and only the random
+mix reads ``seed`` and ``runs``. So ``sweep_rho4`` plays pure A once for
+the whole grid, and a scheme listed twice is played once. Records
 come out in grid order, one per point and distinct scheme label.
 """
 from __future__ import annotations
@@ -68,13 +67,12 @@ def _distinct(schemes: Sequence[GameScheme]) -> list[GameScheme]:
 
 def _walk_key(config: SimulationConfig) -> tuple:
     """The inputs ``run_averaged(config)`` reads; equal keys, equal series."""
-    kind = config.scheme.kind
     return (
         config.initial,
         config.rounds,
         config.scheme.label,
-        config.coin_a.phi if kind == "b" else config.coin_a,
-        None if kind == "a" else config.game_b,
+        config.coin_a,
+        None if config.scheme.kind == "a" else config.game_b,
         (config.seed, config.runs) if config.scheme.is_random else None,
     )
 
@@ -244,7 +242,7 @@ def emit_sweep_csv(records: Sequence[SweepRecord], path, value_name: str = "valu
 
 def emit_classical_csv(series, path) -> None:
     rows = (
-        [str(t), _fmt(series.mean_gain[t]), _fmt(series.stderr[t])]
-        for t in range(series.rounds + 1)
+        [str(t), _fmt(mean), _fmt(stderr)]
+        for t, (mean, stderr) in enumerate(zip(series.mean_gain.tolist(), series.stderr.tolist()))
     )
     _write_rows(path, ["round", "gain_avg", "stderr"], rows)

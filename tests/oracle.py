@@ -192,7 +192,7 @@ def true_state(coin_state: np.ndarray, mask, config) -> np.ndarray:
     for each of its |R> coins."""
     mask = np.asarray(mask, dtype=bool)
     chi = engine._walk(coin_state, mask, config, np.zeros((len(mask) + 1, 3)))
-    d = np.exp(1j * config.coin_a.phi * np.sum(COIN_BITS, axis=1))
+    d = np.exp(1j * config.coin_a.phi) ** np.sum(COIN_BITS, axis=1)
     return d[:, None, None, None] * chi
 
 

@@ -464,7 +464,7 @@ def refuse_to_draw(*args):
 )
 def test_exact_rows_draw_nothing(monkeypatch, params):
     # nor do they spend time per trial: 2^31 trials only scale the stderr
-    monkeypatch.setattr(classical, "_draws", refuse_to_draw)
+    monkeypatch.setattr(classical, "_play_codes", refuse_to_draw)
     series = run_classical(params, RANDOM_MIX, rounds=4, trials=2**31, seed=5)
     one = run_classical(params, RANDOM_MIX, rounds=4, trials=1)
     assert series.exact

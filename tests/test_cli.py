@@ -2,7 +2,10 @@ import argparse
 import csv
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,14 +47,22 @@ def test_run_rejects_non_finite_phases(capsys, flags, message):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-rho4"])
-def test_phi_beyond_the_frame_refused(capsys, command):
-    # theta + phi is finite, but the frame's e^{3i phi} is not
+def test_phases_whose_triple_overflows_play(capsys, command):
+    # theta + phi is finite, so the coins are valid, though 3 phi is not
     argv = [command, "--initial", "ghz", "--rounds", "3", "--phi", "7e307", "--theta=-7e307"]
-    assert cli_main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: coin_a's phi=7e+307 is too large for the walk's frame, "
-        "which multiplies it by up to 3\n"
+    assert cli_main(argv) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
+def test_module_runs_as_a_script():
+    # the package's own source, whether or not it is installed
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(engine.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "qparrondo.cli", "run", "--scheme", "a", "--rounds", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
     )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("final average gain: ")
 
 
 def test_unknown_flag_fails():

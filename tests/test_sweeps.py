@@ -151,8 +151,8 @@ def test_sweep_rho4_walks_pure_a_once(monkeypatch, schemes, walks):
 
 
 def test_pure_b_walks_again_when_only_coin_a_phi_changes():
-    # every walk plays in the frame of coin_a's phi, so pure B reads it:
-    # points that differ only there must not share a pure-B walk
+    # pure B reads coin_a's phi: points that differ only there must not
+    # share a pure-B walk
     base = replace(
         base_config(initial=GHZ), game_b=GameBParams.from_rhos(rho4=0.3, theta=0.7, phi=1.9)
     )
