@@ -12,10 +12,13 @@ the row vector (P, m, q) over one round: P is the distribution over
 states, m = E[C; s] and q = E[C^2; s] for the player-averaged capital C. A
 fixed schedule applies L_A or L_B each round. Every trial of the random mix
 draws its own schedule, so the mix applies ½(L_A + L_B) every round. The
-mean after a round is sum(m), and its standard error over ``trials``
-trials is sqrt((sum(q) - mean^2) / trials): at one trial it reads the
-standard deviation of the gain. Nothing is drawn, so ``seed`` is unread and
-the time does not depend on ``trials``.
+chain steps runs of one map, A^m and B^n in turn or all rounds of one: with
+the first k powers of a map kept, r <= k rounds of a run read their moments
+off the first r powers and move the vector on by the r-th. The mean after a
+round is sum(m), and its standard error over ``trials`` trials is
+sqrt((sum(q) - mean^2) / trials): at one trial it reads the standard
+deviation of the gain. Nothing is drawn, so ``seed`` is unread and the
+time does not depend on ``trials``.
 
 Larger rings, whose chains grow as 2^n, run Monte Carlo. Trial k of a run
 draws every random number from a generator seeded by the key (seed, k), so
@@ -56,9 +59,9 @@ from .engine import GameScheme, _physical_memory_bytes, schedule_mask
 
 # The largest ring whose series comes from its exact chain, whose lifted
 # map is 3 * 2^n wide. 2,000 random-mix rounds at 1,000 trials on a 2-vCPU
-# Xeon VM: 0.06-0.08 s for the chain against 0.27-0.30 s for the Monte
-# Carlo at 7 players; at 8 the two tie (0.28-0.31 s), and each further
-# player makes a chain round about 4 times dearer.
+# Xeon VM: 0.054-0.059 s for the chain against 0.19-0.30 s for the Monte
+# Carlo at 7 players; at 8, 0.47-0.56 s against 0.20-0.32 s, a chain round
+# being about 9 times dearer.
 _EXACT_PLAYERS = 7
 # Bytes of per-trial arrays that one chunk of Monte Carlo trials may hold:
 # its play codes and winner counts.
@@ -66,6 +69,10 @@ _CHUNK_BYTES = 1 << 26
 # Rounds whose standard errors are formed together from Python integers,
 # so those objects take a bounded few MB however long the run.
 _STAT_ROWS = 1 << 16
+# Bytes of the powers of one lifted map, with their moment rows, that the
+# exact chain keeps to play that many rounds of a run at once: 52 powers at
+# 3 players, 330 for the original game, one from 6 players on.
+_STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -179,8 +186,9 @@ def _win_table(params: OriginalParams | CooperativeParams) -> np.ndarray:
 def _check_size(rounds: int, n: int, exact: bool) -> None:
     """A run must fit in physical memory.
 
-    The exact chain holds two float moments a round (16 bytes) and, while
-    drawing a fixed schedule, two int64 and a bool a round (17 bytes).
+    The exact chain holds two float moments a round and, as it forms the
+    standard errors, the mean's square (24 bytes; 33 are counted), and the
+    powers of at most two maps, each within _STACK_BYTES up to 5 players.
 
     A Monte Carlo trial holds per round its float draws with their
     comparison and ranks, then its game offsets, play codes and winner
@@ -189,7 +197,7 @@ def _check_size(rounds: int, n: int, exact: bool) -> None:
     the two int64 words of the squared sums, float mean and standard
     error). The blocks in which the statistics are formed take at most
     _CHUNK_BYTES. Its squared win total must fit in int64."""
-    need = rounds * 33 if exact else rounds * (14 * n + 61) + _CHUNK_BYTES
+    need = rounds * 33 + 2 * _STACK_BYTES if exact else rounds * (14 * n + 61) + _CHUNK_BYTES
     physical = _physical_memory_bytes()
     if need > physical:
         raise ValueError(
@@ -230,6 +238,17 @@ def _transitions(
     return transition, (2 * bits.sum(axis=1) - n) / n
 
 
+def _powers(lifted: np.ndarray, longest: int, totals: np.ndarray) -> tuple[list, list]:
+    """A map's powers lifted^1..lifted^k and, for each j <= k, the rows that
+    take a vector to its moments after rounds 1..j (k: the longest run,
+    capped so that both fit in _STACK_BYTES, and at least one)."""
+    count = max(1, min(longest, _STACK_BYTES // (lifted.nbytes + 2 * lifted[0].nbytes)))
+    powers = list(itertools.accumulate(itertools.repeat(lifted, count), np.matmul))
+    # row 2i + c: power i's sums of moment c; lists index faster than slices
+    sums = np.concatenate([(power @ totals).T for power in powers])
+    return powers, [sums[:2 * j] for j in range(1, count + 1)]
+
+
 def _chain_series(
     params: OriginalParams | CooperativeParams, scheme: GameScheme, rounds: int, trials: int
 ) -> ClassicalSeries:
@@ -237,14 +256,20 @@ def _chain_series(
     transition, gain = _transitions(params)
     states = transition.shape[-1]
     zero = np.zeros((states, states))
-    maps = [
-        np.block([[t, t * gain, t * gain * gain], [zero, t, 2 * t * gain], [zero, zero, t]])
-        for t in transition
-    ]
-    if scheme.is_random:
-        steps = itertools.repeat((maps[0] + maps[1]) / 2, rounds)
-    else:
-        steps = (maps[b] for b in schedule_mask(scheme, rounds, None).tolist())
+    maps = {
+        kind: np.block([[t, t * gain, t * gain * gain], [zero, t, 2 * t * gain], [zero, zero, t]])
+        for kind, t in zip("ab", transition)
+    }
+    maps["mix"] = (maps["a"] + maps["b"]) / 2
+    # the m and q blocks' sums
+    totals = np.zeros((3 * states, 2))
+    totals[states:2 * states, 0] = totals[2 * states:, 1] = 1.0
+    # runs of one map: A^m and B^n in turn, or all rounds of A, B or the mix
+    lengths = {"a": scheme.m, "b": scheme.n} if scheme.kind == "periodic" else {scheme.kind: rounds}
+    runs = itertools.cycle(
+        [(*_powers(maps[kind], min(n, rounds), totals), n) for kind, n in lengths.items()]
+    )
+    del maps
     # the row vector (P, m, q), from P: uniform over random flags, else a
     # point mass on all winners or on state 0 (all losers, or capital 0)
     vector = np.zeros(3 * states)
@@ -254,14 +279,20 @@ def _chain_series(
         vector[states - 1] = 1.0
     else:
         vector[:states] = 1 / states
-    # the m and q blocks' sums
-    totals = np.zeros((3 * states, 2))
-    totals[states:2 * states, 0] = totals[2 * states:, 1] = 1.0
-    moments = np.zeros((2, rounds + 1))
-    for t, step in enumerate(steps, 1):
-        vector = vector @ step
-        np.matmul(vector, totals, out=moments[:, t])
-    mean, stderr = moments
+    # row t holds the moments after round t; a chunk plays up to as many
+    # rounds of a run as its map keeps powers
+    moments = np.zeros((rounds + 1, 2))
+    flat = moments.reshape(-1)
+    t = left = 0
+    while t < rounds:
+        if not left:
+            powers, heads, left = next(runs)
+        count = min(len(powers), left, rounds - t)
+        np.dot(heads[count - 1], vector, out=flat[2 * t + 2:2 * (t + count + 1)])
+        vector = vector @ powers[count - 1]
+        t += count
+        left -= count
+    mean, stderr = moments.T
     # E[C^2] - mean^2, which rounding may take just below 0
     stderr -= mean * mean
     np.maximum(stderr, 0.0, out=stderr)

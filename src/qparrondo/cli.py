@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -199,18 +200,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_rho4(args: argparse.Namespace) -> int:
+def _cmd_sweep_values(args: argparse.Namespace) -> int:
+    """sweep-rho4 and sweep-omega: one row per grid value and scheme."""
     opts, explicit = _merge(args)
     base = _sim_config(opts)
-    values = DEFAULT_RHO4_GRID if args.values is None else _parse_values(args.values, "--values")
-    schemes = _sweep_schemes(args, opts, explicit)
-    records = sweep_rho4(base, values, schemes)
+    if args.command == "sweep-rho4":
+        name, spec, flag, text, grid = "rho4", "g", "--values", args.values, DEFAULT_RHO4_GRID
+    else:
+        name, spec, flag, text, grid = "omega", ".4f", "--omegas", args.omegas, DEFAULT_OMEGA_GRID
+    values = grid if text is None else _parse_values(text, flag)
+    sweep = sweep_rho4 if name == "rho4" else sweep_entanglement
+    records = sweep(base, values, _sweep_schemes(args, opts, explicit))
     if args.out:
-        emit_sweep_csv(records, args.out, value_name="rho4")
+        emit_sweep_csv(records, args.out, value_name=name)
         print(f"wrote {len(records)} rows to {args.out}")
     else:
         for r in records:
-            print(f"rho4={r.value:g} {r.scheme}: gain={r.gain:+.6f} "
+            print(f"{name}={r.value:{spec}} {r.scheme}: gain={r.gain:+.6f} "
                   f"{r.verdict} paradox={int(r.paradox)}")
     return 0
 
@@ -229,22 +235,6 @@ def _cmd_sweep_phase(args: argparse.Namespace) -> int:
             print(f"theta={r.theta:.4f} phi={r.phi:.4f} {r.scheme}: {r.gain:+.6f}")
         if len(records) > 32:
             print(f"... {len(records) - 32} more rows (use --out to keep them)")
-    return 0
-
-
-def _cmd_sweep_omega(args: argparse.Namespace) -> int:
-    opts, explicit = _merge(args)
-    base = _sim_config(opts)
-    omegas = DEFAULT_OMEGA_GRID if args.omegas is None else _parse_values(args.omegas, "--omegas")
-    schemes = _sweep_schemes(args, opts, explicit)
-    records = sweep_entanglement(base, omegas, schemes)
-    if args.out:
-        emit_sweep_csv(records, args.out, value_name="omega")
-        print(f"wrote {len(records)} rows to {args.out}")
-    else:
-        for r in records:
-            print(f"omega={r.value:.4f} {r.scheme}: gain={r.gain:+.6f} "
-                  f"{r.verdict} paradox={int(r.paradox)}")
     return 0
 
 
@@ -292,22 +282,15 @@ def _cmd_classical(args: argparse.Namespace) -> int:
         if opts["pa"] is not None and not 0.0 <= opts["pa"] <= 1.0:
             raise ValueError(f"pa must lie in [0, 1], got {opts['pa']}")
         params = OriginalParams(
-            epsilon=float(opts["epsilon"]),
-            p=opts["pa"],
-            p1=opts["p1"],
-            p2=opts["p2"],
+            epsilon=float(opts["epsilon"]), p=opts["pa"], p1=opts["p1"], p2=opts["p2"]
         )
     else:
-        missing = [k for k in ("pa", "p1", "p2", "p3", "p4") if opts[k] is None]
+        names = ("pa", "p1", "p2", "p3", "p4")
+        missing = [k for k in names if opts[k] is None]
         if missing:
             raise ValueError(f"cooperative mode requires --{', --'.join(missing)}")
         params = CooperativeParams(
-            pa=float(opts["pa"]),
-            p1=float(opts["p1"]),
-            p2=float(opts["p2"]),
-            p3=float(opts["p3"]),
-            p4=float(opts["p4"]),
-            n_players=int(opts["players"]),
+            **{k: float(opts[k]) for k in names}, n_players=int(opts["players"])
         )
     series = run_classical(
         params, scheme, rounds=int(opts["rounds"]), trials=int(opts["trials"]),
@@ -337,7 +320,9 @@ def _add_command(sub, name: str, help: str, func, fields: tuple[str, ...]):
     return parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="qparrondo",
         description="Three-player cooperative quantum Parrondo games on a "
@@ -349,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each sweep's grid sets the flags it leaves out
     p_rho = _add_command(
-        sub, "sweep-rho4", "sweep the loser-loser branch rho4", _cmd_sweep_rho4,
+        sub, "sweep-rho4", "sweep the loser-loser branch rho4", _cmd_sweep_values,
         _shared_but("rho4"),
     )
     p_rho.add_argument("--values", help="comma-separated rho4 values (default 0.1..0.9)")
@@ -364,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_omega = _add_command(
         sub, "sweep-omega", "sweep the initial entanglement angle of J(omega)|LLL>",
-        _cmd_sweep_omega, _shared_but("initial", "omega"),
+        _cmd_sweep_values, _shared_but("initial", "omega"),
     )
     p_omega.add_argument("--omegas", help="comma-separated omega values (default 0..pi/2)")
     p_omega.add_argument("--schemes", help="comma-separated schemes")

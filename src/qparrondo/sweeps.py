@@ -9,7 +9,6 @@ come out in grid order, one per point and distinct scheme label.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -198,51 +197,46 @@ def sweep_phase_map(
 # --- CSV output ------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+def _quote(text: str) -> str:
+    """A text field as csv.writer writes it; "periodic:2,2" holds a comma."""
+    return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\n') else text
 
 
-def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    # scheme labels such as "periodic:2,2" contain commas; quote properly
+def _write_rows(path, header: str, fmt: str, rows: Iterable[tuple]) -> None:
+    """The header line, then ``fmt % row`` for each row: numbers as %d or,
+    with 15 significant digits, %.15g; text fields quoted by _quote."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(header + "\n")
+            fh.writelines(fmt % row for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def emit_series_csv(series: PayoffSeries, path) -> None:
     """Write one row per round (round 0 included) with 15 significant digits."""
-    rows = (
-        [str(t)]
-        + [_fmt(series.per_player[t, i]) for i in range(3)]
-        + [_fmt(series.average_gain[t]), _fmt(series.stderr[t])]
-        for t in range(series.rounds + 1)
+    rows = zip(
+        range(series.rounds + 1), *series.per_player.T.tolist(),
+        series.average_gain.tolist(), series.stderr.tolist(),
     )
-    _write_rows(path, ["round", "gain_p1", "gain_p2", "gain_p3", "gain_avg", "stderr"], rows)
+    header = "round,gain_p1,gain_p2,gain_p3,gain_avg,stderr"
+    _write_rows(path, header, "%d" + ",%.15g" * 5 + "\n", rows)
 
 
 def emit_map_csv(records: Sequence[MapRecord], path) -> None:
-    rows = (
-        [_fmt(r.theta), _fmt(r.phi), r.scheme, _fmt(r.gain), str(int(r.paradox))]
-        for r in records
-    )
-    _write_rows(path, ["theta", "phi", "scheme", "gain", "paradox"], rows)
+    rows = ((r.theta, r.phi, _quote(r.scheme), r.gain, r.paradox) for r in records)
+    _write_rows(path, "theta,phi,scheme,gain,paradox", "%.15g,%.15g,%s,%.15g,%d\n", rows)
 
 
 def emit_sweep_csv(records: Sequence[SweepRecord], path, value_name: str = "value") -> None:
     rows = (
-        [_fmt(r.value), r.scheme, _fmt(r.gain), _fmt(r.stderr), r.verdict, str(int(r.paradox))]
+        (r.value, _quote(r.scheme), r.gain, r.stderr, _quote(r.verdict), r.paradox)
         for r in records
     )
-    _write_rows(path, [value_name, "scheme", "gain", "stderr", "verdict", "paradox"], rows)
+    header = _quote(value_name) + ",scheme,gain,stderr,verdict,paradox"
+    _write_rows(path, header, "%.15g,%s,%.15g,%.15g,%s,%d\n", rows)
 
 
 def emit_classical_csv(series, path) -> None:
-    rows = (
-        [str(t), _fmt(mean), _fmt(stderr)]
-        for t, (mean, stderr) in enumerate(zip(series.mean_gain.tolist(), series.stderr.tolist()))
-    )
-    _write_rows(path, ["round", "gain_avg", "stderr"], rows)
+    rows = zip(range(series.rounds + 1), series.mean_gain.tolist(), series.stderr.tolist())
+    _write_rows(path, "round,gain_avg,stderr", "%d,%.15g,%.15g\n", rows)

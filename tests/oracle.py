@@ -10,6 +10,10 @@ toss one player at a time on the true state, and the dense oracle
 assembles every factor of a round, shift included, as a full matrix on
 the position lattice -H..H per axis. Amplitudes after t rounds are arrays
 of shape (8, t+1, t+1, t+1), count index n at position x = 2n - t.
+
+``lifted_chain_series`` is the classical baseline's exact chain played
+plainly: each game's lifted map built state by state from the per-player
+rule in ``np.longdouble`` and applied once a round.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from qparrondo import engine
+from qparrondo.classical import OriginalParams
 from qparrondo.coins import coin_unitary
 from qparrondo.state import (
     _P_L,
@@ -317,3 +322,72 @@ def apply_dense_factors(amplitudes: np.ndarray, factors: Iterable[np.ndarray]) -
     for factor in factors:
         vec = factor @ vec
     return vec.reshape(amplitudes.shape)
+
+
+# --- classical chain -------------------------------------------------------
+
+
+def _classical_transitions(params) -> tuple[np.ndarray, np.ndarray]:
+    """Each game's round transition ``T[g, s, s']`` and the player-averaged
+    gain ``G[s, s']``, in np.longdouble, from playing every start state s
+    into every outcome s'. Cooperative states are winner flags (player i at
+    bit i; the round's outcome s' holds every player's result); the original
+    game's state is the capital mod 3."""
+    if isinstance(params, OriginalParams):
+        transition = np.zeros((2, 3, 3), dtype=np.longdouble)
+        gain = np.zeros((3, 3), dtype=np.longdouble)
+        for s in range(3):
+            up, down = (s + 1) % 3, (s - 1) % 3
+            for g, p in enumerate((params.win_a, params.win_b1 if s == 0 else params.win_b2)):
+                transition[g, s, up] = p
+                transition[g, s, down] = 1 - np.longdouble(p)
+            gain[s, up], gain[s, down] = 1, -1
+        return transition, gain
+    n = params.n_players
+    branch = {(1, 1): params.p1, (1, 0): params.p2, (0, 1): params.p3, (0, 0): params.p4}
+    transition = np.ones((2, 2**n, 2**n), dtype=np.longdouble)
+    gain = np.zeros((2**n, 2**n), dtype=np.longdouble)
+    for s in range(2**n):
+        for outcome in range(2**n):
+            flags = [s >> i & 1 for i in range(n)]
+            start = list(flags)
+            for i in range(n):
+                source = flags if params.update_order == "sequential" else start
+                context = (source[i - 1], source[(i + 1) % n])
+                won = outcome >> i & 1
+                for g, p in enumerate((params.pa, branch[context])):
+                    transition[g, s, outcome] *= p if won else 1 - np.longdouble(p)
+                flags[i] = won
+            gain[s, outcome] = np.longdouble(2 * bin(outcome).count("1") - n) / n
+    return transition, gain
+
+
+def lifted_chain_series(params, scheme, rounds: int, trials: int):
+    """Mean player-averaged gain and its standard error over ``trials``
+    trials after every round, from the row vector (P, m, q) multiplied by
+    game A's or game B's lifted map, or their average for the random mix,
+    once a round in np.longdouble; returned as float64 arrays."""
+    transition, gain = _classical_transitions(params)
+    states = transition.shape[-1]
+    zero = np.zeros((states, states), dtype=np.longdouble)
+    maps = [
+        np.block([[t, t * gain, t * gain**2], [zero, t, 2 * t * gain], [zero, zero, t]])
+        for t in transition
+    ]
+    mix = (maps[0] + maps[1]) / 2
+    vector = np.zeros(3 * states, dtype=np.longdouble)
+    if isinstance(params, OriginalParams) or params.initial_flags == "losers":
+        vector[0] = 1
+    elif params.initial_flags == "winners":
+        vector[-1 - 2 * states] = 1
+    else:
+        vector[:states] = np.longdouble(1) / states
+    mask = None if scheme.is_random else engine.schedule_mask(scheme, rounds, None)
+    mean = np.zeros(rounds + 1, dtype=np.longdouble)
+    second = np.zeros(rounds + 1, dtype=np.longdouble)
+    for t in range(rounds):
+        vector = vector @ (mix if mask is None else maps[int(mask[t])])
+        mean[t + 1] = vector[states:2 * states].sum()
+        second[t + 1] = vector[2 * states:].sum()
+    variance = np.maximum(second - mean * mean, 0) / trials
+    return mean.astype(float), np.sqrt(variance).astype(float)

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from oracle import lifted_chain_series
 
 import qparrondo.classical as classical
 from qparrondo import (
@@ -455,6 +456,34 @@ def test_chain_agrees_with_the_monte_carlo_at_eight_players(order, scheme):
         assert abs(sampled.stderr[t] / exact.stderr[t] - 1) < 0.1, t
 
 
+# probabilities whose gains drift slowly, so that sum(q) - mean^2 keeps
+# its digits over thousands of rounds, and with no game fair, so that no
+# mean column is all rounding
+LONG_PROBS = dict(pa=0.48, p1=0.3, p2=0.5, p3=0.5, p4=0.8)
+LONG_SCHEMES = (PURE_A, PURE_B, RANDOM_MIX, periodic(1, 1), periodic(2, 3), periodic(300, 200))
+
+
+@pytest.mark.parametrize("rounds", [1, 2000])
+@pytest.mark.parametrize("scheme", LONG_SCHEMES, ids=lambda s: s.label)
+@pytest.mark.parametrize(
+    "params",
+    [
+        *(cooperative(**LONG_PROBS, initial_flags=f) for f in ("random", "winners", "losers")),
+        cooperative(**LONG_PROBS, n_players=5, update_order="synchronous"),
+        OriginalParams(epsilon=0.005),
+    ],
+    ids=["3-random", "3-winners", "3-losers", "5-synchronous", "original"],
+)
+def test_chain_matches_the_round_by_round_oracle(params, scheme, rounds):
+    # the chain plays up to 52 rounds of a run at once at 3 players, 3 at
+    # 5 and 330 in the original game; 2000 is a multiple of none, and
+    # periodic:300,200's runs are longer than the 3- and 5-player stacks
+    series = classical._chain_series(params, scheme, rounds, trials=7)
+    oracle = lifted_chain_series(params, scheme, rounds, trials=7)
+    for got, want in zip((series.mean_gain, series.stderr), oracle):
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
 def refuse_to_draw(*args):
     raise AssertionError("an exact row drew a random number")
 
@@ -549,6 +578,27 @@ def test_traced_peak_stays_within_the_memory_accounting(monkeypatch, params):
     assert peak <= chunk * per_trial + draws + block + statistics
 
 
+@pytest.mark.parametrize("scheme", [RANDOM_MIX, periodic(300, 200)], ids=lambda s: s.label)
+@pytest.mark.parametrize(
+    "params",
+    [cooperative(**LONG_PROBS), cooperative(**LONG_PROBS, n_players=5), OriginalParams()],
+    ids=["3", "5", "original"],
+)
+def test_traced_chain_peak_stays_within_the_memory_accounting(params, scheme):
+    # two moments a round, the mean's square as the standard errors are
+    # formed and the powers of each map played, as _check_size counts them
+    rounds = 20_000
+    # the first run imports what numpy loads lazily
+    classical._chain_series(params, scheme, 2, 1)
+    tracemalloc.start()
+    try:
+        classical._chain_series(params, scheme, rounds, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rounds * 33 + 2 * classical._STACK_BYTES
+
+
 def exact_cooperative_mix_mean(params: CooperativeParams, rounds: int) -> float:
     """Mean player-averaged gain after ``rounds`` random-mix rounds, from the
     exact chain over the 2^n winner flags (random initial flags)."""
@@ -619,8 +669,8 @@ def test_single_trial_statistics_count_toward_the_memory_bound(monkeypatch):
 
 
 def test_exact_chain_counts_its_moments_and_schedule(monkeypatch):
-    # the chain keeps two float moments a round and briefly a fixed
-    # schedule's draw, 33 bytes a round in all
+    # the chain counts 33 bytes a round (two float moments, and the mean's
+    # square as the standard errors are formed) besides its maps' powers
     rounds = 10**6
     monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 33 * rounds - 1)
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)

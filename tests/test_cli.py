@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qparrondo import engine, sweeps
+from qparrondo import cli, engine, sweeps
 from qparrondo.cli import build_parser, cli_main
 
 
@@ -635,6 +635,25 @@ def load_benchmark_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_shared_parser_answers_as_a_fresh_one_after_refusals(tmp_path, capsys, monkeypatch):
+    # cli_main parses with one parser per process; refusals by argparse and
+    # by the command leave nothing in it that changes the next call
+    assert build_parser() is build_parser()
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-rho4", "--values", "0.3", "--schemes", "a,periodic:2,2", "--rounds", "3"]
+
+    def outputs():
+        assert cli_main(["run", "--bogus"]) == 2
+        assert cli_main(["classical", "--players", "4"]) == 2
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err, out.read_bytes()
+
+    shared = outputs()
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert outputs() == shared
 
 
 def test_benchmark_workload_argv_parse():

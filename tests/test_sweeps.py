@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qparrondo import (
@@ -24,9 +25,9 @@ from qparrondo import (
     sweep_phase_map,
     sweep_rho4,
 )
-from qparrondo import engine, sweeps
+from qparrondo import ClassicalSeries, MapRecord, PayoffSeries, engine, sweeps
 from qparrondo.observables import classify_game
-from qparrondo.sweeps import DEFAULT_SCHEMES, SweepRecord, phase_grid
+from qparrondo.sweeps import DEFAULT_SCHEMES, SweepRecord, emit_classical_csv, phase_grid
 
 
 def base_config(initial=SEPARABLE, rho4=0.5):
@@ -336,3 +337,67 @@ def test_emit_csv_reports_path_on_failure(tmp_path):
     bad = tmp_path / "missing_dir" / "out.csv"
     with pytest.raises(OSError, match="missing_dir"):
         emit_series_csv(series, bad)
+
+
+# floats whose 15-digit text is easy to get wrong: signed zero, the smallest
+# subnormal, an integer past 15 digits, a 15th digit rounded up
+AWKWARD = [-0.0, 5e-324, 1e16, -0.1234567890123456, 2.5, -7e-8, 123456789012345.67, -1e300]
+
+
+def reference_csv(path, header, rows):
+    """What csv.writer writes for the rows, floats as ``f"{x:.15g}"``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{x:.15g}" if isinstance(x, float) else str(x) for x in row])
+    return path.read_bytes()
+
+
+def test_row_writer_matches_csv_writer_byte_for_byte(tmp_path):
+    # every emitter, against csv.writer quoting labels with a comma, a
+    # quote or a carriage return and the 15-digit text of each awkward
+    # float, negative gains included
+    labels = ["a", "periodic:2,2", "mix", 'a "quoted" label', "a\rlabel"]
+    values = np.array(AWKWARD)
+    gains = -np.abs(values[::-1])
+    sweep = [
+        SweepRecord(v, labels[k % 5], g, abs(v), "losing", bool(k % 2))
+        for k, (v, g) in enumerate(zip(AWKWARD, gains.tolist()))
+    ]
+    emit_sweep_csv(sweep, tmp_path / "sweep.csv", value_name="rho4")
+    expect = reference_csv(
+        tmp_path / "sweep.ref", ["rho4", "scheme", "gain", "stderr", "verdict", "paradox"],
+        [(r.value, r.scheme, r.gain, r.stderr, r.verdict, int(r.paradox)) for r in sweep],
+    )
+    assert (tmp_path / "sweep.csv").read_bytes() == expect
+
+    grid = [
+        MapRecord(v, g, labels[k % 5], g, k % 3 == 0)
+        for k, (v, g) in enumerate(zip(AWKWARD, gains.tolist()))
+    ]
+    emit_map_csv(grid, tmp_path / "map.csv")
+    expect = reference_csv(
+        tmp_path / "map.ref", ["theta", "phi", "scheme", "gain", "paradox"],
+        [(r.theta, r.phi, r.scheme, r.gain, int(r.paradox)) for r in grid],
+    )
+    assert (tmp_path / "map.csv").read_bytes() == expect
+
+    per_player = np.stack([values, gains, values * 3])
+    series = PayoffSeries(per_player.T.copy(), gains, np.abs(values))
+    emit_series_csv(series, tmp_path / "series.csv")
+    expect = reference_csv(
+        tmp_path / "series.ref", ["round", "gain_p1", "gain_p2", "gain_p3", "gain_avg", "stderr"],
+        [(t, *map(float, per_player[:, t]), float(gains[t]), abs(float(values[t])))
+         for t in range(len(values))],
+    )
+    assert (tmp_path / "series.csv").read_bytes() == expect
+
+    classical = ClassicalSeries(gains, np.abs(values), exact=True)
+    emit_classical_csv(classical, tmp_path / "classical.csv")
+    expect = reference_csv(
+        tmp_path / "classical.ref", ["round", "gain_avg", "stderr"],
+        [(t, float(g), abs(float(v))) for t, (g, v) in enumerate(zip(gains, values))],
+    )
+    assert (tmp_path / "classical.csv").read_bytes() == expect
+    assert b'"periodic:2,2"' in (tmp_path / "sweep.csv").read_bytes()
