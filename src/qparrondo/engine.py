@@ -108,7 +108,7 @@ class SimulationConfig:
         physical = _physical_memory_bytes()
         if need > physical:
             raise ValueError(
-                f"{what} {need / 2**30:.3g} GiB of two walker states, the toss "
+                f"{what} {need / 2**30:.3g} GiB of the walker state, the toss "
                 f"scratch, their views and payoffs, more than the "
                 f"{physical / 2**30:.3g} GiB of physical memory"
             )
@@ -223,28 +223,28 @@ _VIEW_BYTES = 2048
 
 
 def _workspace_bytes(rounds: int) -> int:
-    """Bytes of the workspace of a walk of ``rounds`` rounds: a state after t
-    rounds holds 8 (t+1)^3 complex128 amplitudes, and the workspace holds
-    two of them, the state before and after a round, the toss scratch of
-    its largest slab, and the views of every round (_VIEW_BYTES)."""
-    amplitudes = 8 * (2 * (rounds + 1) ** 3 + _scratch_sites(rounds))
+    """Bytes of the workspace of a walk of ``rounds`` rounds: the final
+    state's 8 (rounds+1)^3 complex128 amplitudes, which every round is
+    shifted within, the toss scratch of its largest slab, and the views of
+    every round (_VIEW_BYTES)."""
+    amplitudes = 8 * ((rounds + 1) ** 3 + _scratch_sites(rounds))
     return amplitudes * 16 + (_slab_count(rounds) + rounds + 4) * _VIEW_BYTES
 
 
-def _round_views(
-    state: np.ndarray, shifted: np.ndarray, scratch: np.ndarray, weights: np.ndarray, n: int
-) -> tuple:
+def _round_views(buffer: np.ndarray, scratch: np.ndarray, weights: np.ndarray, n: int) -> tuple:
     """Every view round t = n - 1 of a walk needs, over the flat complex
-    buffers ``state`` (the (8, n, n, n) state before the round), ``shifted``
-    (the (8, n+1, n+1, n+1) state after it) and ``scratch`` (a slab's toss
-    output): the shift's faces in ``shifted``, and for each slab of
-    ``_slab_planes(n)`` i-planes the complex and the float64 toss input and
-    output, the (8, 1, 2w) and (8, 2w, 1) operands of its coin weights, its
-    row of ``weights``, and the shift's target and source."""
+    buffers ``buffer`` (the state: row c of its (8, -1) reshape holds coin
+    component c, packed, (n, n, n) before the round and (n+1, n+1, n+1)
+    after it) and ``scratch`` (a slab's toss output): the shift's faces,
+    and for each slab of ``_slab_planes(n)`` i-planes, from the top one
+    down, the complex and the float64 toss input and output, the (8, 1, 2w)
+    and (8, 2w, 1) operands of its coin weights, its row of ``weights``,
+    and the shift's target and source."""
     planes, plane = _slab_planes(n), n * n
-    source = state[: 8 * n * plane].reshape(8, n * plane)
+    rows = buffer.reshape(8, -1)
+    source = rows[:, : n * plane]
     real_source = source.view(np.float64)
-    faces, target = _shift_views(shifted, n)
+    faces, target = _shift_views(buffer, n, rows.shape[1])
     slabs = []
     for weight, i in zip(weights, range(0, n, planes)):
         j = min(i + planes, n)
@@ -261,19 +261,19 @@ def _round_views(
             target[:, :, :, i:j],
             toss.reshape(2, 2, 2, j - i, n, n),
         ))
-    return faces, slabs
+    return faces, slabs[::-1]
 
 
 class _Workspace(threading.local):
-    """One thread's walk buffers, kept between walks of T rounds: two flat
-    complex buffers of 8 (T+1)^3 amplitudes, which the rounds alternate
-    between as the state before and after the round, the toss scratch of
-    the walk's largest slab, the (slabs, 8, 1, 1) coin-weight table of all
-    its rounds with the first slab of each round (``starts``), and the views
-    of every round over them. A walk of another length replaces them."""
+    """One thread's walk buffers, kept between walks of T rounds: one flat
+    complex buffer of 8 (T+1)^3 amplitudes that holds the state, coin
+    component c from entry c (T+1)^3 on, the toss scratch of the walk's
+    largest slab, the (slabs, 8, 1, 1) coin-weight table of all its rounds
+    with the first slab of each round (``starts``), and the views of every
+    round over them. A walk of another length replaces them."""
 
     rounds = -1
-    buffers: np.ndarray | None = None
+    buffer: np.ndarray | None = None
     scratch: np.ndarray | None = None
     weights: np.ndarray | None = None
     starts: np.ndarray | None = None
@@ -282,19 +282,16 @@ class _Workspace(threading.local):
     def prepare(self, rounds: int) -> list:
         if rounds != self.rounds:
             # drop the old buffers before allocating the new ones, so that
-            # at most two states are live
-            self.buffers = self.scratch = self.weights = self.starts = None
+            # at most one state is live
+            self.buffer = self.scratch = self.weights = self.starts = None
             self.views, self.rounds = (), -1
-            self.buffers = np.empty((2, 8 * (rounds + 1) ** 3), dtype=complex)
+            self.buffer = np.empty(8 * (rounds + 1) ** 3, dtype=complex)
             self.scratch = np.empty(8 * _scratch_sites(rounds), dtype=complex)
             counts = [-(-n // _slab_planes(n)) for n in range(1, rounds + 1)]
             self.starts = np.cumsum([0, *counts[:-1]])
             self.weights = np.empty((sum(counts), 8, 1, 1))
             self.views = [
-                _round_views(
-                    self.buffers[t % 2], self.buffers[1 - t % 2], self.scratch,
-                    self.weights[start : start + count], t + 1,
-                )
+                _round_views(self.buffer, self.scratch, self.weights[start : start + count], t + 1)
                 for t, (start, count) in enumerate(zip(self.starts, counts))
             ]
             self.rounds = rounds
@@ -329,19 +326,20 @@ def _walk(
     (len(mask) + 1, 3), receives the expected positions after round t,
     accumulated from row 0.
 
-    The walk runs in its thread's workspace: two flat buffers of one final
-    state's size, kept for the thread's next walk of the same length. Round
-    t reads the state from buffer t % 2 and writes the next state into the
-    other one, slab by slab, each slab a run of whole i-planes of about
-    ``_SLAB_SITES`` sites: the slab is tossed into a small scratch, the dot
-    products of its coin weights go into its own row of the workspace's
-    weight table, and it is copied to its shifted place while the scratch is
-    still in cache. A slab's copy lands where later slabs of the round are
-    still unread, so the next state never shares the state's buffer. The
-    face fills, once per round, and the slabs' copies write every amplitude
-    of the next state, so nothing of an earlier walk survives. The final
-    state is a view of buffer T % 2 of the workspace, valid until the
-    thread's next walk: a caller that keeps it copies it.
+    The walk runs in its thread's workspace: one flat buffer of the final
+    state's size, kept for the thread's next walk of the same length, with
+    coin component c of every round's state packed from entry c (T+1)^3 on.
+    Each round shifts the state within it slab by slab, from the top i-plane
+    down, each slab a run of whole i-planes of about ``_SLAB_SITES`` sites:
+    the slab is tossed into a small scratch, the dot products of its coin
+    weights go into its own row of the workspace's weight table, and it is
+    copied to its shifted place while the scratch is still in cache. The
+    shift moves entry i n^2 + j n + k of a component to (i + b1)(n+1)^2 +
+    (j + b2)(n+1) + k + b3, no lower, so a copy lands on planes already
+    read. The copies and the face fills after them write every amplitude of
+    the next state, so nothing of an earlier walk survives. The final state
+    fills the buffer and is a view of it, valid until the thread's next
+    walk: a caller that keeps it copies it.
 
     The rounds are played in the frame chi = D^dagger psi of the diagonal
     D = P^(x3), P = diag(1, e^{i phi_a}), where phi_a is
@@ -367,22 +365,22 @@ def _walk(
     """
     ops = _round_operators(config.coin_a, config.game_b)
     views = _WORKSPACE.prepare(len(mask))
-    buffers = _WORKSPACE.buffers
+    n = len(mask) + 1
+    buffer = _WORKSPACE.buffer
     start = init_walker_state(coin_state).reshape(8)
-    np.multiply(start, np.exp(-1j * config.coin_a.phi) ** _R_COUNTS, out=buffers[0, :8])
+    np.multiply(start, np.exp(-1j * config.coin_a.phi) ** _R_COUNTS, out=buffer[:: n**3])
     for (faces, slabs), plays_b in zip(views, mask.tolist()):
         op = ops[plays_b]
-        for face in faces:
-            face.fill(0)
         for pairs, rows, columns, weight, target, source in slabs:
             _toss(op, pairs)
             np.matmul(rows, columns, out=weight)
             np.copyto(target, source)
+        for face in faces:
+            face.fill(0)
     weights = np.add.reduceat(_WORKSPACE.weights.reshape(-1, 8), _WORKSPACE.starts, axis=0)
     per_player[1:] = weights @ _STEP_SIGNS
     np.cumsum(per_player, axis=0, out=per_player)
-    n = len(mask) + 1
-    return buffers[len(mask) % 2, : 8 * n**3].reshape(8, n, n, n)
+    return buffer.reshape(8, n, n, n)
 
 
 def run_averaged(config: SimulationConfig) -> PayoffSeries:

@@ -78,11 +78,12 @@ def controlled_coin_operator(
     return op
 
 
-def _shift_views(out: np.ndarray, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The position update of an (8, n, n, n) state into the leading
-    8 (n+1)^3 entries of the flat complex buffer ``out``, read as the
-    shifted state (8, n+1, n+1, n+1): the three faces the copy leaves, and
-    the copy's target.
+def _shift_views(out: np.ndarray, n: int, stride: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The position update of an (8, n, n, n) state into the flat complex
+    buffer ``out``, read as the shifted state (8, n+1, n+1, n+1) whose coin
+    component c is packed from entry c * ``stride`` on: the three faces the
+    copy leaves, and the copy's target. Nothing outside those components'
+    8 (n+1)^3 entries is written.
 
     Component c = 4*b1 + 2*b2 + b3 at counts (i, j, k) lands at
     (c, i + b1, j + b2, k + b3), an offset affine in (b1, b2, b3, i, j, k).
@@ -93,11 +94,10 @@ def _shift_views(out: np.ndarray, n: int) -> tuple[tuple[np.ndarray, ...], np.nd
     (2, 2, 2, n+1, n+1) view of those planes of all eight components.
     """
     m = n + 1
-    shifted = out[: 8 * m**3].reshape(8, m, m, m)
-    sc, s1, s2, s3 = shifted.strides
+    sc, s1, s2, s3 = (out.itemsize * s for s in (stride, m * m, m, 1))
 
     def view(shape, strides, offset=0):
-        return np.ndarray(shape, complex, buffer=shifted, offset=offset, strides=strides)
+        return np.ndarray(shape, complex, buffer=out, offset=offset, strides=strides)
 
     faces = (
         view((2, 2, 2, m, m), (4 * sc - n * s1, 2 * sc, sc, s2, s3), n * s1),

@@ -129,7 +129,7 @@ def apply_position_update(state: np.ndarray, *, out: np.ndarray) -> np.ndarray:
     entries of the flat complex buffer ``out``, returned in their
     (8, n+1, n+1, n+1) shape. The tests hold it to ``slice_shift``."""
     n = state.shape[1]
-    faces, target = _shift_views(out, n)
+    faces, target = _shift_views(out, n, (n + 1) ** 3)
     for face in faces:
         face.fill(0)
     np.copyto(target, state.reshape(2, 2, 2, n, n, n))

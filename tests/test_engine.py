@@ -354,7 +354,7 @@ def test_walk_after_a_walk_of_the_same_length_equals_the_walk_played_first():
 def test_walk_in_a_workspace_poisoned_with_nan_equals_the_walk_played_first():
     for rounds in (7, 20):
         expected, expected_final = walk_payoffs(GHZ, RANDOM_MIX, rounds)
-        for buffer in (engine._WORKSPACE.buffers, engine._WORKSPACE.scratch):
+        for buffer in (engine._WORKSPACE.buffer, engine._WORKSPACE.scratch):
             buffer.fill(np.nan)
         payoffs, final = walk_payoffs(GHZ, RANDOM_MIX, rounds)
         assert np.array_equal(payoffs, expected)
@@ -425,12 +425,17 @@ def test_pure_a_matches_three_1d_walks(initial, coin_a, rounds):
     assert np.max(np.abs(run_averaged(config).per_player - expected)) < 1e-12
 
 
-def test_memory_bound_counts_two_states(monkeypatch):
-    # two states of 8 * 10^3 amplitudes, the scratch of the largest slab,
+def test_pure_a_matches_three_1d_walks_in_one_plane_slabs():
+    # from 64 rounds on every slab of a round is one i-plane
+    test_pure_a_matches_three_1d_walks(SEPARABLE, CoinParams(0.5, 0.3, 1.1), 70)
+
+
+def test_memory_bound_counts_one_state(monkeypatch):
+    # one state of 8 * 10^3 amplitudes, the scratch of the largest slab,
     # all 9^3 sites of the last round's state, and the views of 9 rounds
     # of one slab each, and of the workspace itself
     rounds = 9
-    need = (2 * 8 * (rounds + 1) ** 3 + 8 * rounds**3) * 16 + 22 * engine._VIEW_BYTES
+    need = (8 * (rounds + 1) ** 3 + 8 * rounds**3) * 16 + 22 * engine._VIEW_BYTES
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
     SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
@@ -457,7 +462,7 @@ def test_memory_bound_counts_the_workspace_a_walk_allocates(monkeypatch, rounds)
     workspace = engine._Workspace()
     workspace.prepare(rounds)
     views = (len(workspace.weights) + rounds + 4) * engine._VIEW_BYTES
-    need = workspace.buffers.nbytes + workspace.scratch.nbytes + views
+    need = workspace.buffer.nbytes + workspace.scratch.nbytes + views
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
     SimulationConfig(initial=GHZ, scheme=PURE_A, rounds=rounds)
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
@@ -564,5 +569,33 @@ def test_framed_walk_matches_unframed_step_rounds(monkeypatch, start, phases, sc
     assert set(tossed_with) == {np.dtype(dtype)}
     assert np.max(np.abs(per_player - expected)) < 1e-12
     # _walk returns the framed state chi; the true state is D chi
+    frame = (np.exp(1j * coin_a.phi) ** (STEPS > 0).sum(axis=1))[:, None, None, None]
+    assert np.max(np.abs(frame * final - state)) < 1e-12
+
+
+@pytest.mark.parametrize("coins", WALK_COINS)
+@pytest.mark.parametrize("rounds", [1, 4, 9])
+def test_one_plane_slabs_in_a_nan_workspace_match_unframed_rounds(monkeypatch, rounds, coins):
+    # each round shifts within the state's own buffer, its slabs from the
+    # top i-plane down: a copy that landed on a plane not yet read would
+    # change what a later slab tosses, and an amplitude that no copy or
+    # face fill wrote would keep its NaN
+    use_slab_sites(monkeypatch, 1)
+    coin_a, game_b = WALK_COINS[coins]
+    config = SimulationConfig(
+        initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, coin_a=coin_a, game_b=game_b
+    )
+    mask = schedule_mask(RANDOM_MIX, rounds, rng_for(3))
+    state = init_walker_state(FRAME_STATES["random"])
+    expected = np.zeros((rounds + 1, 3))
+    for t, plays_b in enumerate(mask, start=1):
+        state = unframed_round(state, plays_b, config)
+        expected[t] = expected[t - 1] + coin_weights(state) @ STEPS
+    engine._WORKSPACE.prepare(rounds)
+    for buffer in (engine._WORKSPACE.buffer, engine._WORKSPACE.scratch):
+        buffer.fill(np.nan)
+    per_player = np.zeros((rounds + 1, 3))
+    final = engine._walk(FRAME_STATES["random"], mask, config, per_player)
+    assert np.max(np.abs(per_player - expected)) < 1e-12
     frame = (np.exp(1j * coin_a.phi) ** (STEPS > 0).sum(axis=1))[:, None, None, None]
     assert np.max(np.abs(frame * final - state)) < 1e-12

@@ -22,6 +22,7 @@ from qparrondo import (
     init_walker_state,
     initial_coin_state,
 )
+from qparrondo.state import _shift_views
 
 FAIR = coin_unitary(CoinParams(0.5))
 FLIP = np.array([[0.0, 1j], [1j, 0.0]])
@@ -269,3 +270,15 @@ def test_position_update_equals_slice_shift_bitwise(n):
     into = apply_position_update(st, out=out)
     assert np.shares_memory(into, out)
     assert np.array_equal(into, expected)
+    # the walk's layout: component c packed from entry c * stride on, with
+    # NaN gaps between the components that the shift must not write
+    size = (n + 1) ** 3
+    stride = size + 2 * n + 3
+    out = np.full(8 * stride, np.nan, dtype=complex)
+    faces, target = _shift_views(out, n, stride)
+    for face in faces:
+        face.fill(0)
+    np.copyto(target, st.reshape(2, 2, 2, n, n, n))
+    components = out.reshape(8, stride)
+    assert np.array_equal(components[:, :size].reshape(expected.shape), expected)
+    assert np.isnan(components[:, size:]).all()
