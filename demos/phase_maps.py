@@ -8,14 +8,15 @@ the GHZ state the unconditional game stays exactly fair everywhere and
 game B stays losing everywhere, while from the W state both pure games
 are constant over the whole plane.
 
-The full map uses a pi/8 step (16 x 16 points). This demo runs a pi/4
-grid to stay quick; pass --full for the pi/8 resolution.
+No gain moves along phi: the phases of every coin fold into the start
+state P(theta)^(x3) psi0 and a site phase that no payoff reads, so the
+map plays each game once per theta column of its pi/8 grid (16 x 16
+points).
 
-Run: python demos/phase_maps.py [--full]   (writes demo_out/phase_map_<state>.csv)
+Run: python demos/phase_maps.py   (writes demo_out/phase_map_<state>.csv)
 """
 import math
 import pathlib
-import sys
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from qparrondo import (
     sweep_phase_map,
 )
 
-step = math.pi / 8 if "--full" in sys.argv[1:] else math.pi / 4
+step = math.pi / 8
 OUT = pathlib.Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
@@ -51,4 +52,8 @@ for name, initial in [("ghz", GHZ), ("w", W)]:
     print(f"--- initial state: {name} ({int(math.tau / step)}x{int(math.tau / step)} grid)")
     print(f"  game A: min {a.min():+.6f}  max {a.max():+.6f}  spread {a.max() - a.min():.2e}")
     print(f"  game B: min {b.min():+.6f}  max {b.max():+.6f}  spread {b.max() - b.min():.2e}")
+    columns = {}
+    for r in records:
+        columns.setdefault((r.theta, r.scheme), set()).add(r.gain)
+    print(f"  largest spread along phi: {max(max(g) - min(g) for g in columns.values()):.2e}")
     print(f"  (written to {path})")

@@ -132,8 +132,7 @@ def _sim_config(opts: dict) -> SimulationConfig:
         rounds=int(opts["rounds"]),
         coin_a=CoinParams(float(opts["rho0"]), float(opts["theta"]), float(opts["phi"])),
         game_b=GameBParams.from_rhos(
-            float(opts["rho1"]), float(opts["rho2"]), float(opts["rho3"]),
-            float(opts["rho4"]), float(opts["theta"]), float(opts["phi"]),
+            float(opts["rho1"]), float(opts["rho2"]), float(opts["rho3"]), float(opts["rho4"])
         ),
         seed=int(opts["seed"]),
         runs=int(opts["runs"]),

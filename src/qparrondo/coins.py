@@ -35,43 +35,35 @@ class CoinParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        # the coin's lower-right entry is e^{i(theta+phi)}
-        if not math.isfinite(self.theta + self.phi):
-            raise ValueError(
-                f"theta + phi must be finite, got theta={self.theta} and phi={self.phi}"
-            )
 
 
 @dataclass(frozen=True)
 class GameBParams:
-    """The four neighbor-conditioned coins of game B.
+    """The rho of each of game B's four neighbor-conditioned coins.
 
     ``ww`` applies when both ring neighbors hold |R> (winner-winner),
     ``wl`` when the predecessor holds |R> and the successor |L>, ``lw``
-    for the reverse, and ``ll`` when both hold |L>.
+    for the reverse, and ``ll`` when both hold |L>. Every coin of game B
+    takes its phases (theta, phi) from coin A, as all five coins share one
+    phase pair.
     """
 
-    ww: CoinParams
-    wl: CoinParams
-    lw: CoinParams
-    ll: CoinParams
+    ww: float
+    wl: float
+    lw: float
+    ll: float
+
+    def __post_init__(self) -> None:
+        for name in ("ww", "wl", "lw", "ll"):
+            rho = getattr(self, name)
+            if not 0.0 <= rho <= 1.0:
+                raise ValueError(f"rho of branch {name} must lie in [0, 1], got {rho}")
 
     @classmethod
     def from_rhos(
-        cls,
-        rho1: float = 0.5,
-        rho2: float = 0.5,
-        rho3: float = 0.5,
-        rho4: float = 0.5,
-        theta: float = HALF_PI,
-        phi: float = HALF_PI,
+        cls, rho1: float = 0.5, rho2: float = 0.5, rho3: float = 0.5, rho4: float = 0.5
     ) -> "GameBParams":
-        return cls(
-            ww=CoinParams(rho1, theta, phi),
-            wl=CoinParams(rho2, theta, phi),
-            lw=CoinParams(rho3, theta, phi),
-            ll=CoinParams(rho4, theta, phi),
-        )
+        return cls(ww=rho1, wl=rho2, lw=rho3, ll=rho4)
 
 
 @dataclass(frozen=True)
@@ -110,17 +102,15 @@ def coin_unitary(p: CoinParams) -> np.ndarray:
 
     Returns
         [[sqrt(rho),              sqrt(1-rho) e^{i theta}],
-         [sqrt(1-rho) e^{i phi}, -sqrt(rho) e^{i (theta+phi)}]]
+         [sqrt(1-rho) e^{i phi}, -sqrt(rho) e^{i theta} e^{i phi}]]
+
+    The lower-right entry multiplies the two unit phases instead of adding
+    the angles, so every finite pair gives a finite coin.
     """
     a = math.sqrt(p.rho)
     b = math.sqrt(1.0 - p.rho)
-    return np.array(
-        [
-            [a, b * np.exp(1j * p.theta)],
-            [b * np.exp(1j * p.phi), -a * np.exp(1j * (p.theta + p.phi))],
-        ],
-        dtype=complex,
-    )
+    e_theta, e_phi = np.exp(1j * p.theta), np.exp(1j * p.phi)
+    return np.array([[a, b * e_theta], [b * e_phi, -a * (e_theta * e_phi)]], dtype=complex)
 
 
 def entangler_j(omega: float) -> np.ndarray:

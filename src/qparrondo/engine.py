@@ -146,41 +146,22 @@ _STEP_SIGNS = 2.0 * np.array(COIN_BITS) - 1.0
 _R_COUNTS = np.array(COIN_BITS).sum(axis=1)
 
 
-# An operator that is real in exact arithmetic still carries rounding in its
-# imaginary part: a coin at theta + phi = pi has e^{i pi} = -1 + 1.2e-16i, and
-# three composed tosses add such terms. Anything within a few ulp of 1 (the
-# scale of a unitary's entries) is that rounding, not a phase.
-_REAL_TOL = 4 * np.finfo(float).eps
-
-
 @lru_cache(maxsize=128)
-def _round_operators(
-    coin_a: CoinParams, game_b: GameBParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """The composed 8x8 coin-register operators of one round of game A and
-    of game B, in that order, in the frame that ``_walk`` plays in: the
-    toss of player 1, then player 2, then player 3.
-
-    Each coin U is framed as P^dagger U P with P = diag(1, d), d =
-    e^{i phi_a}, which multiplies U's upper-right entry by d and its
-    lower-left one by conj(d), and leaves its diagonal exact. An operator
-    is float64 when its imaginary part is zero to rounding, so that the
-    toss runs in real arithmetic, else complex128.
-    """
-    d = np.exp(1j * coin_a.phi)
-    frame = np.array([[1, d], [d.conjugate(), 1]])
-    m = coin_unitary(coin_a) * frame
-    mats = [coin_unitary(coin) * frame for coin in (game_b.ww, game_b.wl, game_b.lw, game_b.ll)]
+def _round_operators(rho_a: float, game_b: GameBParams) -> tuple[np.ndarray, np.ndarray]:
+    """The composed real 8x8 coin-register operators of one round of game A,
+    whose coins keep their state with probability ``rho_a``, and of game B,
+    in that order: the toss of player 1, then player 2, then player 3, each
+    coin the real H_rho = U(rho, 0, 0) that ``_walk`` plays."""
+    m = coin_unitary(CoinParams(rho_a, 0.0, 0.0)).real
+    mats = [coin_unitary(CoinParams(rho, 0.0, 0.0)).real
+            for rho in (game_b.ww, game_b.wl, game_b.lw, game_b.ll)]
     operators = []
     for ops in (
         # the four neighbour projectors sum to the identity
         [controlled_coin_operator(player, m, m, m, m) for player in (1, 2, 3)],
         [controlled_coin_operator(player, *mats) for player in (1, 2, 3)],
     ):
-        op = ops[2] @ ops[1] @ ops[0]
-        if np.abs(op.imag).max() <= _REAL_TOL:
-            op = np.ascontiguousarray(op.real)
-        operators.append(op)
+        operators.append(np.ascontiguousarray((ops[2] @ ops[1] @ ops[0]).real))
     return tuple(operators)
 
 
@@ -237,13 +218,12 @@ def _round_views(buffer: np.ndarray, scratch: np.ndarray, weights: np.ndarray, n
     component c, packed, (n, n, n) before the round and (n+1, n+1, n+1)
     after it) and ``scratch`` (a slab's toss output): the shift's faces,
     and for each slab of ``_slab_planes(n)`` i-planes, from the top one
-    down, the complex and the float64 toss input and output, the (8, 1, 2w)
-    and (8, 2w, 1) operands of its coin weights, its row of ``weights``,
-    and the shift's target and source."""
+    down, the float64 toss input and output, the (8, 1, 2w) and (8, 2w, 1)
+    operands of its coin weights, its row of ``weights``, and the shift's
+    target and source."""
     planes, plane = _slab_planes(n), n * n
     rows = buffer.reshape(8, -1)
-    source = rows[:, : n * plane]
-    real_source = source.view(np.float64)
+    source = rows[:, : n * plane].view(np.float64)
     faces, target = _shift_views(buffer, n, rows.shape[1])
     slabs = []
     for weight, i in zip(weights, range(0, n, planes)):
@@ -251,10 +231,8 @@ def _round_views(buffer: np.ndarray, scratch: np.ndarray, weights: np.ndarray, n
         toss = scratch[: 8 * (j - i) * plane].reshape(8, (j - i) * plane)
         real = toss.view(np.float64)
         slabs.append((
-            (
-                (source[:, i * plane : j * plane], toss),
-                (real_source[:, 2 * i * plane : 2 * j * plane], real),
-            ),
+            source[:, 2 * i * plane : 2 * j * plane],
+            real,
             real[:, None, :],
             real[:, :, None],
             weight,
@@ -301,19 +279,6 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def _toss(op: np.ndarray, pairs: tuple) -> None:
-    """Apply the 8x8 coin-register operator ``op`` to the state's (8, N)
-    input of ``pairs``, writing its output: ``pairs`` holds the complex and
-    the float64 (input, output) views.
-
-    A float64 operator acts alike on the real and imaginary parts, so it
-    multiplies the interleaved float64 view of the amplitudes: a real GEMM
-    with half the flops of the complex one that a complex128 operator runs.
-    """
-    source, out = pairs[op.dtype == np.float64]
-    np.matmul(op, source, out=out)
-
-
 def _walk(
     coin_state: np.ndarray,
     mask: np.ndarray,
@@ -322,7 +287,7 @@ def _walk(
 ) -> np.ndarray:
     """Play the schedule ``mask`` (True where a round plays B, as from
     ``schedule_mask``) from ``coin_state`` at the origin and return the
-    final state in the frame chi below; row t of ``per_player``, shape
+    final state chi of the gauge below; row t of ``per_player``, shape
     (len(mask) + 1, 3), receives the expected positions after round t,
     accumulated from row 0.
 
@@ -341,38 +306,40 @@ def _walk(
     fills the buffer and is a view of it, valid until the thread's next
     walk: a caller that keeps it copies it.
 
-    The rounds are played in the frame chi = D^dagger psi of the diagonal
-    D = P^(x3), P = diag(1, e^{i phi_a}), where phi_a is
-    ``config.coin_a.phi``: D multiplies coin component c by the unit phase
-    e^{i phi_a} once for each of its |R> coins. Diagonal coin operators
-    commute with the shift and with game B's neighbour projectors, so a
-    round's operator in that frame is D^dagger op D, which conjugates every
-    coin by P. Only unit phases are multiplied, so no finite coin
-    overflows. A framed coin P^dagger U P is P(phi - phi_a) H_rho
-    P(theta + phi_a): when all coins share (theta, phi), as the CLI sets
-    them, that is H_rho P(theta + phi), real where theta + phi is a
-    multiple of pi (the default pi/2, pi/2 among them), so the toss runs in
-    real arithmetic there. The walk starts from D^dagger psi0 and returns
-    chi: callers after the true state psi = D chi multiply by D themselves.
+    Every coin takes coin A's phases: U = P(phi) H_rho P(theta), with
+    P(a) = diag(1, e^{ia}) and the real H_rho. D(a) = P(a)^(x3) multiplies
+    coin component c by e^{ia r(c)}, r(c) its number of |R> coins. Diagonal
+    coin operators commute with game B's neighbour projectors, so a round
+    tosses D(phi) R D(theta) with R composed of the H_rho alone; and D(a)
+    before the shift is the site phase e^{ia (n1 + n2 + n3)} after it. So
+    each round's D(phi) and the next round's D(theta) become a site phase,
+    which no later toss or weight reads (the phase absorption of
+    Chandrashekar, Srikanth & Laflamme, PRA 77, 032326 (2008)). The walk
+    starts from D(theta) psi0, tosses every round with the real R, and
+    returns chi: the true state is psi = e^{-i theta r(c)} (e^{i theta}
+    e^{i phi})^(n1 + n2 + n3) chi. Only unit phases are multiplied, so no
+    finite phase overflows, and phi is read by nothing.
 
     Round t moves axis i by +1 with the weight of the coin components whose
     bit i is |R> after the toss, and by -1 otherwise. The shift only moves
     sites within each coin component, so the weights are read off the
     contiguous toss output, one dot product per component and slab, and
     summed over a round's slabs after the walk:
-    <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1). D leaves every weight
-    as it is.
+    <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1). The gauge leaves every
+    weight as it is.
     """
-    ops = _round_operators(config.coin_a, config.game_b)
+    ops = _round_operators(config.coin_a.rho, config.game_b)
     views = _WORKSPACE.prepare(len(mask))
     n = len(mask) + 1
     buffer = _WORKSPACE.buffer
     start = init_walker_state(coin_state).reshape(8)
-    np.multiply(start, np.exp(-1j * config.coin_a.phi) ** _R_COUNTS, out=buffer[:: n**3])
+    np.multiply(start, np.exp(1j * config.coin_a.theta) ** _R_COUNTS, out=buffer[:: n**3])
     for (faces, slabs), plays_b in zip(views, mask.tolist()):
         op = ops[plays_b]
-        for pairs, rows, columns, weight, target, source in slabs:
-            _toss(op, pairs)
+        for state, toss, rows, columns, weight, target, source in slabs:
+            # a real operator acts alike on the real and imaginary parts: one
+            # real GEMM on the interleaved float64 view of the amplitudes
+            np.matmul(op, state, out=toss)
             np.matmul(rows, columns, out=weight)
             np.copyto(target, source)
         for face in faces:

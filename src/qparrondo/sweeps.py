@@ -2,10 +2,11 @@
 
 Every sweep runs through one serial driver that visits the grid points in
 order and plays each distinct walk of the sweep once. A walk is known by
-the inputs it reads: pure A never reads ``game_b``, and only the random
-mix reads ``seed`` and ``runs``. So ``sweep_rho4`` plays pure A once for
-the whole grid, and a scheme listed twice is played once. Records
-come out in grid order, one per point and distinct scheme label.
+the inputs it reads: no walk reads phi, pure A never reads ``game_b``,
+and only the random mix reads ``seed`` and ``runs``. So ``sweep_rho4``
+plays pure A once for the whole grid, a phase map plays each scheme once
+per theta, and a scheme listed twice is played once. Records come out in
+grid order, one per point and distinct scheme label.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .coins import GameBParams, j_entangled
+from .coins import j_entangled
 from .engine import (
     PURE_A,
     PURE_B,
@@ -30,8 +31,8 @@ DEFAULT_PHASE_STEP = math.pi / 8
 DEFAULT_OMEGA_GRID = tuple(k * math.pi / 10 for k in range(6))
 DEFAULT_SCHEMES = (PURE_A, PURE_B, GameScheme("periodic", 2, 2), GameScheme("mix"))
 
-# Bytes a phase map keeps per walk until it returns: the walk's memo entry,
-# whose key holds the point's coin parameters, and its share of the records.
+# Bytes a phase map keeps per point and scheme until it returns: the
+# record, and at most one memo entry, whose key holds the coin parameters.
 # tracemalloc peaks were about 700 B per walk on CPython 3.11.
 _MAP_WALK_BYTES = 1024
 
@@ -70,7 +71,8 @@ def _walk_key(config: SimulationConfig) -> tuple:
         config.initial,
         config.rounds,
         config.scheme.label,
-        config.coin_a,
+        config.coin_a.rho,
+        config.coin_a.theta,
         None if config.scheme.kind == "a" else config.game_b,
         (config.seed, config.runs) if config.scheme.is_random else None,
     )
@@ -116,12 +118,9 @@ def sweep_rho4(
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"rho4 value must lie in [0, 1], got {v}")
-    b = base.game_b
 
     def config_for(value: float, scheme: GameScheme) -> SimulationConfig:
-        # only the LL branch's rho changes; every branch keeps its own phases
-        game_b = replace(b, ll=replace(b.ll, rho=value))
-        return replace(base, scheme=scheme, game_b=game_b)
+        return replace(base, scheme=scheme, game_b=replace(base.game_b, ll=value))
 
     return [SweepRecord(*row) for row in _sweep(values, config_for, schemes)]
 
@@ -161,8 +160,9 @@ def sweep_phase_map(
 ) -> list[MapRecord]:
     """Final gain on the (theta, phi) grid over [0, 2*pi)^2 per scheme.
 
-    All five coins share the grid point's phase pair. The paradox flag of
-    a combined scheme is recomputed at every grid point from the pure-game
+    All five coins share the grid point's phase pair. No walk reads phi,
+    so each scheme is played once per theta. The paradox flag of a
+    combined scheme is recomputed at every grid point from the pure-game
     verdicts there. A grid whose records cannot fit in physical memory is
     refused before its first point exists.
     """
@@ -175,16 +175,10 @@ def sweep_phase_map(
             f"need more than the {physical / 2**30:.3g} GiB of physical memory"
         )
     grid = phase_grid(step)
-    b = base.game_b
 
     def config_for(point: tuple[float, float], scheme: GameScheme) -> SimulationConfig:
         theta, phi = point
-        coin_a = replace(base.coin_a, theta=theta, phi=phi)
-        game_b = GameBParams.from_rhos(
-            rho1=b.ww.rho, rho2=b.wl.rho, rho3=b.lw.rho, rho4=b.ll.rho,
-            theta=theta, phi=phi,
-        )
-        return replace(base, scheme=scheme, coin_a=coin_a, game_b=game_b)
+        return replace(base, scheme=scheme, coin_a=replace(base.coin_a, theta=theta, phi=phi))
 
     return [
         MapRecord(theta, phi, label, gain, paradox)

@@ -2,11 +2,12 @@
 joint position distribution, the position update slice by slice, an
 unframed round built from them, a dense Kronecker round on a small
 position lattice, and pure A's payoffs from three 1D walks; and
-``true_state``, the engine's walk taken out of its coin-phase frame.
+``true_state``, the engine's walk taken out of its phase gauge.
 
-The engine composes a round's three tosses into one 8x8 operator, plays
-in the frame of coin A's phi and shifts in count space; these helpers
-toss one player at a time on the true state, and the dense oracle
+The engine composes a round's three tosses into one real 8x8 operator,
+moves the coins' phases into its start and a site phase, and shifts in
+count space; these helpers toss one player at a time on the true state
+with the full complex coins, and the dense oracle
 assembles every factor of a round, shift included, as a full matrix on
 the position lattice -H..H per axis. Amplitudes after t rounds are arrays
 of shape (8, t+1, t+1, t+1), count index n at position x = 2n - t.
@@ -23,7 +24,7 @@ import numpy as np
 
 from qparrondo import engine
 from qparrondo.classical import OriginalParams
-from qparrondo.coins import coin_unitary
+from qparrondo.coins import CoinParams, coin_unitary
 from qparrondo.state import (
     _P_L,
     _P_R,
@@ -138,11 +139,12 @@ def apply_position_update(state: np.ndarray, *, out: np.ndarray) -> np.ndarray:
 
 def unframed_round(state: np.ndarray, plays_b: bool, config) -> np.ndarray:
     """One round of game B if ``plays_b``, else of game A, on the true
-    state with ``config``'s coins as given: the tosses of players 1, 2
-    and 3 one at a time, then slice_shift."""
+    state with ``config``'s full complex coins U(rho, theta, phi), every
+    coin with coin A's phases: the tosses of players 1, 2 and 3 one at a
+    time, then slice_shift."""
     if plays_b:
-        b = config.game_b
-        mats = [coin_unitary(coin) for coin in (b.ww, b.wl, b.lw, b.ll)]
+        a, b = config.coin_a, config.game_b
+        mats = [coin_unitary(CoinParams(rho, a.theta, a.phi)) for rho in (b.ww, b.wl, b.lw, b.ll)]
         for player in (1, 2, 3):
             state = apply_controlled_coin(state, player, *mats)
     else:
@@ -187,18 +189,28 @@ def pure_a_positions(coin_state: np.ndarray, coin, rounds: int) -> np.ndarray:
     return positions
 
 
-# --- the engine's walk out of its frame -------------------------------------
+# --- the engine's walk out of its gauge -------------------------------------
+
+
+def ungauge(chi: np.ndarray, config) -> np.ndarray:
+    """The true state psi = e^{-i theta r(c)} (e^{i theta} e^{i phi})^(n1+n2+n3)
+    chi of the state chi that engine._walk returns, with coin A's phases:
+    r(c) is the number of |R> coins of component c, and n1 + n2 + n3 the
+    site's count sum."""
+    theta, phi = config.coin_a.theta, config.coin_a.phi
+    counts = np.arange(chi.shape[1])
+    count_sum = counts[:, None, None] + counts[:, None] + counts
+    site = (np.exp(1j * theta) * np.exp(1j * phi)) ** count_sum
+    coin = np.exp(-1j * theta) ** np.sum(COIN_BITS, axis=1)
+    return coin[:, None, None, None] * site * chi
 
 
 def true_state(coin_state: np.ndarray, mask, config) -> np.ndarray:
-    """The state psi = D chi after the rounds of ``mask`` (True plays B)
-    from ``coin_state``: engine._walk returns chi, in the frame of
-    D = P(phi_a)^(x3), which multiplies coin component c by e^{i phi_a}
-    for each of its |R> coins."""
+    """The true state after the rounds of ``mask`` (True plays B) from
+    ``coin_state``: engine._walk's state, ungauged."""
     mask = np.asarray(mask, dtype=bool)
     chi = engine._walk(coin_state, mask, config, np.zeros((len(mask) + 1, 3)))
-    d = np.exp(1j * config.coin_a.phi) ** np.sum(COIN_BITS, axis=1)
-    return d[:, None, None, None] * chi
+    return ungauge(chi, config)
 
 
 # --- dense Kronecker round -------------------------------------------------

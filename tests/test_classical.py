@@ -484,6 +484,25 @@ def test_chain_matches_the_round_by_round_oracle(params, scheme, rounds):
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("rounds, stderr_bound", [(10**4, 5e-12), (10**5, 5e-11)])
+@pytest.mark.parametrize("pa", [0.2, 0.45])
+def test_pure_a_chain_matches_the_closed_form_at_long_runs(pa, rounds, stderr_bound):
+    # each of a round's 3 plays is an independent win with probability pa,
+    # so the player-averaged capital after t rounds has mean t (2 pa - 1)
+    # and variance 4 t pa (1 - pa) / 3. The drift dwarfs the spread, and
+    # the chain's relative errors measured 8.6e-13 at 10^4 rounds and
+    # 8.6e-12 at 10^5 in the stderr, and 4.5e-14 in the mean; formed from
+    # uncentred moments they were 2.5e-9 and 2.5e-7, and 1.7e-11
+    trials = 1000
+    series = run_classical(cooperative(**{**LONG_PROBS, "pa": pa}), PURE_A, rounds, trials)
+    t = np.arange(1, rounds + 1)
+    mean = t * (2 * pa - 1)
+    stderr = np.sqrt(4 * t * pa * (1 - pa) / (3 * trials))
+    assert series.mean_gain[0] == series.stderr[0] == 0.0
+    assert np.max(np.abs(series.mean_gain[1:] / mean - 1)) < 1e-13
+    assert np.max(np.abs(series.stderr[1:] / stderr - 1)) < stderr_bound
+
+
 def refuse_to_draw(*args):
     raise AssertionError("an exact row drew a random number")
 

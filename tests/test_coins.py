@@ -53,15 +53,28 @@ def test_coin_params_nonfinite():
     [
         (float("nan"), 0.0, "theta must be finite, got nan"),
         (0.0, float("inf"), "phi must be finite, got inf"),
-        (1e308, 1e308, "theta + phi must be finite, got theta=1e+308 and phi=1e+308"),
-        (-1e308, -1e308, "theta + phi must be finite, got theta=-1e+308 and phi=-1e+308"),
     ],
 )
 def test_coin_params_non_finite_phase_named(theta, phi, message):
-    # e^{i(theta+phi)} of an overflowing pair is nan: refused, not played
     with pytest.raises(ValueError) as excinfo:
         CoinParams(0.5, theta, phi)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("theta, phi", [(1e308, 1e308), (-1e308, -1e308), (-7e307, 7e307)])
+def test_coin_of_phases_whose_sum_overflows_is_unitary(theta, phi):
+    # the lower-right entry multiplies e^{i theta} and e^{i phi}; no angle is added
+    m = coin_unitary(CoinParams(0.3, theta, phi))
+    assert np.all(np.isfinite(m))
+    assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
+    assert m[1, 1] == -math.sqrt(0.3) * (np.exp(1j * theta) * np.exp(1j * phi))
+
+
+def test_default_coin_lower_right_is_that_of_the_summed_angle():
+    # e^{i pi/2} e^{i pi/2} and e^{i pi} round alike, so the default coin is
+    # what it was when the entry was formed from theta + phi
+    m = coin_unitary(CoinParams(0.5))
+    assert m[1, 1] == -math.sqrt(0.5) * np.exp(1j * math.pi)
 
 
 def test_coin_unitary_is_unitary_over_random_parameters():
@@ -154,5 +167,13 @@ def test_j_entangled_domain_check():
 
 def test_game_b_params_from_rhos():
     b = GameBParams.from_rhos(rho4=0.4)
-    assert b.ww.rho == b.wl.rho == b.lw.rho == 0.5
-    assert b.ll.rho == 0.4
+    assert b == GameBParams(ww=0.5, wl=0.5, lw=0.5, ll=0.4)
+
+
+@pytest.mark.parametrize("branch", ["ww", "wl", "lw", "ll"])
+@pytest.mark.parametrize("rho", [-0.1, 1.5, float("nan")])
+def test_game_b_params_domain_names_the_branch(branch, rho):
+    rhos = {"ww": 0.5, "wl": 0.5, "lw": 0.5, "ll": 0.5, branch: rho}
+    with pytest.raises(ValueError) as excinfo:
+        GameBParams(**rhos)
+    assert str(excinfo.value) == f"rho of branch {branch} must lie in [0, 1], got {rho}"

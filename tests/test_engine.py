@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracle import (
     state_norm,
     true_state,
     unframed_round,
+    ungauge,
 )
 
 from qparrondo import (
@@ -257,7 +259,7 @@ def test_one_round_matches_dense_oracle_both_labels():
 
 # coins of the mixed-round test: non-default rhos and phases theta=0.7, phi=1.9
 MIXED_COIN_A = CoinParams(0.4, 0.7, 1.9)
-MIXED_GAME_B = GameBParams.from_rhos(0.6, 0.5, 0.3, 0.2, 0.7, 1.9)
+MIXED_GAME_B = GameBParams.from_rhos(0.6, 0.5, 0.3, 0.2)
 
 
 @pytest.fixture(scope="module")
@@ -265,10 +267,11 @@ def mixed_round_factors():
     """Dense factors of one round of each game with the mixed-round coins on
     the lattice -3..3, keyed by plays_b: assembled once for every case of
     this module (seven 0.12 GB matrices, the shift shared) and freed with it."""
-    b = MIXED_GAME_B
+    a, b = MIXED_COIN_A, MIXED_GAME_B
     ops = {
-        False: [coin_unitary(MIXED_COIN_A)] * 3,
-        True: [tuple(coin_unitary(p) for p in (b.ww, b.wl, b.lw, b.ll))] * 3,
+        False: [coin_unitary(a)] * 3,
+        True: [tuple(coin_unitary(CoinParams(rho, a.theta, a.phi))
+                     for rho in (b.ww, b.wl, b.lw, b.ll))] * 3,
     }
     shift = dense_shift_factor(3)
     return {plays_b: [*dense_toss_factors(3, ops[plays_b]), shift] for plays_b in ops}
@@ -305,8 +308,8 @@ def test_three_mixed_rounds_in_one_plane_slabs_match_dense_oracle(
     test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_factors)
 
 
-# (coin_a, game_b) of walk_payoffs: the default phases, where both framed
-# round operators are real, and theta=0.7, phi=1.9, where both are complex
+# (coin_a, game_b) of walk_payoffs: the default phases, and theta=0.7,
+# phi=1.9, where no coin has a real multiple
 WALK_COINS = {
     "real": (CoinParams(0.4), GameBParams.from_rhos(rho4=0.3)),
     "complex": (MIXED_COIN_A, MIXED_GAME_B),
@@ -495,7 +498,7 @@ def test_run_averaged_equals_the_mean_of_its_runs_bitwise():
     assert np.array_equal(avg.stderr, gains.std(axis=0, ddof=1) / np.sqrt(config.runs))
 
 
-# --- the coin-phase frame ---------------------------------------------------
+# --- the phase gauge ------------------------------------------------------
 
 FRAME_ROUNDS = 6
 # row c: the step (+1 for |R>, -1 for |L>) of axes 1, 2, 3 under coin c = 4 b1 + 2 b2 + b3
@@ -516,61 +519,51 @@ FRAME_STATES = {
 }
 
 
-def shared_phases(theta, phi):
-    return CoinParams(0.3, theta, phi), GameBParams.from_rhos(0.8, 0.15, 0.6, 0.35, theta, phi)
+def shared_phases(theta, phi, rhos=(0.3, 0.8, 0.15, 0.6, 0.35)):
+    return CoinParams(rhos[0], theta, phi), GameBParams.from_rhos(*rhos[1:])
 
 
-# (coin_a, game_b, dtype of the operators the framed walk tosses with)
+# (coin_a, game_b): all five coins share coin A's (theta, phi)
 FRAME_PHASES = {
-    "default": (*shared_phases(np.pi / 2, np.pi / 2), np.float64),
-    "zero": (*shared_phases(0.0, 0.0), np.float64),
-    "complex": (*shared_phases(0.7, 1.9), np.complex128),
-    "branches": (
-        CoinParams(0.3, 0.7, 1.9),
-        GameBParams(
-            ww=CoinParams(0.8, 0.4, 2.5),
-            wl=CoinParams(0.15, 1.1, 0.2),
-            lw=CoinParams(0.6, 2.9, 1.3),
-            ll=CoinParams(0.35, 0.9, 0.6),
-        ),
-        np.complex128,
-    ),
-    # 3 phi_a overflows float64; the frame multiplies unit phases instead
-    "huge": (*shared_phases(-7e307, 7e307), np.float64),
+    "default": shared_phases(np.pi / 2, np.pi / 2),
+    "zero": shared_phases(0.0, 0.0),
+    "complex": shared_phases(0.7, 1.9),
+    # a shared phase pair and rhos for every coin of no special value
+    "branches": shared_phases(-3.31, 8.07, rhos=(0.05, 0.91, 0.42, 0.71, 0.27)),
+    # 3 phi overflows float64; only unit phases are multiplied
+    "huge": shared_phases(-7e307, 7e307),
 }
+
+
+def oracle_walk(coin_state, mask, config):
+    """The payoffs after every round and the final state of the rounds of
+    ``mask``, played by unframed_round on the true state."""
+    state = init_walker_state(coin_state)
+    expected = np.zeros((len(mask) + 1, 3))
+    for t, plays_b in enumerate(mask, start=1):
+        state = unframed_round(state, plays_b, config)
+        expected[t] = expected[t - 1] + coin_weights(state) @ STEPS
+    return expected, state
 
 
 @pytest.mark.parametrize("scheme", ["a", "b", "periodic:2,1", "mix"])
 @pytest.mark.parametrize("phases", FRAME_PHASES)
 @pytest.mark.parametrize("start", FRAME_STATES)
-def test_framed_walk_matches_unframed_step_rounds(monkeypatch, start, phases, scheme):
-    coin_a, game_b, dtype = FRAME_PHASES[phases]
+def test_framed_walk_matches_unframed_step_rounds(start, phases, scheme):
+    # the engine tosses real operators from the gauged start; the oracle
+    # tosses the full complex coins U(rho, theta, phi) on the true state
+    coin_a, game_b = FRAME_PHASES[phases]
     config = SimulationConfig(
         initial=GHZ, scheme=parse_scheme(scheme), rounds=FRAME_ROUNDS,
         coin_a=coin_a, game_b=game_b,
     )
     mask = schedule_mask(config.scheme, FRAME_ROUNDS, rng_for(3))
-    # oracle: the unframed round on the true state, payoffs from its weights
-    state = init_walker_state(FRAME_STATES[start])
-    expected = np.zeros((FRAME_ROUNDS + 1, 3))
-    for t, plays_b in enumerate(mask, start=1):
-        state = unframed_round(state, plays_b, config)
-        expected[t] = expected[t - 1] + coin_weights(state) @ STEPS
-    tossed_with = []
-    toss = engine._toss
-
-    def recording(op, pairs):
-        tossed_with.append(op.dtype)
-        toss(op, pairs)
-
-    monkeypatch.setattr(engine, "_toss", recording)
+    expected, state = oracle_walk(FRAME_STATES[start], mask, config)
+    assert all(op.dtype == np.float64 for op in engine._round_operators(coin_a.rho, game_b))
     per_player = np.zeros((FRAME_ROUNDS + 1, 3))
-    final = engine._walk(FRAME_STATES[start], mask, config, per_player)
-    assert set(tossed_with) == {np.dtype(dtype)}
+    chi = engine._walk(FRAME_STATES[start], mask, config, per_player)
     assert np.max(np.abs(per_player - expected)) < 1e-12
-    # _walk returns the framed state chi; the true state is D chi
-    frame = (np.exp(1j * coin_a.phi) ** (STEPS > 0).sum(axis=1))[:, None, None, None]
-    assert np.max(np.abs(frame * final - state)) < 1e-12
+    assert np.max(np.abs(ungauge(chi, config) - state)) < 1e-12
 
 
 @pytest.mark.parametrize("coins", WALK_COINS)
@@ -586,16 +579,31 @@ def test_one_plane_slabs_in_a_nan_workspace_match_unframed_rounds(monkeypatch, r
         initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, coin_a=coin_a, game_b=game_b
     )
     mask = schedule_mask(RANDOM_MIX, rounds, rng_for(3))
-    state = init_walker_state(FRAME_STATES["random"])
-    expected = np.zeros((rounds + 1, 3))
-    for t, plays_b in enumerate(mask, start=1):
-        state = unframed_round(state, plays_b, config)
-        expected[t] = expected[t - 1] + coin_weights(state) @ STEPS
+    expected, state = oracle_walk(FRAME_STATES["random"], mask, config)
     engine._WORKSPACE.prepare(rounds)
     for buffer in (engine._WORKSPACE.buffer, engine._WORKSPACE.scratch):
         buffer.fill(np.nan)
     per_player = np.zeros((rounds + 1, 3))
-    final = engine._walk(FRAME_STATES["random"], mask, config, per_player)
+    chi = engine._walk(FRAME_STATES["random"], mask, config, per_player)
     assert np.max(np.abs(per_player - expected)) < 1e-12
-    frame = (np.exp(1j * coin_a.phi) ** (STEPS > 0).sum(axis=1))[:, None, None, None]
-    assert np.max(np.abs(frame * final - state)) < 1e-12
+    assert np.max(np.abs(ungauge(chi, config) - state)) < 1e-12
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.9, -7e307])
+def test_phi_moves_no_payoff(phi):
+    # a walk never reads phi: every payoff of every scheme is bitwise the
+    # same at any phi
+    coin_a, game_b = FRAME_PHASES["complex"]
+    for scheme in SCHEMES.values():
+        config = SimulationConfig(initial=SEPARABLE, scheme=scheme, rounds=7, runs=3,
+                                  coin_a=coin_a, game_b=game_b)
+        moved = replace(config, coin_a=replace(coin_a, phi=phi))
+        assert np.array_equal(run_averaged(moved).per_player, run_averaged(config).per_player)
+
+
+def test_round_operators_are_real_for_every_coin():
+    rng = np.random.default_rng(5)
+    for rhos in [(0.0,) * 5, (1.0,) * 5, (0.5,) * 5, *rng.random((20, 5))]:
+        for op in engine._round_operators(rhos[0], GameBParams.from_rhos(*rhos[1:])):
+            assert op.dtype == np.float64 and op.flags.c_contiguous
+            assert np.max(np.abs(op.T @ op - np.eye(8))) < 1e-14

@@ -94,12 +94,7 @@ def test_payoffs_match_position_oracle(initial, scheme):
         scheme=scheme,
         rounds=ORACLE_ROUNDS,
         coin_a=CoinParams(0.3, 0.7, 1.9),
-        game_b=GameBParams(
-            ww=CoinParams(0.8, 0.4, 2.5),
-            wl=CoinParams(0.15, 1.1, 0.2),
-            lw=CoinParams(0.6, 2.9, 1.3),
-            ll=CoinParams(0.35, 0.9, 0.6),
-        ),
+        game_b=GameBParams(ww=0.8, wl=0.15, lw=0.6, ll=0.35),
         seed=11,
         runs=1,
     )

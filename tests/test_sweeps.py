@@ -59,15 +59,15 @@ def test_sweep_rho4_domain_check():
         sweep_rho4(base_config(), values=[1.2], schemes=(PURE_B,))
 
 
-def test_sweep_rho4_keeps_per_branch_phases():
-    # only rho4 is swept; the WW branch keeps its own (theta, phi)
-    game_b = GameBParams(
-        ww=CoinParams(0.5, 0.3, 1.0), wl=CoinParams(0.5), lw=CoinParams(0.5), ll=CoinParams(0.4)
-    )
+def test_sweep_rho4_keeps_the_other_branch_rhos():
+    # only rho4 is swept; the WW branch keeps its own rho
+    game_b = GameBParams(ww=0.2, wl=0.5, lw=0.5, ll=0.9)
     base = SimulationConfig(initial=GHZ, scheme=PURE_B, rounds=4, game_b=game_b)
     (record,) = sweep_rho4(base, values=[0.4], schemes=(PURE_B,))
-    assert record.gain == run_averaged(base).final_gain
-    assert record.gain == pytest.approx(-0.1705, abs=5e-5)
+    played = replace(base, game_b=replace(game_b, ll=0.4))
+    assert record.gain == run_averaged(played).final_gain
+    fair_ww = replace(played, game_b=GameBParams.from_rhos(rho4=0.4))
+    assert record.gain != run_averaged(fair_ww).final_gain
 
 
 def test_sweep_rho4_paradox_consistent_with_verdicts():
@@ -151,21 +151,32 @@ def test_sweep_rho4_walks_pure_a_once(monkeypatch, schemes, walks):
     assert records == expected
 
 
-def test_pure_b_walks_again_when_only_coin_a_phi_changes():
-    # pure B reads coin_a's phi: points that differ only there must not
-    # share a pure-B walk
-    base = replace(
-        base_config(initial=GHZ), game_b=GameBParams.from_rhos(rho4=0.3, theta=0.7, phi=1.9)
-    )
+def test_pure_b_is_served_from_the_memo_when_only_phi_changes(monkeypatch):
+    # no walk reads phi: points that differ only there share every walk
+    base = replace(base_config(initial=GHZ), game_b=GameBParams.from_rhos(rho4=0.3))
     phis = [math.pi / 2, 1.9, 0.3]
 
     def config_for(phi, scheme):
-        return replace(base, scheme=scheme, coin_a=CoinParams(0.5, phi=phi))
+        return replace(base, scheme=scheme, coin_a=CoinParams(0.5, 0.7, phi))
 
+    walked = count_walks(monkeypatch)
     gains = [gain for _, _, gain, *_ in sweeps._sweep(phis, config_for, (PURE_B,))]
-    expected = [run_averaged(config_for(phi, PURE_B)).final_gain for phi in phis]
-    assert gains == expected
-    assert len(set(gains)) == 3
+    assert Counter(walked) == {"a": 1, "b": 1}
+    assert gains == [run_averaged(config_for(math.pi / 2, PURE_B)).final_gain] * 3
+
+
+def test_phase_map_walks_each_scheme_once_per_theta(monkeypatch):
+    # 16 theta columns of a pi/8 map, each scheme one walk per column (the
+    # mix one per run), every phi of a column served from the memo
+    base = replace(base_config(initial=SEPARABLE, rho4=0.7), rounds=4)
+    walked = count_walks(monkeypatch)
+    records = sweep_phase_map(base, step=math.pi / 8)
+    assert Counter(walked) == {"a": 16, "b": 16, "periodic:2,2": 16, "mix": 16 * base.runs}
+    assert len(records) == 16 * 16 * 4
+    columns = {}
+    for r in records:
+        columns.setdefault((r.theta, r.scheme), set()).add((r.gain, r.paradox))
+    assert len(columns) == 16 * 4 and all(len(rows) == 1 for rows in columns.values())
 
 
 def test_repeated_schemes_and_values_walk_once(monkeypatch):
