@@ -248,7 +248,8 @@ def _cmd_discriminate(args: argparse.Namespace) -> int:
     coin_state = initial_coin_state(
         InitialCoin(kind, float(opts["omega"]) if kind == "j" else None)
     )
-    rng = np.random.default_rng(int(opts["seed"]))
+    # expectation mode draws nothing
+    rng = np.random.default_rng(int(opts["seed"])) if args.mode == "sampled" else None
     result = discriminate(
         coin_state,
         rounds=int(opts["rounds"]),

@@ -203,11 +203,13 @@ def _slab_count(rounds: int) -> int:
 _VIEW_BYTES = 2048
 
 
+@lru_cache(maxsize=256)
 def _workspace_bytes(rounds: int) -> int:
     """Bytes of the workspace of a walk of ``rounds`` rounds: the final
     state's 8 (rounds+1)^3 complex128 amplitudes, which every round is
     shifted within, the toss scratch of its largest slab, and the views of
-    every round (_VIEW_BYTES)."""
+    every round (_VIEW_BYTES). Cached: every config checks it, and a sweep
+    builds thousands of configs of one length."""
     amplitudes = 8 * ((rounds + 1) ** 3 + _scratch_sites(rounds))
     return amplitudes * 16 + (_slab_count(rounds) + rounds + 4) * _VIEW_BYTES
 
@@ -364,7 +366,10 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
     # SimulationConfig's memory check counts this array and the gains
     per_player = np.zeros((runs, config.rounds + 1, 3))
     for k in range(runs):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, k)))
+        # a fixed schedule draws nothing, so it builds no generator (and
+        # never imports numpy.random)
+        rng = (np.random.default_rng(np.random.SeedSequence((config.seed, k)))
+               if config.scheme.is_random else None)
         _walk(coin_state, schedule_mask(config.scheme, config.rounds, rng), config, per_player[k])
     gains = per_player.mean(axis=2)
     if runs > 1:

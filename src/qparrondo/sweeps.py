@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .coins import j_entangled
 from .engine import (
     PURE_A,
@@ -190,47 +192,284 @@ def sweep_phase_map(
 
 # --- CSV output ------------------------------------------------------------
 
+# Rows the writer formats and writes at a time. Its scratch, a few hundred
+# bytes a row, is bounded by the block, not by the row count; blocks of 4096
+# rows ran about as fast and raised the peak RSS of a 10^4-row write by 0.6 MB.
+_BLOCK_ROWS = 2048
+# A shorter block is formatted by % row by row: numpy's fixed cost, about
+# 0.1 ms a column, is more than % takes for fewer than about 500 rows.
+_NUMPY_ROWS = 512
+
+# _DIGITS[g]: the four ASCII digits of 0 <= g < 10^4, zero-padded, as the
+# bytes of one uint32; _TRAILING_ZEROS[g]: the zeros that end them, 4 for 0.
+# Both are broadcast from the ten digits: index (a, b, c, d) is g = abcd.
+_DIGITS = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+for _place in range(4):
+    _DIGITS[..., _place] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - _place))
+_DIGITS = _DIGITS.view(np.uint32).ravel()
+_ZERO = (np.arange(10) == 0).astype(np.uint8)
+_TRAILING_ZEROS = (
+    _ZERO * (1 + _ZERO[:, None] * (1 + _ZERO[:, None, None] * (1 + _ZERO[:, None, None, None])))
+).ravel()
+# 10^0 .. 10^19, exact as uint64 and, as 5^19 < 2^53, as float64
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_POW10_FLOAT = _POW10.astype(np.float64)
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a float64 into halves
+_MINUS, _DOT, _COMMA, _NEWLINE = b"-.,\n"
+
 
 def _quote(text: str) -> str:
     """A text field as csv.writer writes it; "periodic:2,2" holds a comma."""
     return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\n') else text
 
 
-def _write_rows(path, header: str, fmt: str, rows: Iterable[tuple]) -> None:
-    """The header line, then ``fmt % row`` for each row: numbers as %d or,
-    with 15 significant digits, %.15g; text fields quoted by _quote."""
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _scaled_rint(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round_half_even(a 10^k) as uint64, exactly, for 0 <= k <= 19 and
+    a 10^k below 2^53 (to within one decade)."""
+    b = _POW10_FLOAT[k]
+    p = a * b
+    # Dekker's error-free product, p + e = a b exactly: numpy has no fma
+    (a_high, a_low), (b_high, b_low) = _split(a), _split(b)
+    e = ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+    r = np.rint(p)
+    f = p - r  # exact, |f| <= 1/2
+    # only at a tie of p can e move the rounding: the exact fraction f + e
+    # then lies beyond the tie on the side of e
+    step = np.where((np.abs(f) == 0.5) & (f * e > 0), np.sign(f), 0.0)
+    return (r + step).astype(np.uint64)
+
+
+def _groups(values: np.ndarray, count: int) -> np.ndarray:
+    """The last ``count`` four-digit groups of each of the nonnegative
+    integer ``values``, most significant first: shape (count, len(values))."""
+    out = np.empty((count, len(values)), dtype=np.intp)
+    for row in out[::-1]:
+        quotient = values // 10_000
+        np.subtract(values, quotient * 10_000, out=row, casting="unsafe")
+        values = quotient
+    return out
+
+
+def _ascii(groups: np.ndarray) -> np.ndarray:
+    """The zero-padded digits of ``groups`` (from _groups), one row of
+    ASCII bytes per value."""
+    return _DIGITS.take(groups.T).view(np.uint8)
+
+
+def _prefix(lengths: np.ndarray, width: int) -> np.ndarray:
+    """Keep mask of the first ``lengths`` of ``width`` columns per row."""
+    return (np.arange(width)[:, None] < lengths).T
+
+
+def _span(start: np.ndarray, stop: np.ndarray, digits: np.ndarray) -> tuple:
+    """(bytes, keep) of the columns start:stop of each row of ``digits``,
+    cut to the columns some row keeps."""
+    first = int(start.min())
+    last = max(first, int(stop.max()))
+    # one uint8 comparison, laid out column by column so that it runs along
+    # the rows: a column before start wraps past every length
+    offsets = np.arange(first, last, dtype=np.uint8)[:, None] - start.astype(np.uint8)
+    keep = offsets < np.maximum(stop - start, 0).astype(np.uint8)
+    return digits[:, first:last], keep.T
+
+
+def _sign(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.full((len(v), 1), _MINUS, dtype=np.uint8), np.signbit(v)[:, None]
+
+
+def _int_pieces(v: np.ndarray) -> list:
+    """(bytes, keep) pieces of ``"%d" % n`` for each n of ``v``."""
+    magnitude = np.abs(v).astype(np.uint64)  # -2^63 wraps to 2^63
+    widths = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
+    count = -(-int(widths.max()) // 4)
+    digits = _ascii(_groups(magnitude, count))
+    return [_sign(v), _span(4 * count - widths, np.full(len(v), 4 * count), digits)]
+
+
+def _float_pieces(v: np.ndarray) -> list:
+    """(bytes, keep) pieces of ``"%.15g" % x`` for each x of ``v``.
+
+    With X the exponent of x rounded to 15 significant digits, %.15g prints
+    x in fixed notation when -4 <= X < 15: the 15 digits of D = round(|x|
+    10^(14 - X)) with the point X + 1 digits in (after "0." and -X - 1
+    zeros when X < 0), trailing zeros and a bare point stripped. D is formed
+    exactly in float64 from an error-free product, so every byte equals
+    Python's. Exponential forms (|x| < 1e-4 or >= 1e15 after rounding), NaN
+    and infinities go through ``%`` one at a time.
+    """
+    m = len(v)
+    a = np.abs(v)
+    fixed = (a >= 1e-5) & (a < 1e15)
+    a = np.where(fixed, a, 1.0)
+    # k = 14 - X; log10 rounds up to 15 just below 1e15
+    k = np.maximum(14 - np.floor(np.log10(a)).astype(np.int64), 0)
+    d = _scaled_rint(a, k)
+    # log10's last bit, or rounding up to the next power of ten, can put D a
+    # decade off; a D of 10^14 may be 10^15 - 1 one decade down. A k of 19
+    # is an exponent of -5, printed exponential either way.
+    high = np.flatnonzero(d >= 10**15)
+    k[high] -= 1
+    d[high] = _scaled_rint(a[high], np.maximum(k[high], 0))
+    low = np.flatnonzero((d <= 10**14) & (k < 19))
+    if low.size:
+        finer = _scaled_rint(a[low], k[low] + 1)
+        low, finer = low[finer < 10**15], finer[finer < 10**15]
+        k[low] += 1
+        d[low] = finer
+    fixed &= (k >= 0) & (k <= 18)
+    # zeros and the rows printed by % take D = 0 and X = 0
+    x = np.where(fixed, 14 - k, 0)
+    d = np.where(fixed, d, 0).astype(np.int64)
+    # D's digits in columns 5..19 of 20, zeros before them: the integer part
+    # is columns 5 to 5 + X, or one zero column for X < 0, and the fraction
+    # runs from column 6 + X to D's last nonzero digit
+    groups = _groups(d, 5)
+    digits = _ascii(groups)
+    # D's trailing zeros, group by group from the last
+    zeros = _TRAILING_ZEROS[groups[1]]
+    for g in groups[2:]:
+        zeros = _TRAILING_ZEROS[g] + (g == 0) * zeros
+    fraction = (6 + x, np.where(d > 0, 20 - zeros, 0))
+    pieces = [
+        _sign(v),
+        _span(5 + np.minimum(x, 0), 6 + x, digits),
+        (np.full((m, 1), _DOT, dtype=np.uint8), (fraction[0] < fraction[1])[:, None]),
+        _span(*fraction, digits),
+    ]
+    odd = np.flatnonzero(~fixed & (np.abs(v) != 0))
+    if odd.size:
+        # the odd rows keep nothing of the pieces above, only their own text
+        for _, keep in pieces:
+            keep[odd] = False
+        table, lengths = _text_table(["%.15g" % value for value in v[odd].tolist()])
+        text = np.zeros((m, table.shape[1]), dtype=np.uint8)
+        text[odd] = table
+        keep = np.zeros(text.shape, dtype=bool)
+        keep[odd] = _prefix(lengths, table.shape[1])
+        pieces.append((text, keep))
+    return pieces
+
+
+def _text_table(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The encoded texts as rows of a zero-padded uint8 matrix, and their
+    byte lengths."""
+    encoded = [t.encode() for t in texts]
+    lengths = np.array([len(b) for b in encoded], dtype=np.intp)
+    width = max(1, int(lengths.max(initial=0)))
+    table = np.frombuffer(b"".join(b.ljust(width, b"\0") for b in encoded), dtype=np.uint8)
+    return table.reshape(len(encoded), width), lengths
+
+
+def _numeric_field(column: np.ndarray | range) -> tuple:
+    """A numpy column's % format, and its (bytes, keep) pieces and its
+    values of rows lo:hi. A range is an integer column that no block
+    holds more of than its own rows."""
+    if isinstance(column, range):
+
+        def pieces(lo: int, hi: int) -> list:
+            rows = column[lo:hi]
+            return _int_pieces(np.arange(rows.start, rows.stop, rows.step))
+
+        return "%d", pieces, lambda lo, hi: list(column[lo:hi])
+    pieces = _float_pieces if column.dtype.kind == "f" else _int_pieces
+    return (
+        "%.15g" if column.dtype.kind == "f" else "%d",
+        lambda lo, hi: pieces(column[lo:hi]),
+        lambda lo, hi: column[lo:hi].tolist(),
+    )
+
+
+def _text_field(texts: Sequence[str]) -> tuple:
+    """The same for a text column, its texts quoted by _quote, from one
+    table row per distinct text."""
+    distinct: dict[str, int] = {}
+    codes = [distinct.setdefault(t, len(distinct)) for t in texts]
+    quoted = [_quote(t) for t in distinct]
+    table, lengths = _text_table(quoted)
+    index = np.array(codes, dtype=int)
+
+    def pieces(lo: int, hi: int) -> list:
+        rows = index[lo:hi]
+        return [(table[rows], _prefix(lengths[rows], table.shape[1]))]
+
+    return "%s", pieces, lambda lo, hi: [quoted[c] for c in codes[lo:hi]]
+
+
+def _write_columns(path, header: str, columns: Sequence) -> None:
+    """The header line, then one line per row of ``columns``, fields joined
+    by commas: ranges and numpy integer and boolean columns as %d, float
+    columns as %.15g (15 significant digits), and lists of str as text
+    fields quoted by _quote. The rows are formatted _BLOCK_ROWS at a time,
+    in numpy, or by % when a block has fewer than _NUMPY_ROWS rows, and
+    each block is written with one write."""
+    rows = len(columns[0])
+    fields = [
+        _text_field(column) if isinstance(column, list) else _numeric_field(column)
+        for column in columns
+    ]
+    line_format = ",".join(f for f, _, _ in fields) + "\n"
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            fh.writelines(fmt % row for row in rows)
+        with open(path, "wb") as fh:
+            fh.write((header + "\n").encode())
+            for lo in range(0, rows, _BLOCK_ROWS):
+                hi = min(lo + _BLOCK_ROWS, rows)
+                if hi - lo < _NUMPY_ROWS:
+                    values = zip(*(values_of(lo, hi) for _, _, values_of in fields))
+                    fh.write("".join(line_format % row for row in values).encode())
+                    continue
+                every = np.ones((hi - lo, 1), dtype=bool)
+                comma = (np.full((hi - lo, 1), _COMMA, dtype=np.uint8), every)
+                pieces = []
+                for _, pieces_of, _ in fields:
+                    if pieces:
+                        pieces.append(comma)
+                    pieces += pieces_of(lo, hi)
+                pieces.append((np.full((hi - lo, 1), _NEWLINE, dtype=np.uint8), every))
+                line = np.concatenate([b for b, _ in pieces], axis=1)
+                keep = np.concatenate([k for _, k in pieces], axis=1)
+                fh.write(line[keep])
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def emit_series_csv(series: PayoffSeries, path) -> None:
     """Write one row per round (round 0 included) with 15 significant digits."""
-    rows = zip(
-        range(series.rounds + 1), *series.per_player.T.tolist(),
-        series.average_gain.tolist(), series.stderr.tolist(),
-    )
     header = "round,gain_p1,gain_p2,gain_p3,gain_avg,stderr"
-    _write_rows(path, header, "%d" + ",%.15g" * 5 + "\n", rows)
+    columns = [
+        range(series.rounds + 1), *series.per_player.T, series.average_gain, series.stderr,
+    ]
+    _write_columns(path, header, columns)
 
 
 def emit_map_csv(records: Sequence[MapRecord], path) -> None:
-    rows = ((r.theta, r.phi, _quote(r.scheme), r.gain, r.paradox) for r in records)
-    _write_rows(path, "theta,phi,scheme,gain,paradox", "%.15g,%.15g,%s,%.15g,%d\n", rows)
+    columns = [
+        np.array([r.theta for r in records], dtype=float),
+        np.array([r.phi for r in records], dtype=float),
+        [r.scheme for r in records],
+        np.array([r.gain for r in records], dtype=float),
+        np.array([r.paradox for r in records], dtype=bool),
+    ]
+    _write_columns(path, "theta,phi,scheme,gain,paradox", columns)
 
 
 def emit_sweep_csv(records: Sequence[SweepRecord], path, value_name: str = "value") -> None:
-    rows = (
-        (r.value, _quote(r.scheme), r.gain, r.stderr, _quote(r.verdict), r.paradox)
-        for r in records
-    )
-    header = _quote(value_name) + ",scheme,gain,stderr,verdict,paradox"
-    _write_rows(path, header, "%.15g,%s,%.15g,%.15g,%s,%d\n", rows)
+    columns = [
+        np.array([r.value for r in records], dtype=float),
+        [r.scheme for r in records],
+        np.array([r.gain for r in records], dtype=float),
+        np.array([r.stderr for r in records], dtype=float),
+        [r.verdict for r in records],
+        np.array([r.paradox for r in records], dtype=bool),
+    ]
+    _write_columns(path, _quote(value_name) + ",scheme,gain,stderr,verdict,paradox", columns)
 
 
 def emit_classical_csv(series, path) -> None:
-    rows = zip(range(series.rounds + 1), series.mean_gain.tolist(), series.stderr.tolist())
-    _write_rows(path, "round,gain_avg,stderr", "%d,%.15g,%.15g\n", rows)
+    columns = [range(series.rounds + 1), series.mean_gain, series.stderr]
+    _write_columns(path, "round,gain_avg,stderr", columns)

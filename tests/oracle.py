@@ -1,7 +1,8 @@
 """Independent oracles for the structured walk: per-player coin tosses, the
 joint position distribution, the position update slice by slice, an
 unframed round built from them, a dense Kronecker round on a small
-position lattice, and pure A's payoffs from three 1D walks; and
+position lattice (assembled, or applied factor piece by factor piece by
+``kron_round``), and pure A's payoffs from three 1D walks; and
 ``true_state``, the engine's walk taken out of its phase gauge.
 
 The engine composes a round's three tosses into one real 8x8 operator,
@@ -15,6 +16,9 @@ of shape (8, t+1, t+1, t+1), count index n at position x = 2n - t.
 ``lifted_chain_series`` is the classical baseline's exact chain played
 plainly: each game's lifted map built state by state from the per-player
 rule in ``np.longdouble`` and applied once a round.
+
+The ``percent_*_csv`` writers are the four CSV emitters as Python's ``%``
+formats them, one row at a time: numbers as %d or %.15g.
 """
 from __future__ import annotations
 
@@ -237,13 +241,11 @@ def _check_half_extent(half_extent: int) -> None:
         )
 
 
-def dense_toss_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.ndarray]:
-    """Dense toss factors of players 1..3 in application order, each
-    assembled by Kronecker products."""
-    _check_half_extent(half_extent)
+def _toss_coin_parts(coin_ops: CoinOpSpec) -> Iterator[np.ndarray]:
+    """The 8x8 coin parts of the toss factors of players 1..3 in
+    application order, each assembled by Kronecker products."""
     if len(coin_ops) != 3:
         raise ValueError("coin_ops must hold one entry per player")
-    eye_pos = np.eye(2 * half_extent + 1, dtype=complex)
     for player, spec in enumerate(coin_ops, start=1):
         if isinstance(spec, tuple) and len(spec) == 4:
             coin_part = np.zeros((8, 8), dtype=complex)
@@ -260,24 +262,53 @@ def dense_toss_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.nd
             ops = [_I2, _I2, _I2]
             ops[player - 1] = np.asarray(spec, dtype=complex)
             coin_part = _kron3(ops)
+        yield coin_part
+
+
+def dense_toss_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.ndarray]:
+    """Dense toss factors of players 1..3 in application order: each coin
+    part times the identity on the positions."""
+    _check_half_extent(half_extent)
+    eye_pos = np.eye(2 * half_extent + 1, dtype=complex)
+    for coin_part in _toss_coin_parts(coin_ops):
         yield np.kron(coin_part, np.kron(eye_pos, np.kron(eye_pos, eye_pos)))
+
+
+def _component_shifts(size: int) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """For each coin component c = 4 b1 + 2 b2 + b3: its projector and the
+    shift matrix of each position axis, +1 where b_i is |R>, else -1."""
+    s = _dense_shift_matrix(size)
+    for c in range(8):
+        bits = ((c >> 2) & 1, (c >> 1) & 1, c & 1)
+        yield _kron3([_P_R if b else _P_L for b in bits]), [s if b else s.conj().T for b in bits]
 
 
 def dense_shift_factor(half_extent: int) -> np.ndarray:
     """Dense position update of one round, assembled by Kronecker products."""
     _check_half_extent(half_extent)
     L = 2 * half_extent + 1
-    s = _dense_shift_matrix(L)
     dim = 8 * L**3
     upos = np.zeros((dim, dim), dtype=complex)
-    for c in range(8):
-        bits = ((c >> 2) & 1, (c >> 1) & 1, c & 1)
-        proj = [_P_R if b else _P_L for b in bits]
-        shifts = [s if b else s.conj().T for b in bits]
-        upos += np.kron(
-            _kron3(proj), np.kron(shifts[0], np.kron(shifts[1], shifts[2]))
-        )
+    for proj, shifts in _component_shifts(L):
+        upos += np.kron(proj, np.kron(shifts[0], np.kron(shifts[1], shifts[2])))
     return upos
+
+
+def kron_round(amplitudes: np.ndarray, coin_ops: CoinOpSpec) -> np.ndarray:
+    """One round of ``dense_round_matrix`` applied to position-lattice
+    amplitudes (8, L, L, L) from the Kronecker pieces of its factors, none
+    of them assembled: each toss's 8x8 coin part on the coin axis, then,
+    for each coin component, its L x L shift matrix on each position axis."""
+    _check_half_extent((amplitudes.shape[1] - 1) // 2)
+    for coin_part in _toss_coin_parts(coin_ops):
+        amplitudes = np.tensordot(coin_part, amplitudes, axes=1)
+    shifted = np.zeros_like(amplitudes)
+    for proj, shifts in _component_shifts(amplitudes.shape[1]):
+        part = np.tensordot(proj, amplitudes, axes=1)
+        for axis, s in enumerate(shifts, start=1):
+            part = np.moveaxis(np.tensordot(s, part, axes=(1, axis)), 0, axis)
+        shifted += part
+    return shifted
 
 
 def _dense_round_factors(half_extent: int, coin_ops: CoinOpSpec) -> Iterator[np.ndarray]:
@@ -403,3 +434,45 @@ def lifted_chain_series(params, scheme, rounds: int, trials: int):
         second[t + 1] = vector[2 * states:].sum()
     variance = np.maximum(second - mean * mean, 0) / trials
     return mean.astype(float), np.sqrt(variance).astype(float)
+
+
+# --- CSV rows by % ---------------------------------------------------------
+
+
+def _quote(text: str) -> str:
+    """A text field as csv.writer writes it; "periodic:2,2" holds a comma."""
+    return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\n') else text
+
+
+def _percent_rows(path, header: str, fmt: str, rows: Iterable[tuple]) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(fmt % row for row in rows)
+
+
+def percent_series_csv(series, path) -> None:
+    rows = zip(
+        range(series.rounds + 1), *series.per_player.T.tolist(),
+        series.average_gain.tolist(), series.stderr.tolist(),
+    )
+    header = "round,gain_p1,gain_p2,gain_p3,gain_avg,stderr"
+    _percent_rows(path, header, "%d" + ",%.15g" * 5 + "\n", rows)
+
+
+def percent_map_csv(records, path) -> None:
+    rows = ((r.theta, r.phi, _quote(r.scheme), r.gain, r.paradox) for r in records)
+    _percent_rows(path, "theta,phi,scheme,gain,paradox", "%.15g,%.15g,%s,%.15g,%d\n", rows)
+
+
+def percent_sweep_csv(records, path, value_name: str = "value") -> None:
+    rows = (
+        (r.value, _quote(r.scheme), r.gain, r.stderr, _quote(r.verdict), r.paradox)
+        for r in records
+    )
+    header = _quote(value_name) + ",scheme,gain,stderr,verdict,paradox"
+    _percent_rows(path, header, "%.15g,%s,%.15g,%.15g,%s,%d\n", rows)
+
+
+def percent_classical_csv(series, path) -> None:
+    rows = zip(range(series.rounds + 1), series.mean_gain.tolist(), series.stderr.tolist())
+    _percent_rows(path, "round,gain_avg,stderr", "%d,%.15g,%.15g\n", rows)

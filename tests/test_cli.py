@@ -65,6 +65,25 @@ def test_module_runs_as_a_script():
     assert done.stdout.splitlines()[-1].startswith("final average gain: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scheme", "a", "--rounds", "4"],
+    ["sweep-rho4", "--schemes", "a,b,periodic:2,1", "--values", "0.3", "--rounds", "4"],
+    ["discriminate", "--initial", "w", "--mode", "expectation", "--rounds", "4"],
+])
+def test_commands_that_draw_nothing_never_import_numpy_random(argv):
+    # fixed schedules and expectation mode build no generator
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(engine.__file__).parents[1])}
+    script = (
+        "import sys; from qparrondo.cli import cli_main; code = cli_main(sys.argv[1:]); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_unknown_flag_fails():
     assert cli_main(["run", "--bogus", "1"]) != 0
 

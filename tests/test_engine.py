@@ -2,16 +2,15 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from oracle import (
-    apply_dense_factors,
     coin_weights,
     dense_positions,
-    dense_shift_factor,
     dense_step_oracle,
-    dense_toss_factors,
+    kron_round,
     pure_a_positions,
     state_norm,
     true_state,
@@ -263,49 +262,49 @@ MIXED_GAME_B = GameBParams.from_rhos(0.6, 0.5, 0.3, 0.2)
 
 
 @pytest.fixture(scope="module")
-def mixed_round_factors():
-    """Dense factors of one round of each game with the mixed-round coins on
-    the lattice -3..3, keyed by plays_b: assembled once for every case of
-    this module (seven 0.12 GB matrices, the shift shared) and freed with it."""
+def mixed_round_ops():
+    """Per-player coin operators of one round of each game with the
+    mixed-round coins, keyed by plays_b, as ``kron_round`` takes them."""
     a, b = MIXED_COIN_A, MIXED_GAME_B
-    ops = {
+    return {
         False: [coin_unitary(a)] * 3,
         True: [tuple(coin_unitary(CoinParams(rho, a.theta, a.phi))
                      for rho in (b.ww, b.wl, b.lw, b.ll))] * 3,
     }
-    shift = dense_shift_factor(3)
-    return {plays_b: [*dense_toss_factors(3, ops[plays_b]), shift] for plays_b in ops}
 
 
 @pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE])
-def test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_factors):
+def test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_ops):
     # the count window grows every round; each round is checked against
-    # the dense Kronecker round on the fixed lattice -3..3
+    # the Kronecker round on the fixed lattice -3..3, its factors applied
+    # piece by piece
     config = SimulationConfig(
         initial=initial, scheme=PURE_B, coin_a=MIXED_COIN_A, game_b=MIXED_GAME_B
     )
     schedule = (True, False, True)
     st = init_walker_state(initial_coin_state(initial))
     for t, plays_b in enumerate(schedule, start=1):
-        dense = apply_dense_factors(dense_positions(st, 3), mixed_round_factors[plays_b])
+        dense = kron_round(dense_positions(st, 3), mixed_round_ops[plays_b])
         st = true_state(initial_coin_state(initial), schedule[:t], config)
         assert np.max(np.abs(dense_positions(st, 3) - dense)) < 1e-10
 
 
 def use_slab_sites(monkeypatch, sites):
     """Play this test's walks in slabs of ``sites`` sites, in a fresh
-    workspace whose views are built for them."""
+    workspace whose views are built for them, and check configs against
+    workspace sizes counted for them in a fresh cache."""
     monkeypatch.setattr(engine, "_SLAB_SITES", sites)
     monkeypatch.setattr(engine, "_WORKSPACE", engine._Workspace())
+    monkeypatch.setattr(engine, "_workspace_bytes", lru_cache(engine._workspace_bytes.__wrapped__))
 
 
 @pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE])
 def test_three_mixed_rounds_in_one_plane_slabs_match_dense_oracle(
-    monkeypatch, initial, mixed_round_factors
+    monkeypatch, initial, mixed_round_ops
 ):
     # rounds 2 and 3 are played in two and three slabs
     use_slab_sites(monkeypatch, 1)
-    test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_factors)
+    test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_ops)
 
 
 # (coin_a, game_b) of walk_payoffs: the default phases, and theta=0.7,

@@ -11,6 +11,7 @@ from oracle import (
     dense_positions,
     dense_round_matrix,
     dense_step_oracle,
+    kron_round,
     slice_shift,
     state_norm,
 )
@@ -232,6 +233,16 @@ def test_dense_oracle_matches_structured_round(ops_factory, initial):
     dense = dense_step_oracle(dense_positions(st, 2), ops)
     structured = dense_positions(structured_round(st, ops), 2)
     assert np.max(np.abs(dense - structured)) < 1e-10
+
+
+@pytest.mark.parametrize("ops_factory", [game_a_ops, game_b_ops])
+def test_kron_round_matches_the_assembled_dense_round(ops_factory):
+    # on random amplitudes over the whole lattice, its cyclic edges included
+    rng = np.random.default_rng(7)
+    amplitudes = rng.standard_normal((8, 5, 5, 5)) + 1j * rng.standard_normal((8, 5, 5, 5))
+    ops = ops_factory()
+    expected = dense_step_oracle(amplitudes, ops)
+    assert np.max(np.abs(kron_round(amplitudes, ops) - expected)) < 1e-12
 
 
 def test_dense_round_matrix_is_unitary():

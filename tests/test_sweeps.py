@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracle import percent_classical_csv, percent_map_csv, percent_series_csv, percent_sweep_csv
 
 from qparrondo import (
     GHZ,
@@ -382,6 +383,8 @@ def test_row_writer_matches_csv_writer_byte_for_byte(tmp_path):
         [(r.value, r.scheme, r.gain, r.stderr, r.verdict, int(r.paradox)) for r in sweep],
     )
     assert (tmp_path / "sweep.csv").read_bytes() == expect
+    percent_sweep_csv(sweep, tmp_path / "sweep.pct", value_name="rho4")
+    assert (tmp_path / "sweep.pct").read_bytes() == expect
 
     grid = [
         MapRecord(v, g, labels[k % 5], g, k % 3 == 0)
@@ -393,6 +396,8 @@ def test_row_writer_matches_csv_writer_byte_for_byte(tmp_path):
         [(r.theta, r.phi, r.scheme, r.gain, int(r.paradox)) for r in grid],
     )
     assert (tmp_path / "map.csv").read_bytes() == expect
+    percent_map_csv(grid, tmp_path / "map.pct")
+    assert (tmp_path / "map.pct").read_bytes() == expect
 
     per_player = np.stack([values, gains, values * 3])
     series = PayoffSeries(per_player.T.copy(), gains, np.abs(values))
@@ -403,6 +408,8 @@ def test_row_writer_matches_csv_writer_byte_for_byte(tmp_path):
          for t in range(len(values))],
     )
     assert (tmp_path / "series.csv").read_bytes() == expect
+    percent_series_csv(series, tmp_path / "series.pct")
+    assert (tmp_path / "series.pct").read_bytes() == expect
 
     classical = ClassicalSeries(gains, np.abs(values), exact=True)
     emit_classical_csv(classical, tmp_path / "classical.csv")
@@ -411,4 +418,105 @@ def test_row_writer_matches_csv_writer_byte_for_byte(tmp_path):
         [(t, float(g), abs(float(v))) for t, (g, v) in enumerate(zip(gains, values))],
     )
     assert (tmp_path / "classical.csv").read_bytes() == expect
+    percent_classical_csv(classical, tmp_path / "classical.pct")
+    assert (tmp_path / "classical.pct").read_bytes() == expect
     assert b'"periodic:2,2"' in (tmp_path / "sweep.csv").read_bytes()
+
+
+def test_numpy_blocks_match_csv_writer_byte_for_byte(tmp_path, monkeypatch):
+    # the same rows, formatted in numpy however short the block
+    monkeypatch.setattr(sweeps, "_NUMPY_ROWS", 0)
+    test_row_writer_matches_csv_writer_byte_for_byte(tmp_path)
+
+
+def emitted_and_percent(tmp_path, emit, percent, *args):
+    emit(*args[:1], tmp_path / "emitted.csv", *args[1:])
+    percent(*args[:1], tmp_path / "percent.csv", *args[1:])
+    return (tmp_path / "emitted.csv").read_bytes(), (tmp_path / "percent.csv").read_bytes()
+
+
+@pytest.mark.parametrize("numpy_rows", [0, sweeps._NUMPY_ROWS], ids=["numpy", "default"])
+def test_emitters_match_the_percent_row_writer_on_played_records(
+    tmp_path, monkeypatch, numpy_rows
+):
+    # every emitter on what the program plays: a mix series with standard
+    # errors, a rho4 sweep, a phase map and a classical chain longer than
+    # one block of the column writer, in numpy blocks or, when short, by %
+    from qparrondo import run_classical
+
+    monkeypatch.setattr(sweeps, "_NUMPY_ROWS", numpy_rows)
+    from qparrondo.classical import OriginalParams
+
+    config = replace(base_config(), scheme=RANDOM_MIX, rounds=12)
+    sweep = sweep_rho4(base_config(), values=[0.1, 0.45, 0.9])
+    grid = sweep_phase_map(base_config(initial=GHZ, rho4=0.7), step=math.pi / 2)
+    chain = run_classical(OriginalParams(), RANDOM_MIX, rounds=sweeps._BLOCK_ROWS + 7, trials=50)
+    for emit, percent, *args in (
+        (emit_series_csv, percent_series_csv, run_averaged(config)),
+        (emit_sweep_csv, percent_sweep_csv, sweep, "rho4"),
+        (emit_map_csv, percent_map_csv, grid),
+        (emit_classical_csv, percent_classical_csv, chain),
+    ):
+        emitted, expected = emitted_and_percent(tmp_path, emit, percent, *args)
+        assert emitted == expected
+
+
+def percent_15g_cases() -> np.ndarray:
+    """Floats whose %.15g text is hard to get right, seeded."""
+    rng = np.random.default_rng(20261017)
+    # every decade from the subnormals to the largest, and a random value in each
+    decades = [float(f"1e{e}") for e in range(-330, 309)]
+    spread = [float(f"{m:.17f}e{e}") for e, m in zip(range(-330, 309), rng.uniform(1, 10, 639))]
+    # exact ties: 16 significant digits ending in 5, N = M 5^(15-X) at
+    # exponent X, held exactly as M 2^(X-15) for odd M
+    ties = []
+    for x in range(-4, 15):
+        f = 5 ** (15 - x)
+        m = rng.integers(-(-10**15 // f), 10**16 // f, 400) | 1
+        ties += [float(int(v)) * 2.0 ** (x - 15) for v in m if v * f < 10**16]
+    # both neighbours of each power of ten, and values that round up to it
+    near = []
+    for k in range(-5, 17):
+        p = 10.0**k
+        near += [np.nextafter(p, 0), p, np.nextafter(p, np.inf)]
+        near += (p * (1 - rng.uniform(0, 5e-15, 20))).tolist()
+    rounding_up = [9.9999999999999996e-5, 0.000099999999999999995, 999999999999999.5,
+                   999999999999999.4, 99999999999999.95, 9.999999999999999e14]
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+               np.inf, -np.inf, np.nan, 1.7976931348623157e308]
+    # random bit patterns: every exponent, NaN payloads among them
+    bits = rng.integers(0, 2**63, 2000, dtype=np.uint64).view(np.float64)
+    values = np.array(decades + spread + ties + near + rounding_up + special, dtype=float)
+    scattered = rng.standard_normal(2000) * 10.0 ** rng.integers(-6, 17, 2000)
+    values = np.concatenate([values, bits, scattered])
+    return np.concatenate([values, -values])
+
+
+def test_float_columns_print_exactly_as_percent_15g(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweeps, "_NUMPY_ROWS", 0)
+    values = percent_15g_cases()
+    path = tmp_path / "floats.csv"
+    sweeps._write_columns(path, "x", [values])
+    lines = path.read_bytes().split(b"\n")
+    assert lines[0] == b"x" and lines[-1] == b""
+    expected = [("%.15g" % v).encode() for v in values.tolist()]
+    wrong = [(v, got, want) for v, got, want in zip(values.tolist(), lines[1:-1], expected)
+             if got != want]
+    assert len(lines) - 2 == len(values) and not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("numpy_rows", [0, sweeps._NUMPY_ROWS], ids=["numpy", "default"])
+def test_int_and_text_columns_print_as_percent_d_and_quoted_text(
+    tmp_path, monkeypatch, numpy_rows
+):
+    monkeypatch.setattr(sweeps, "_NUMPY_ROWS", numpy_rows)
+    ints = np.array([0, 1, -1, 9, 10, 9999, 10_000, -123456789, 2**53 + 1, 2**63 - 1, -2**63])
+    texts = ["a", "periodic:2,2", 'say "x"', "", "a\nb", "mix"] * 2
+    flags = np.arange(len(ints)) % 3 == 0
+    path = tmp_path / "mixed.csv"
+    sweeps._write_columns(path, "n,label,flag", [ints, texts[: len(ints)], flags])
+    expected = "".join(
+        "%d,%s,%d\n" % (n, sweeps._quote(t), f)
+        for n, t, f in zip(ints.tolist(), texts, flags.tolist())
+    )
+    assert path.read_bytes() == ("n,label,flag\n" + expected).encode()
