@@ -196,8 +196,8 @@ def sweep_phase_map(
 # bytes a row, is bounded by the block, not by the row count; blocks of 4096
 # rows ran about as fast and raised the peak RSS of a 10^4-row write by 0.6 MB.
 _BLOCK_ROWS = 2048
-# A shorter block is formatted by % row by row: numpy's fixed cost, about
-# 0.1 ms a column, is more than % takes for fewer than about 500 rows.
+# Shorter blocks and tables with a text column are formatted by %: numpy's
+# fixed cost, about 0.1 ms a column, is more than % takes below ~500 rows.
 _NUMPY_ROWS = 512
 
 # _DIGITS[g]: the four ASCII digits of 0 <= g < 10^4, zero-padded, as the
@@ -215,7 +215,7 @@ _TRAILING_ZEROS = (
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _POW10_FLOAT = _POW10.astype(np.float64)
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a float64 into halves
-_MINUS, _DOT, _COMMA, _NEWLINE = b"-.,\n"
+_MINUS, _DOT = b"-."
 
 
 def _quote(text: str) -> str:
@@ -262,11 +262,6 @@ def _ascii(groups: np.ndarray) -> np.ndarray:
     return _DIGITS.take(groups.T).view(np.uint8)
 
 
-def _prefix(lengths: np.ndarray, width: int) -> np.ndarray:
-    """Keep mask of the first ``lengths`` of ``width`` columns per row."""
-    return (np.arange(width)[:, None] < lengths).T
-
-
 def _span(start: np.ndarray, stop: np.ndarray, digits: np.ndarray) -> tuple:
     """(bytes, keep) of the columns start:stop of each row of ``digits``,
     cut to the columns some row keeps."""
@@ -283,13 +278,13 @@ def _sign(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.full((len(v), 1), _MINUS, dtype=np.uint8), np.signbit(v)[:, None]
 
 
-def _int_pieces(v: np.ndarray) -> list:
-    """(bytes, keep) pieces of ``"%d" % n`` for each n of ``v``."""
-    magnitude = np.abs(v).astype(np.uint64)  # -2^63 wraps to 2^63
-    widths = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
+def _int_pieces(rows: range) -> list:
+    """(bytes, keep) pieces of ``"%d" % n`` for each n >= 0 of ``rows``."""
+    n = np.arange(rows.start, rows.stop, rows.step, dtype=np.uint64)
+    widths = np.maximum(np.searchsorted(_POW10, n, side="right"), 1)
     count = -(-int(widths.max()) // 4)
-    digits = _ascii(_groups(magnitude, count))
-    return [_sign(v), _span(4 * count - widths, np.full(len(v), 4 * count), digits)]
+    digits = _ascii(_groups(n, count))
+    return [_span(4 * count - widths, np.full(len(n), 4 * count), digits)]
 
 
 def _float_pieces(v: np.ndarray) -> list:
@@ -347,90 +342,43 @@ def _float_pieces(v: np.ndarray) -> list:
         # the odd rows keep nothing of the pieces above, only their own text
         for _, keep in pieces:
             keep[odd] = False
-        table, lengths = _text_table(["%.15g" % value for value in v[odd].tolist()])
-        text = np.zeros((m, table.shape[1]), dtype=np.uint8)
-        text[odd] = table
-        keep = np.zeros(text.shape, dtype=bool)
-        keep[odd] = _prefix(lengths, table.shape[1])
-        pieces.append((text, keep))
+        # their ASCII texts, zero-padded to the longest
+        table = np.array(["%.15g" % value for value in v[odd].tolist()], dtype=bytes)
+        text = np.zeros((m, table.itemsize), dtype=np.uint8)
+        text[odd] = table.view(np.uint8).reshape(odd.size, -1)
+        pieces.append((text, text != 0))
     return pieces
-
-
-def _text_table(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The encoded texts as rows of a zero-padded uint8 matrix, and their
-    byte lengths."""
-    encoded = [t.encode() for t in texts]
-    lengths = np.array([len(b) for b in encoded], dtype=np.intp)
-    width = max(1, int(lengths.max(initial=0)))
-    table = np.frombuffer(b"".join(b.ljust(width, b"\0") for b in encoded), dtype=np.uint8)
-    return table.reshape(len(encoded), width), lengths
-
-
-def _numeric_field(column: np.ndarray | range) -> tuple:
-    """A numpy column's % format, and its (bytes, keep) pieces and its
-    values of rows lo:hi. A range is an integer column that no block
-    holds more of than its own rows."""
-    if isinstance(column, range):
-
-        def pieces(lo: int, hi: int) -> list:
-            rows = column[lo:hi]
-            return _int_pieces(np.arange(rows.start, rows.stop, rows.step))
-
-        return "%d", pieces, lambda lo, hi: list(column[lo:hi])
-    pieces = _float_pieces if column.dtype.kind == "f" else _int_pieces
-    return (
-        "%.15g" if column.dtype.kind == "f" else "%d",
-        lambda lo, hi: pieces(column[lo:hi]),
-        lambda lo, hi: column[lo:hi].tolist(),
-    )
-
-
-def _text_field(texts: Sequence[str]) -> tuple:
-    """The same for a text column, its texts quoted by _quote, from one
-    table row per distinct text."""
-    distinct: dict[str, int] = {}
-    codes = [distinct.setdefault(t, len(distinct)) for t in texts]
-    quoted = [_quote(t) for t in distinct]
-    table, lengths = _text_table(quoted)
-    index = np.array(codes, dtype=int)
-
-    def pieces(lo: int, hi: int) -> list:
-        rows = index[lo:hi]
-        return [(table[rows], _prefix(lengths[rows], table.shape[1]))]
-
-    return "%s", pieces, lambda lo, hi: [quoted[c] for c in codes[lo:hi]]
 
 
 def _write_columns(path, header: str, columns: Sequence) -> None:
     """The header line, then one line per row of ``columns``, fields joined
-    by commas: ranges and numpy integer and boolean columns as %d, float
-    columns as %.15g (15 significant digits), and lists of str as text
-    fields quoted by _quote. The rows are formatted _BLOCK_ROWS at a time,
-    in numpy, or by % when a block has fewer than _NUMPY_ROWS rows, and
-    each block is written with one write."""
+    by commas: a range as %d, a float ndarray as %.15g (15 significant
+    digits), and a list of fields already turned into text as %s. The rows
+    are formatted _BLOCK_ROWS at a time and each block is written with one
+    write. A block of a table without a list column is formatted in numpy
+    when it has at least _NUMPY_ROWS rows; every other block by %."""
     rows = len(columns[0])
-    fields = [
-        _text_field(column) if isinstance(column, list) else _numeric_field(column)
-        for column in columns
-    ]
-    line_format = ",".join(f for f, _, _ in fields) + "\n"
+    has_text = any(isinstance(column, list) for column in columns)
+    line_format = ",".join(
+        "%d" if isinstance(c, range) else "%s" if isinstance(c, list) else "%.15g" for c in columns
+    ) + "\n"
     try:
         with open(path, "wb") as fh:
             fh.write((header + "\n").encode())
             for lo in range(0, rows, _BLOCK_ROWS):
                 hi = min(lo + _BLOCK_ROWS, rows)
-                if hi - lo < _NUMPY_ROWS:
-                    values = zip(*(values_of(lo, hi) for _, _, values_of in fields))
-                    fh.write("".join(line_format % row for row in values).encode())
+                if has_text or hi - lo < _NUMPY_ROWS:
+                    values = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else c[lo:hi]
+                              for c in columns]
+                    fh.write("".join(line_format % row for row in zip(*values)).encode())
                     continue
                 every = np.ones((hi - lo, 1), dtype=bool)
-                comma = (np.full((hi - lo, 1), _COMMA, dtype=np.uint8), every)
                 pieces = []
-                for _, pieces_of, _ in fields:
-                    if pieces:
-                        pieces.append(comma)
-                    pieces += pieces_of(lo, hi)
-                pieces.append((np.full((hi - lo, 1), _NEWLINE, dtype=np.uint8), every))
+                # each field, then the comma or newline that ends it
+                for column, end in zip(columns, b"," * (len(columns) - 1) + b"\n"):
+                    pieces_of = _int_pieces if isinstance(column, range) else _float_pieces
+                    pieces += pieces_of(column[lo:hi])
+                    pieces.append((np.full((hi - lo, 1), end, dtype=np.uint8), every))
                 line = np.concatenate([b for b, _ in pieces], axis=1)
                 keep = np.concatenate([k for _, k in pieces], axis=1)
                 fh.write(line[keep])
@@ -451,9 +399,9 @@ def emit_map_csv(records: Sequence[MapRecord], path) -> None:
     columns = [
         np.array([r.theta for r in records], dtype=float),
         np.array([r.phi for r in records], dtype=float),
-        [r.scheme for r in records],
+        [_quote(r.scheme) for r in records],
         np.array([r.gain for r in records], dtype=float),
-        np.array([r.paradox for r in records], dtype=bool),
+        [int(r.paradox) for r in records],
     ]
     _write_columns(path, "theta,phi,scheme,gain,paradox", columns)
 
@@ -461,11 +409,11 @@ def emit_map_csv(records: Sequence[MapRecord], path) -> None:
 def emit_sweep_csv(records: Sequence[SweepRecord], path, value_name: str = "value") -> None:
     columns = [
         np.array([r.value for r in records], dtype=float),
-        [r.scheme for r in records],
+        [_quote(r.scheme) for r in records],
         np.array([r.gain for r in records], dtype=float),
         np.array([r.stderr for r in records], dtype=float),
-        [r.verdict for r in records],
-        np.array([r.paradox for r in records], dtype=bool),
+        [_quote(r.verdict) for r in records],
+        [int(r.paradox) for r in records],
     ]
     _write_columns(path, _quote(value_name) + ",scheme,gain,stderr,verdict,paradox", columns)
 

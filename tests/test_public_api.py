@@ -2,13 +2,18 @@
 
 Removing a name from the package leaves no failing call anywhere in the
 library, so these checks read the two places users copy from: every name
-a demo imports from ``qparrondo`` (found by parsing, without running the
-demo) and the README's "Library quick start" block (executed).
+a demo imports from ``qparrondo`` (found by parsing) and the README's
+"Library quick start" block (executed). Every demo also runs to the end.
 """
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -27,6 +32,17 @@ def test_demo_imports_exist():
                     if not hasattr(module, alias.name)
                 ]
     assert not missing
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_every_demo_runs(tmp_path, demo):
+    # in a scratch working directory, where the demos write demo_out/
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_readme_quick_start_runs(capsys):

@@ -398,7 +398,15 @@ def test_row_writer_matches_csv_writer_byte_for_byte(tmp_path):
     assert (tmp_path / "map.csv").read_bytes() == expect
     percent_map_csv(grid, tmp_path / "map.pct")
     assert (tmp_path / "map.pct").read_bytes() == expect
+    assert b'"periodic:2,2"' in (tmp_path / "sweep.csv").read_bytes()
+    numeric_emitters_match_csv_writer(tmp_path)
 
+
+def numeric_emitters_match_csv_writer(tmp_path):
+    # the series and classical emitters, whose tables hold no text, on the
+    # awkward floats
+    values = np.array(AWKWARD)
+    gains = -np.abs(values[::-1])
     per_player = np.stack([values, gains, values * 3])
     series = PayoffSeries(per_player.T.copy(), gains, np.abs(values))
     emit_series_csv(series, tmp_path / "series.csv")
@@ -420,13 +428,13 @@ def test_row_writer_matches_csv_writer_byte_for_byte(tmp_path):
     assert (tmp_path / "classical.csv").read_bytes() == expect
     percent_classical_csv(classical, tmp_path / "classical.pct")
     assert (tmp_path / "classical.pct").read_bytes() == expect
-    assert b'"periodic:2,2"' in (tmp_path / "sweep.csv").read_bytes()
 
 
 def test_numpy_blocks_match_csv_writer_byte_for_byte(tmp_path, monkeypatch):
-    # the same rows, formatted in numpy however short the block
+    # the same series and classical rows, formatted in numpy however short
+    # the block; sweep and map tables hold text and never reach numpy
     monkeypatch.setattr(sweeps, "_NUMPY_ROWS", 0)
-    test_row_writer_matches_csv_writer_byte_for_byte(tmp_path)
+    numeric_emitters_match_csv_writer(tmp_path)
 
 
 def emitted_and_percent(tmp_path, emit, percent, *args):
@@ -505,18 +513,58 @@ def test_float_columns_print_exactly_as_percent_15g(tmp_path, monkeypatch):
     assert len(lines) - 2 == len(values) and not wrong, wrong[:5]
 
 
-@pytest.mark.parametrize("numpy_rows", [0, sweeps._NUMPY_ROWS], ids=["numpy", "default"])
-def test_int_and_text_columns_print_as_percent_d_and_quoted_text(
+@pytest.mark.parametrize("numpy_rows", [0, sweeps._BLOCK_ROWS + 1], ids=["numpy", "percent"])
+def test_row_ranges_print_as_percent_d_and_lists_as_their_text(
     tmp_path, monkeypatch, numpy_rows
 ):
+    # row numbers across 9/10, 9999/10000 and a block boundary, every block
+    # in numpy or every block by %
     monkeypatch.setattr(sweeps, "_NUMPY_ROWS", numpy_rows)
-    ints = np.array([0, 1, -1, 9, 10, 9999, 10_000, -123456789, 2**53 + 1, 2**63 - 1, -2**63])
-    texts = ["a", "periodic:2,2", 'say "x"', "", "a\nb", "mix"] * 2
-    flags = np.arange(len(ints)) % 3 == 0
-    path = tmp_path / "mixed.csv"
-    sweeps._write_columns(path, "n,label,flag", [ints, texts[: len(ints)], flags])
+    rows = range(10_003)
+    assert rows.stop > 4 * sweeps._BLOCK_ROWS
+    values = np.linspace(-2.5, 7.5, len(rows))
+    path = tmp_path / "rows.csv"
+    sweeps._write_columns(path, "n,x", [rows, values])
+    expected = "".join("%d,%.15g\n" % row for row in zip(rows, values.tolist()))
+    assert path.read_bytes() == ("n,x\n" + expected).encode()
+    # a list column holds fields already made text: quoted labels and ints,
+    # written by % whatever _NUMPY_ROWS says
+    texts = [sweeps._quote(t) for t in ["a", "periodic:2,2", 'say "x"', "", "a\nb", "mix"]]
+    flags = [1, 0, 0, 1, 0, 1]
+    sweeps._write_columns(path, "n,label,x,flag", [range(6), texts, values[:6], flags])
     expected = "".join(
-        "%d,%s,%d\n" % (n, sweeps._quote(t), f)
-        for n, t, f in zip(ints.tolist(), texts, flags.tolist())
+        "%d,%s,%.15g,%d\n" % row for row in zip(range(6), texts, values.tolist(), flags)
     )
-    assert path.read_bytes() == ("n,label,flag\n" + expected).encode()
+    assert path.read_bytes() == ("n,label,x,flag\n" + expected).encode()
+    assert b'"periodic:2,2"' in path.read_bytes() and b'"say ""x"""' in path.read_bytes()
+
+
+def refuse_numpy(*args):
+    raise AssertionError("a table with a text column reached the numpy formatter")
+
+
+def test_tables_with_text_never_reach_numpy(tmp_path, monkeypatch):
+    from qparrondo import run_classical
+    from qparrondo.classical import OriginalParams
+
+    grid = sweep_phase_map(base_config(initial=GHZ, rho4=0.7), step=math.pi / 8)
+    sweep = sweep_rho4(base_config(), values=np.linspace(0, 1, 128).tolist())
+    assert len(grid) == 1024 and len(sweep) == 512
+    float_pieces = sweeps._float_pieces
+    monkeypatch.setattr(sweeps, "_float_pieces", refuse_numpy)
+    monkeypatch.setattr(sweeps, "_int_pieces", refuse_numpy)
+    for emit, percent, *args in (
+        (emit_map_csv, percent_map_csv, grid),
+        (emit_sweep_csv, percent_sweep_csv, sweep, "rho4"),
+    ):
+        emitted, expected = emitted_and_percent(tmp_path, emit, percent, *args)
+        assert emitted == expected
+    # a classical table as long, which holds no text, does call it
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(sweeps, "_float_pieces", lambda v: calls.append(len(v)) or float_pieces(v))
+    chain = run_classical(OriginalParams(), PURE_A, rounds=sweeps._NUMPY_ROWS, trials=10)
+    emitted, expected = emitted_and_percent(
+        tmp_path, emit_classical_csv, percent_classical_csv, chain
+    )
+    assert emitted == expected and calls == [sweeps._NUMPY_ROWS + 1] * 2
