@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GameScheme, _physical_memory_bytes, schedule_mask
+from .engine import GameScheme, _check_memory, schedule_mask
 
 # The largest ring whose series comes from its exact chain, whose lifted
 # map is 3 * 2^n wide. 2,000 random-mix rounds at 1,000 trials on a 2-vCPU
@@ -206,12 +206,7 @@ def _check_size(rounds: int, n: int, exact: bool) -> None:
     error). The blocks in which the statistics are formed take at most
     _CHUNK_BYTES. Its squared win total must fit in int64."""
     need = rounds * 33 + 2 * _STACK_BYTES if exact else rounds * (14 * n + 61) + _CHUNK_BYTES
-    physical = _physical_memory_bytes()
-    if need > physical:
-        raise ValueError(
-            f"rounds {rounds} needs {need / 2**30:.3g} GiB at {n} per round, "
-            f"more than the {physical / 2**30:.3g} GiB of physical memory"
-        )
+    _check_memory(need, f"the arrays of rounds {rounds} at {n} per round")
     if not exact and (n * rounds) ** 2 >= 2**63:
         raise ValueError(f"rounds {rounds} for {n} players overflows the int64 win sums")
 

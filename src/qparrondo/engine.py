@@ -83,6 +83,18 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Refuse, before it starts, a run that plans to hold ``need`` bytes in
+    ``what``, arrays named by the parameter that sizes them, if they exceed
+    physical memory."""
+    physical = _physical_memory_bytes()
+    if need > physical:
+        raise ValueError(
+            f"{what} take {need / 2**30:.3g} GiB, more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     initial: InitialCoin
@@ -99,19 +111,13 @@ class SimulationConfig:
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         need = _workspace_bytes(self.rounds)
-        what = f"rounds {self.rounds} needs"
+        what = f"rounds {self.rounds}"
         if self.scheme.is_random:
             # run_averaged keeps every run's (rounds+1, 3) payoffs and
             # (rounds+1) gains, float64
             need += self.runs * (self.rounds + 1) * 4 * 8
-            what = f"runs {self.runs} of {self.rounds} rounds need"
-        physical = _physical_memory_bytes()
-        if need > physical:
-            raise ValueError(
-                f"{what} {need / 2**30:.3g} GiB of the walker state, the toss "
-                f"scratch, their views and payoffs, more than the "
-                f"{physical / 2**30:.3g} GiB of physical memory"
-            )
+            what = f"runs {self.runs} of {self.rounds} rounds"
+        _check_memory(need, f"the walker state, toss scratch, views and payoffs of {what}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -281,17 +287,13 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def _walk(
-    coin_state: np.ndarray,
-    mask: np.ndarray,
-    config: SimulationConfig,
-    per_player: np.ndarray,
-) -> np.ndarray:
+def _walk(start: np.ndarray, ops: tuple, mask: np.ndarray, per_player: np.ndarray) -> np.ndarray:
     """Play the schedule ``mask`` (True where a round plays B, as from
-    ``schedule_mask``) from ``coin_state`` at the origin and return the
-    final state chi of the gauge below; row t of ``per_player``, shape
-    (len(mask) + 1, 3), receives the expected positions after round t,
-    accumulated from row 0.
+    ``schedule_mask``) from the 8 coin amplitudes ``start`` at the origin,
+    each round tossed by the real 8x8 ``ops[0]`` (A) or ``ops[1]`` (B), as
+    ``_round_operators`` returns them, and return the final state; row t of
+    ``per_player``, shape (len(mask) + 1, 3), receives the expected
+    positions after round t, accumulated from row 0.
 
     The walk runs in its thread's workspace: one flat buffer of the final
     state's size, kept for the thread's next walk of the same length, with
@@ -308,34 +310,16 @@ def _walk(
     fills the buffer and is a view of it, valid until the thread's next
     walk: a caller that keeps it copies it.
 
-    Every coin takes coin A's phases: U = P(phi) H_rho P(theta), with
-    P(a) = diag(1, e^{ia}) and the real H_rho. D(a) = P(a)^(x3) multiplies
-    coin component c by e^{ia r(c)}, r(c) its number of |R> coins. Diagonal
-    coin operators commute with game B's neighbour projectors, so a round
-    tosses D(phi) R D(theta) with R composed of the H_rho alone; and D(a)
-    before the shift is the site phase e^{ia (n1 + n2 + n3)} after it. So
-    each round's D(phi) and the next round's D(theta) become a site phase,
-    which no later toss or weight reads (the phase absorption of
-    Chandrashekar, Srikanth & Laflamme, PRA 77, 032326 (2008)). The walk
-    starts from D(theta) psi0, tosses every round with the real R, and
-    returns chi: the true state is psi = e^{-i theta r(c)} (e^{i theta}
-    e^{i phi})^(n1 + n2 + n3) chi. Only unit phases are multiplied, so no
-    finite phase overflows, and phi is read by nothing.
-
     Round t moves axis i by +1 with the weight of the coin components whose
     bit i is |R> after the toss, and by -1 otherwise. The shift only moves
     sites within each coin component, so the weights are read off the
     contiguous toss output, one dot product per component and slab, and
     summed over a round's slabs after the walk:
-    <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1). The gauge leaves every
-    weight as it is.
+    <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1).
     """
-    ops = _round_operators(config.coin_a.rho, config.game_b)
     views = _WORKSPACE.prepare(len(mask))
     n = len(mask) + 1
-    buffer = _WORKSPACE.buffer
-    start = init_walker_state(coin_state).reshape(8)
-    np.multiply(start, np.exp(1j * config.coin_a.theta) ** _R_COUNTS, out=buffer[:: n**3])
+    _WORKSPACE.buffer[:: n**3] = start
     for (faces, slabs), plays_b in zip(views, mask.tolist()):
         op = ops[plays_b]
         for state, toss, rows, columns, weight, target, source in slabs:
@@ -349,7 +333,7 @@ def _walk(
     weights = np.add.reduceat(_WORKSPACE.weights.reshape(-1, 8), _WORKSPACE.starts, axis=0)
     per_player[1:] = weights @ _STEP_SIGNS
     np.cumsum(per_player, axis=0, out=per_player)
-    return buffer.reshape(8, n, n, n)
+    return _WORKSPACE.buffer.reshape(8, n, n, n)
 
 
 def run_averaged(config: SimulationConfig) -> PayoffSeries:
@@ -362,7 +346,22 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
     a single run or a fixed schedule).
     """
     runs = config.runs if config.scheme.is_random else 1
-    coin_state = initial_coin_state(config.initial)
+    # The walk's gauge. Every coin takes coin A's phases: U = P(phi) H_rho
+    # P(theta), with P(a) = diag(1, e^{ia}) and the real H_rho. D(a) =
+    # P(a)^(x3) multiplies coin component c by e^{ia r(c)}, r(c) its number of
+    # |R> coins. Diagonal coin operators commute with game B's neighbour
+    # projectors, so a round tosses D(phi) R D(theta), R composed of the H_rho
+    # alone, and D(a) before the shift is the site phase e^{ia (n1 + n2 + n3)}
+    # after it. So each round's D(phi) and the next round's D(theta) become a
+    # site phase that no later toss or weight reads (the phase absorption of
+    # Chandrashekar, Srikanth & Laflamme, PRA 77, 032326 (2008)): the walk
+    # starts from D(theta) psi0, tosses the real R and returns chi, and the
+    # true state is psi = e^{-i theta r(c)} (e^{i theta} e^{i phi})^(n1 + n2 +
+    # n3) chi, with the same weights. Only unit phases are multiplied, so no
+    # finite phase overflows, and phi is read by nothing.
+    start = init_walker_state(initial_coin_state(config.initial)).reshape(8)
+    start *= np.exp(1j * config.coin_a.theta) ** _R_COUNTS
+    ops = _round_operators(config.coin_a.rho, config.game_b)
     # SimulationConfig's memory check counts this array and the gains
     per_player = np.zeros((runs, config.rounds + 1, 3))
     for k in range(runs):
@@ -370,7 +369,7 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
         # never imports numpy.random)
         rng = (np.random.default_rng(np.random.SeedSequence((config.seed, k)))
                if config.scheme.is_random else None)
-        _walk(coin_state, schedule_mask(config.scheme, config.rounds, rng), config, per_player[k])
+        _walk(start, ops, schedule_mask(config.scheme, config.rounds, rng), per_player[k])
     gains = per_player.mean(axis=2)
     if runs > 1:
         stderr = gains.std(axis=0, ddof=1) / np.sqrt(runs)

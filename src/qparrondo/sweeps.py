@@ -23,7 +23,7 @@ from .engine import (
     PURE_B,
     GameScheme,
     SimulationConfig,
-    _physical_memory_bytes,
+    _check_memory,
     run_averaged,
 )
 from .observables import GameVerdict, PayoffSeries, classify_game, detect_paradox
@@ -169,13 +169,9 @@ def sweep_phase_map(
     refused before its first point exists.
     """
     count = _grid_count(step, 2 * math.pi)
-    need = count**2 * (len(_distinct(schemes)) + 2) * _MAP_WALK_BYTES
-    physical = _physical_memory_bytes()
-    if need > physical:
-        raise ValueError(
-            f"step {step} makes a {count:.3g} x {count:.3g} phase map whose records "
-            f"need more than the {physical / 2**30:.3g} GiB of physical memory"
-        )
+    # a float: a tiny step's need overflows to inf, which the message prints
+    need = count * float(count) * (len(_distinct(schemes)) + 2) * _MAP_WALK_BYTES
+    _check_memory(need, f"the records of the {count:.3g} x {count:.3g} phase map of step {step}")
     grid = phase_grid(step)
 
     def config_for(point: tuple[float, float], scheme: GameScheme) -> SimulationConfig:

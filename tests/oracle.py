@@ -3,7 +3,9 @@ joint position distribution, the position update slice by slice, an
 unframed round built from them, a dense Kronecker round on a small
 position lattice (assembled, or applied factor piece by factor piece by
 ``kron_round``), and pure A's payoffs from three 1D walks; and
-``true_state``, the engine's walk taken out of its phase gauge.
+``walk_inputs``, the explicit start and round operators that engine._walk
+plays for a config, and ``true_state``, its walk taken out of its phase
+gauge.
 
 The engine composes a round's three tosses into one real 8x8 operator,
 moves the coins' phases into its start and a site phase, and shifts in
@@ -38,6 +40,7 @@ from qparrondo.state import (
     _kron3,
     _shift_views,
     controlled_coin_operator,
+    init_walker_state,
 )
 
 UNITARY_TOL = 1e-12
@@ -209,11 +212,21 @@ def ungauge(chi: np.ndarray, config) -> np.ndarray:
     return coin[:, None, None, None] * site * chi
 
 
+def walk_inputs(coin_state: np.ndarray, config) -> tuple[np.ndarray, tuple]:
+    """engine._walk's ``start`` and ``ops`` for ``coin_state`` under
+    ``config``, as run_averaged builds them: the validated coin vector in
+    the walk's gauge, D(theta) psi0, which multiplies component c by
+    e^{i theta r(c)}, and the real round operators of games A and B."""
+    phases = np.exp(1j * config.coin_a.theta) ** np.sum(COIN_BITS, axis=1)
+    start = init_walker_state(coin_state).reshape(8) * phases
+    return start, engine._round_operators(config.coin_a.rho, config.game_b)
+
+
 def true_state(coin_state: np.ndarray, mask, config) -> np.ndarray:
     """The true state after the rounds of ``mask`` (True plays B) from
     ``coin_state``: engine._walk's state, ungauged."""
     mask = np.asarray(mask, dtype=bool)
-    chi = engine._walk(coin_state, mask, config, np.zeros((len(mask) + 1, 3)))
+    chi = engine._walk(*walk_inputs(coin_state, config), mask, np.zeros((len(mask) + 1, 3)))
     return ungauge(chi, config)
 
 

@@ -412,7 +412,7 @@ def test_criterion_10_classical_baseline():
     drift = float(pi @ (2 * q - 1))
     dev = abs(b.final_gain - drift * rounds)
     report(
-        "10d Monte Carlo drift matches the mod-3 chain oracle within 3 standard errors",
+        "10d exact pure B chain matches the stationary-drift oracle within 3 standard errors",
         dev <= 3 * b.final_stderr,
-        f"chain={drift * rounds:+.1f} mc={b.final_gain:+.1f} 3*se={3 * b.final_stderr:.1f}",
+        f"drift={drift * rounds:+.1f} chain={b.final_gain:+.1f} 3*se={3 * b.final_stderr:.1f}",
     )

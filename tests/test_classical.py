@@ -7,6 +7,7 @@ import pytest
 from oracle import lifted_chain_series
 
 import qparrondo.classical as classical
+import qparrondo.engine as engine
 from qparrondo import (
     PURE_A,
     PURE_B,
@@ -704,7 +705,7 @@ def test_single_trial_statistics_count_toward_the_memory_bound(monkeypatch):
     # do not shrink with chunking; a machine with 137 bytes per round
     # cannot hold them
     rounds = 10**6
-    monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 137 * rounds)
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: 137 * rounds)
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)
     with pytest.raises(ValueError, match="physical memory"):
         run_classical(cooperative(n_players=8), RANDOM_MIX, rounds=rounds, trials=1)
@@ -714,7 +715,7 @@ def test_exact_chain_counts_its_moments_and_schedule(monkeypatch):
     # the chain counts 33 bytes a round (two float moments, and the mean's
     # square as the standard errors are formed) besides its maps' powers
     rounds = 10**6
-    monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 33 * rounds - 1)
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: 33 * rounds - 1)
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)
     with pytest.raises(ValueError, match="physical memory"):
         run_classical(OriginalParams(), periodic(2, 3), rounds=rounds, trials=1)
@@ -723,7 +724,7 @@ def test_exact_chain_counts_its_moments_and_schedule(monkeypatch):
 def test_rounds_overflowing_capital_sums_rejected(monkeypatch):
     # on a machine large enough to hold the draws, a squared capital of
     # (1.6 * 10^10)^2 would still overflow int64
-    monkeypatch.setattr(classical, "_physical_memory_bytes", lambda: 2**60)
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: 2**60)
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)
     with pytest.raises(ValueError, match="rounds 2000000000 .* int64"):
         run_classical(cooperative(n_players=8), RANDOM_MIX, rounds=2 * 10**9, trials=1)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import position_distribution
+from oracle import position_distribution, walk_inputs
 
 from qparrondo import (
     GHZ,
@@ -124,7 +124,8 @@ def engine_game_a(coin_state, rounds):
     ``rounds`` rounds of the fair game A."""
     config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds)
     per_player = np.zeros((rounds + 1, 3))
-    final = _walk(coin_state, schedule_mask(PURE_A, rounds, None), config, per_player)
+    start, ops = walk_inputs(coin_state, config)
+    final = _walk(start, ops, schedule_mask(PURE_A, rounds, None), per_player)
     return final, float(per_player[-1].sum())
 
 

@@ -16,6 +16,7 @@ from oracle import (
     true_state,
     unframed_round,
     ungauge,
+    walk_inputs,
 )
 
 from qparrondo import (
@@ -209,7 +210,7 @@ def walk_run(config, k):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, k)))
     per_player = np.zeros((config.rounds + 1, 3))
     mask = schedule_mask(config.scheme, config.rounds, rng)
-    engine._walk(initial_coin_state(config.initial), mask, config, per_player)
+    engine._walk(*walk_inputs(initial_coin_state(config.initial), config), mask, per_player)
     return per_player
 
 
@@ -325,7 +326,7 @@ def walk_payoffs(initial, scheme, rounds, coins="complex"):
     )
     mask = schedule_mask(scheme, rounds, rng_for())
     per_player = np.zeros((rounds + 1, 3))
-    final = engine._walk(initial_coin_state(initial), mask, config, per_player)
+    final = engine._walk(*walk_inputs(initial_coin_state(initial), config), mask, per_player)
     return per_player, final.copy()
 
 
@@ -560,7 +561,7 @@ def test_framed_walk_matches_unframed_step_rounds(start, phases, scheme):
     expected, state = oracle_walk(FRAME_STATES[start], mask, config)
     assert all(op.dtype == np.float64 for op in engine._round_operators(coin_a.rho, game_b))
     per_player = np.zeros((FRAME_ROUNDS + 1, 3))
-    chi = engine._walk(FRAME_STATES[start], mask, config, per_player)
+    chi = engine._walk(*walk_inputs(FRAME_STATES[start], config), mask, per_player)
     assert np.max(np.abs(per_player - expected)) < 1e-12
     assert np.max(np.abs(ungauge(chi, config) - state)) < 1e-12
 
@@ -583,7 +584,7 @@ def test_one_plane_slabs_in_a_nan_workspace_match_unframed_rounds(monkeypatch, r
     for buffer in (engine._WORKSPACE.buffer, engine._WORKSPACE.scratch):
         buffer.fill(np.nan)
     per_player = np.zeros((rounds + 1, 3))
-    chi = engine._walk(FRAME_STATES["random"], mask, config, per_player)
+    chi = engine._walk(*walk_inputs(FRAME_STATES["random"], config), mask, per_player)
     assert np.max(np.abs(per_player - expected)) < 1e-12
     assert np.max(np.abs(ungauge(chi, config) - state)) < 1e-12
 
@@ -606,3 +607,62 @@ def test_round_operators_are_real_for_every_coin():
         for op in engine._round_operators(rhos[0], GameBParams.from_rhos(*rhos[1:])):
             assert op.dtype == np.float64 and op.flags.c_contiguous
             assert np.max(np.abs(op.T @ op - np.eye(8))) < 1e-14
+
+
+# --- the round loop's explicit inputs -------------------------------------
+
+
+def shifted_rounds(start, ops, mask, wrong=None):
+    """The payoffs after every round and the final state of the rounds of
+    ``mask`` from ``start`` at the origin: each round tosses the coin axis
+    with ``ops[plays_b]``, adds its coin weights' steps, and copies each
+    coin component c = 4 b1 + 2 b2 + b3 into a zeroed state one count
+    larger per axis, advanced along each axis whose bit is |R>. Component
+    ``wrong``, if given, moves the wrong way along axis 1."""
+    state = start.reshape(8, 1, 1, 1)
+    payoffs = np.zeros((len(mask) + 1, 3))
+    for t, plays_b in enumerate(mask, start=1):
+        tossed = np.tensordot(ops[int(plays_b)], state, axes=1)
+        payoffs[t] = payoffs[t - 1] + np.sum(np.abs(tossed) ** 2, axis=(1, 2, 3)) @ STEPS
+        n = tossed.shape[1]
+        state = np.zeros((8, n + 1, n + 1, n + 1), dtype=complex)
+        for c in range(8):
+            b1, b2, b3 = (c >> 2) & 1, (c >> 1) & 1, c & 1
+            if c == wrong:
+                b1 = 1 - b1
+            state[c, b1:b1 + n, b2:b2 + n, b3:b3 + n] = tossed[c]
+    return payoffs, state
+
+
+@pytest.mark.parametrize("rounds", [7, 20])
+def test_walk_plays_any_orthogonal_pair_from_any_start(rounds):
+    # operators no config makes: a random real orthogonal pair, from a
+    # random complex start; the 20-round walk plays its last rounds in
+    # several slabs
+    rng = np.random.default_rng(rounds)
+    ops = tuple(np.linalg.qr(rng.normal(size=(8, 8)))[0] for _ in range(2))
+    start = rng.normal(size=8) + 1j * rng.normal(size=8)
+    start /= np.linalg.norm(start)
+    mask = rng.random(rounds) < 0.5
+    per_player = np.zeros((rounds + 1, 3))
+    final = engine._walk(start, ops, mask, per_player)
+    expected, state = shifted_rounds(start, ops, mask)
+    assert np.max(np.abs(per_player - expected)) < 1e-12
+    assert np.max(np.abs(final - state)) < 1e-12
+    # the reference has power: one component moved the wrong way is seen
+    for wrong in range(8):
+        _, moved = shifted_rounds(start, ops, mask, wrong)
+        assert np.max(np.abs(final - moved)) > 1e-6
+
+
+def test_mix_builds_its_start_once_for_all_runs(monkeypatch):
+    built = []
+    init = engine.init_walker_state
+
+    def counted(coin_state):
+        built.append(coin_state)
+        return init(coin_state)
+
+    monkeypatch.setattr(engine, "init_walker_state", counted)
+    run_averaged(SimulationConfig(initial=SEPARABLE, scheme=RANDOM_MIX, runs=10))
+    assert len(built) == 1

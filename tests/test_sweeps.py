@@ -99,14 +99,20 @@ def test_repeated_sweep_is_bitwise_equal():
 
 
 def count_walks(monkeypatch) -> list[str]:
-    """Record the scheme label of every walk the engine plays."""
-    walked = []
-    walk = engine._walk
+    """Record the scheme label of every walk the engine plays: the label of
+    the config that the sweep last handed to run_averaged."""
+    walked, handed = [], []
+    average, walk = sweeps.run_averaged, engine._walk
 
-    def counted(coin_state, schedule, config, per_player=None):
-        walked.append(config.scheme.label)
-        return walk(coin_state, schedule, config, per_player)
+    def averaged(config):
+        handed.append(config.scheme.label)
+        return average(config)
 
+    def counted(*args):
+        walked.append(handed[-1])
+        return walk(*args)
+
+    monkeypatch.setattr(sweeps, "run_averaged", averaged)
     monkeypatch.setattr(engine, "_walk", counted)
     return walked
 
@@ -238,15 +244,17 @@ def refuse_to_run(*args, **kwargs):
 
 def test_phase_map_beyond_physical_memory_rejected_before_building(monkeypatch):
     # the bound counts the scheme and both pure games at each of the 4 x 4
-    # points of a pi/2 grid; a scheme listed twice counts once
+    # points of a pi/2 grid; a scheme listed twice counts once. The walks
+    # play 2 rounds, so that their configs' own checks pass on this memory.
     need = 16 * 3 * sweeps._MAP_WALK_BYTES
-    monkeypatch.setattr(sweeps, "_physical_memory_bytes", lambda: need)
-    records = sweep_phase_map(base_config(), step=math.pi / 2, schemes=(PURE_B,))
+    base = replace(base_config(), rounds=2)
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
+    records = sweep_phase_map(base, step=math.pi / 2, schemes=(PURE_B,))
     assert len(records) == 16
-    monkeypatch.setattr(sweeps, "_physical_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
     monkeypatch.setattr(sweeps, "phase_grid", refuse_to_run)
     with pytest.raises(ValueError, match="step .* physical memory"):
-        sweep_phase_map(base_config(), step=math.pi / 2, schemes=(PURE_B, PURE_B))
+        sweep_phase_map(base, step=math.pi / 2, schemes=(PURE_B, PURE_B))
 
 
 def test_sweep_entanglement_accepts_figure_grid():
