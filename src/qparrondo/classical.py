@@ -29,8 +29,7 @@ any single trajectory is reproducible in isolation and aggregate results do
 not depend on execution order or chunking. Within a trial the stream is
 consumed in a fixed order:
 
-1. the initial winner flags, ``random(n_players) < 1/2`` (random flags
-   only);
+1. the initial winner flags, ``random(n_players) < 1/2``;
 2. the schedule, ``integers(0, 2, size=rounds)`` with 1 meaning game B
    (random mix only, drawn by ``schedule_mask``);
 3. one win uniform per play, ``random((rounds, n_players))``, row t holding
@@ -143,8 +142,6 @@ class CooperativeParams:
     p3: float
     p4: float
     n_players: int = 3
-    update_order: str = "sequential"  # or "synchronous"
-    initial_flags: str = "random"  # "random" | "winners" | "losers"
 
     def __post_init__(self) -> None:
         if self.n_players < 3:
@@ -153,10 +150,6 @@ class CooperativeParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.update_order not in ("sequential", "synchronous"):
-            raise ValueError(f"unknown update_order {self.update_order!r}")
-        if self.initial_flags not in ("random", "winners", "losers"):
-            raise ValueError(f"unknown initial_flags {self.initial_flags!r}")
 
 
 @dataclass
@@ -219,8 +212,7 @@ def _transitions(
 
     A ring's round is played on every start state s for every flag pattern
     s' it can leave: every player plays once, so player i's flag after the
-    round is its result, bit i of s'. Sequential players read the live
-    flags, synchronous ones the flags of s."""
+    round is its result, bit i of s', and reads its neighbours' live flags."""
     table = _win_table(params)
     if isinstance(params, OriginalParams):
         # a win raises the capital mod 3 by one, a loss lowers it
@@ -229,13 +221,11 @@ def _transitions(
         return table[:, :, None] * up + (1 - table[:, :, None]) * down, up - down
     n, states = params.n_players, 2**params.n_players
     bits = np.arange(states)[:, None] >> np.arange(n) & 1  # (states, n)
-    start = np.broadcast_to(bits[:, None, :], (states, states, n))
-    flags = start.copy()
-    source = flags if params.update_order == "sequential" else start
+    flags = np.broadcast_to(bits[:, None, :], (states, states, n)).copy()
     transition = np.ones((2, states, states))
     for i in range(n):
         won = bits[:, i]
-        p = table[:, source[..., i - 1] + 2 * source[..., (i + 1) % n]]
+        p = table[:, flags[..., i - 1] + 2 * flags[..., (i + 1) % n]]
         transition *= np.where(won, p, 1 - p)
         flags[..., i] = won
     return transition, (2 * bits.sum(axis=1) - n) / n
@@ -280,13 +270,11 @@ def _chain_series(
         [(*_powers(maps[kind], min(n, rounds), totals), n) for kind, n in lengths.items()]
     )
     del maps
-    # the row vector (P, m, q), from P: uniform over random flags, else a
-    # point mass on all winners or on state 0 (all losers, or capital 0)
+    # the row vector (P, m, q), from P: uniform over the random flags, or a
+    # point mass on capital 0
     vector = np.zeros(3 * states)
-    if isinstance(params, OriginalParams) or params.initial_flags == "losers":
+    if isinstance(params, OriginalParams):
         vector[0] = 1.0
-    elif params.initial_flags == "winners":
-        vector[states - 1] = 1.0
     else:
         vector[:states] = 1 / states
     # row t holds the sums of m and q after round t, then its mean and
@@ -330,8 +318,8 @@ def _play_codes(
     thresholds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the streams of one chunk of trials, trial by trial, in their
-    documented order: the initial winner flags (drawn, all winners or all
-    losers), the schedule and the uniform of every play.
+    documented order: the initial winner flags, the schedule and the
+    uniform of every play.
 
     Returns the play codes ``(trials, rounds, n)``, one contiguous row per
     trial, and the initial winner flags ``(n, trials)``, both uint8. A
@@ -342,8 +330,7 @@ def _play_codes(
     m = len(trial_indices)
     levels = np.uint8(len(thresholds) + 1)
     codes = np.empty((m, rounds, n), dtype=np.uint8)
-    flags = np.full((n, m), params.initial_flags == "winners", dtype=np.uint8)
-    random_flags = params.initial_flags == "random"
+    flags = np.empty((n, m), dtype=np.uint8)
     uniforms = np.empty((rounds, n))
     # the ranks are counted in a scratch that every trial reuses, which ran
     # faster than counting them in the trial's row of codes
@@ -359,8 +346,7 @@ def _play_codes(
         game = game_offsets(schedule_mask(scheme, rounds, None))
     for col, k in enumerate(trial_indices):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        if random_flags:
-            flags[:, col] = rng.random(n) < 0.5
+        flags[:, col] = rng.random(n) < 0.5
         if scheme.is_random:
             game = game_offsets(schedule_mask(scheme, rounds, rng))
         rng.random(out=uniforms)
@@ -374,25 +360,18 @@ def _play_codes(
     return codes, flags
 
 
-def _play_cooperative(
-    sequential: bool, codes: np.ndarray, flags: np.ndarray, lut: np.ndarray
-) -> np.ndarray:
+def _play_cooperative(codes: np.ndarray, flags: np.ndarray, lut: np.ndarray) -> np.ndarray:
     """Winners per round and trial, ``(rounds, trials)``, in the smallest
     unsigned type that holds ``n_players``. ``flags`` ``(n, trials)`` holds
-    the winner flags and is updated in place."""
+    the winner flags, which players read live, and is updated in place."""
     m, rounds, n = codes.shape
     wins = np.empty((rounds, m), dtype=np.min_scalar_type(n))
-    # sequential players read the live flags, synchronous ones the flags
-    # as the round started
-    source = flags if sequential else np.empty_like(flags)
     base = np.empty((n, m), dtype=np.uint8)
     index = np.empty(m, dtype=np.uint8)
-    successors, heads = source[1:], base[:-1]
-    last, first = base[-1], source[0]
-    players = [(base[i], source[i - 1], flags[i]) for i in range(n)]
+    successors, heads = flags[1:], base[:-1]
+    last, first = base[-1], flags[0]
+    players = [(base[i], flags[i - 1], flags[i]) for i in range(n)]
     for code, won in zip(codes.transpose(1, 2, 0), wins):
-        if not sequential:
-            np.copyto(source, flags)
         # the part of each index known as the round starts: players
         # 0..n-2 count their successor's flag twice, before it plays
         np.add(code[:-1], successors, out=heads)
@@ -476,7 +455,7 @@ def run_classical(
     for start in range(0, trials, chunk):
         idx = range(start, min(start + chunk, trials))
         codes, flags = _play_codes(params, scheme, rounds, seed, idx, thresholds)
-        wins = _play_cooperative(params.update_order == "sequential", codes, flags, lut)
+        wins = _play_cooperative(codes, flags, lut)
         del codes  # freed before the statistics allocate their block
         _add_win_sums(wins, sums, high, low)
         del wins

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import W, coin_unitary, initial_coin_state
-from .engine import PURE_A, SimulationConfig
+from .coins import CoinParams, W, coin_unitary, initial_coin_state
+from .engine import _check_memory
 from .state import init_walker_state
 
 
@@ -23,15 +23,24 @@ class DiscriminationResult:
     threshold: float
 
 
+def _planned_bytes(rounds: int) -> int:
+    """Bytes a discrimination holds at most in either mode: a few hundred a
+    round for its stacks of 2x2 operators and their FFTs, and 1 MiB more."""
+    return (1 << 20) + 1024 * rounds
+
+
 def _position_povm(coin: np.ndarray, rounds: int) -> np.ndarray:
     """M(n) = Phi(n)^dagger Phi(n) for n = 0..rounds, where Phi(n)[b, a] is
-    the amplitude of coin b at step count n of a 1D walk from coin a."""
-    phi = np.zeros((rounds + 1, 2, 2), dtype=complex)
-    phi[0] = np.eye(2)
-    for t in range(1, rounds + 1):
-        phi[:t] = coin @ phi[:t]
-        phi[1:t + 1, 1] = phi[:t, 1].copy()  # |R> advances the step count
-        phi[0, 1] = 0.0
+    the amplitude of coin b at step count n of a 1D walk from coin a.
+
+    A round tosses, then advances |R>'s step count: at momentum k it takes
+    sum_n Phi(n) e^{ikn} to S(k) coin times it, S(k) = diag(1, e^{ik}). On
+    the T + 1 momenta 2 pi j / (T + 1), which alias no step count, Phi(n)
+    is the FFT over j of (S(k) coin)^T, divided by T + 1."""
+    size = rounds + 1
+    s_k = np.ones((size, 2, 1), dtype=complex)
+    s_k[:, 1, 0] = np.exp(2j * np.pi * np.arange(size) / size)
+    phi = np.fft.fft(np.linalg.matrix_power(s_k * coin, rounds), axis=0) / size
     return phi.conj().transpose(0, 2, 1) @ phi
 
 
@@ -57,11 +66,11 @@ def discriminate(
     Expectation mode returns s = sum_i <x_i> = sum_i Tr[rho_i X_T] with
     X_T = sum_n (2n - T) M(n): a function of the single-qubit marginals rho_i
     only, I/2 for GHZ and diag(2/3, 1/3) in the (|L>, |R>) basis for W. A
-    maximally mixed coin does not drift (Tr X_T = 0), so GHZ scores exactly
-    zero and W scores X_T[L, L]. That score, and so the threshold, depends on
-    the coin (one that always flips scores 0 or +1), so the game is fixed to
-    the fair coin, where X_T[L, L] < 0 from T = 3 on; at 1 or 2 rounds it is
-    0 and rounding would decide the label, so ``rounds`` must be at least 3.
+    maximally mixed coin does not drift (Tr X_T = 0), so GHZ scores zero to
+    rounding and W scores X_T[L, L]. That score, and so the threshold, depends
+    on the coin (one that always flips scores 0 or +1), so the game is fixed
+    to the fair coin, where X_T[L, L] < 0 from T = 3 on; at 1 or 2 rounds it
+    is 0 and rounding would decide the label, so ``rounds`` must be at least 3.
 
     Sampled mode computes the exact distribution of S = n1 + n2 + n3,
     P(S) = sum over n1 + n2 + n3 = S of <psi|M(n1) (x) M(n2) (x) M(n3)|psi>,
@@ -76,8 +85,8 @@ def discriminate(
 
     The threshold is half the magnitude of the true W state's statistic;
     the label is GHZ for |s| <= threshold, W for s < -threshold, else
-    Inconclusive, meaningful only for inputs promised to be GHZ or W. The
-    memory cap on ``rounds`` is a three-axis game-A walk's, conservative here.
+    Inconclusive, meaningful only for inputs promised to be GHZ or W. A
+    ``rounds`` whose arrays would exceed physical memory is refused first.
     """
     if mode not in ("expectation", "sampled"):
         raise ValueError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
@@ -85,9 +94,9 @@ def discriminate(
         raise ValueError(f"sampled mode requires shots >= 1 and < 2**63, got {shots}")
     if rounds < 3:
         raise ValueError(f"rounds must be >= 3 to tell W from GHZ, got {rounds}")
-    config = SimulationConfig(initial=W, scheme=PURE_A, rounds=rounds)
+    _check_memory(_planned_bytes(rounds), f"the discriminator's arrays of rounds {rounds}")
     coins = init_walker_state(coin_state).reshape(2, 2, 2)  # validates coin_state
-    povm = _position_povm(coin_unitary(config.coin_a), rounds)
+    povm = _position_povm(coin_unitary(CoinParams(0.5)), rounds)
     x_moments = np.tensordot(2 * np.arange(rounds + 1) - rounds, povm, axes=1)
     statistic = _summed_payoff(coins, x_moments)
     threshold = abs(_summed_payoff(initial_coin_state(W).reshape(2, 2, 2), x_moments)) / 2.0

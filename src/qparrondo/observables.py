@@ -49,18 +49,15 @@ class GameVerdict:
     tol: float
 
 
-def classify_game(series: PayoffSeries, tol: float | None = None) -> GameVerdict:
+def classify_game(series: PayoffSeries) -> GameVerdict:
     """Winning/fair/losing from the final-round average gain against +-tol.
 
-    The default tolerance is 1e-9, widened to 3 standard errors for series
-    averaged over random schedules.
+    The tolerance is 1e-9, widened to 3 standard errors for series averaged
+    over random schedules.
     """
     if len(series.average_gain) == 0:
         raise ValueError("series is empty")
-    if tol is None:
-        tol = max(DEFAULT_TOL, 3.0 * series.final_stderr)
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    tol = max(DEFAULT_TOL, 3.0 * series.final_stderr)
     gain = series.final_gain
     if gain > tol:
         verdict = Verdict.WINNING

@@ -140,19 +140,19 @@ def sweep_entanglement(
     return [SweepRecord(*row) for row in _sweep(omegas, config_for, schemes)]
 
 
-def _grid_count(step: float, span: float) -> int:
-    """Number of values of the grid [0, span) at ``step``."""
+def _grid_count(step: float) -> int:
+    """Number of values of the grid [0, 2*pi) at ``step``."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a positive finite number, got {step}")
-    count = span / step
+    count = 2 * math.pi / step
     if not math.isfinite(count) or abs(count - round(count)) > 1e-9:
-        raise ValueError(f"step {step} does not divide the grid span {span}")
+        raise ValueError(f"step {step} does not divide the grid span {2 * math.pi}")
     return int(round(count))
 
 
-def phase_grid(step: float = DEFAULT_PHASE_STEP, span: float = 2 * math.pi) -> list[float]:
-    """Grid [0, span) at the given step; the step must divide the span."""
-    return [k * step for k in range(_grid_count(step, span))]
+def phase_grid(step: float = DEFAULT_PHASE_STEP) -> list[float]:
+    """Grid [0, 2*pi) at the given step; the step must divide 2*pi."""
+    return [k * step for k in range(_grid_count(step))]
 
 
 def sweep_phase_map(
@@ -168,7 +168,7 @@ def sweep_phase_map(
     verdicts there. A grid whose records cannot fit in physical memory is
     refused before its first point exists.
     """
-    count = _grid_count(step, 2 * math.pi)
+    count = _grid_count(step)
     # a float: a tiny step's need overflows to inf, which the message prints
     need = count * float(count) * (len(_distinct(schemes)) + 2) * _MAP_WALK_BYTES
     _check_memory(need, f"the records of the {count:.3g} x {count:.3g} phase map of step {step}")

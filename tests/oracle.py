@@ -2,7 +2,8 @@
 joint position distribution, the position update slice by slice, an
 unframed round built from them, a dense Kronecker round on a small
 position lattice (assembled, or applied factor piece by factor piece by
-``kron_round``), and pure A's payoffs from three 1D walks; and
+``kron_round``), pure A's payoffs from three 1D walks and the
+discriminator's step-count operators walked round by round; and
 ``walk_inputs``, the explicit start and round operators that engine._walk
 plays for a config, and ``true_state``, its walk taken out of its phase
 gauge.
@@ -194,6 +195,19 @@ def pure_a_positions(coin_state: np.ndarray, coin, rounds: int) -> np.ndarray:
         q = np.moveaxis(coins, i, 0).reshape(2, 4)
         positions[:, i] = np.einsum("ab,tba->t", q @ q.conj().T, moments).real
     return positions
+
+
+def stepped_position_povm(coin: np.ndarray, rounds: int) -> np.ndarray:
+    """The discriminator's M(n) = Phi(n)^dagger Phi(n), n = 0..rounds,
+    walked round by round in step-count space: every round tosses each
+    Phi(n) with ``coin``, then moves its |R> row up one step count."""
+    phi = np.zeros((rounds + 1, 2, 2), dtype=complex)
+    phi[0] = np.eye(2)
+    for t in range(1, rounds + 1):
+        phi[:t] = coin @ phi[:t]
+        phi[1:t + 1, 1] = phi[:t, 1].copy()  # |R> advances the step count
+        phi[0, 1] = 0.0
+    return phi.conj().transpose(0, 2, 1) @ phi
 
 
 # --- the engine's walk out of its gauge -------------------------------------
@@ -406,10 +420,8 @@ def _classical_transitions(params) -> tuple[np.ndarray, np.ndarray]:
     for s in range(2**n):
         for outcome in range(2**n):
             flags = [s >> i & 1 for i in range(n)]
-            start = list(flags)
             for i in range(n):
-                source = flags if params.update_order == "sequential" else start
-                context = (source[i - 1], source[(i + 1) % n])
+                context = (flags[i - 1], flags[(i + 1) % n])
                 won = outcome >> i & 1
                 for g, p in enumerate((params.pa, branch[context])):
                     transition[g, s, outcome] *= p if won else 1 - np.longdouble(p)
@@ -432,10 +444,8 @@ def lifted_chain_series(params, scheme, rounds: int, trials: int):
     ]
     mix = (maps[0] + maps[1]) / 2
     vector = np.zeros(3 * states, dtype=np.longdouble)
-    if isinstance(params, OriginalParams) or params.initial_flags == "losers":
+    if isinstance(params, OriginalParams):
         vector[0] = 1
-    elif params.initial_flags == "winners":
-        vector[-1 - 2 * states] = 1
     else:
         vector[:states] = np.longdouble(1) / states
     mask = None if scheme.is_random else engine.schedule_mask(scheme, rounds, None)

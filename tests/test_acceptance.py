@@ -1,14 +1,14 @@
 """Acceptance suite: one test per criterion (split into lettered parts),
 each printing a PASS/FAIL line before asserting.
 
-Four checks concerning the combined game schemes state reference sign
+Six checks concerning the combined game schemes state reference sign
 patterns that this model does not produce (the computed values are stated
 in the failure messages); they are implemented as specified and fail.
 Every structural variant of the round operator that stays consistent
 with the exact one-toss state identity of criterion 1 was tried while
 freezing these expectations; none inverts the combined-scheme signs, so
-the checks are left red rather than weakened. The analysis lives in the
-repository build notes.
+the checks are left red rather than weakened. The analysis and the values
+each check prints are in ROADMAP.md, under "Current state".
 """
 import math
 

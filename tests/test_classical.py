@@ -57,20 +57,16 @@ def cooperative_step(
     """Every player plays once in index order.
 
     Game B selects the branch probability from the ring neighbors' winner
-    flags; with ``update_order="sequential"`` the flags are read live as
-    each player finishes, with ``"synchronous"`` from a snapshot taken at
-    the start of the round.
+    flags, read live as each player finishes.
     """
     n = params.n_players
     capitals = state.capitals.copy()
     flags = state.winner_flags.copy()
-    snapshot = state.winner_flags.copy()
-    source = flags if params.update_order == "sequential" else snapshot
     for i in range(n):
         if label == "A":
             p = params.pa
         else:
-            p = _branch_probability(params, source[(i - 1) % n], source[(i + 1) % n])
+            p = _branch_probability(params, flags[(i - 1) % n], flags[(i + 1) % n])
         won = rng.random() < p
         capitals[i] += 1 if won else -1
         flags[i] = won
@@ -105,10 +101,7 @@ def oracle_capitals(params, scheme: GameScheme, rounds: int, trials: int, seed: 
     capitals = np.zeros((trials, rounds + 1), dtype=np.int64)
     for k in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        if cooperative and params.initial_flags == "random":
-            flags = rng.random(n) < 0.5
-        else:
-            flags = np.full(n, cooperative and params.initial_flags == "winners")
+        flags = rng.random(n) < 0.5 if cooperative else np.zeros(1, dtype=bool)
         labels = oracle_labels(scheme, rounds, rng)
         draws = Replay(rng.random((rounds, n)))
         state = ClassicalState(np.zeros(n, dtype=int), flags)
@@ -190,8 +183,6 @@ def test_cooperative_params_validation():
         cooperative(n_players=2)
     with pytest.raises(ValueError, match="p4"):
         cooperative(p4=-0.2)
-    with pytest.raises(ValueError, match="update_order"):
-        cooperative(update_order="sideways")
 
 
 def test_cooperative_step_all_winners_use_p1():
@@ -214,21 +205,17 @@ def test_cooperative_step_sure_win_all_branches():
 
 
 def test_cooperative_step_sequential_reads_live_flags():
-    # p-branch of player 2 depends on player 1's fresh result when
-    # sequential, on the round-start snapshot when synchronous
-    params_seq = cooperative(p1=1.0, p2=1.0, p3=0.0, p4=0.0)
-    params_syn = cooperative(p1=1.0, p2=1.0, p3=0.0, p4=0.0, update_order="synchronous")
+    # p-branch of player 2 depends on player 1's fresh result, not on the
+    # flags the round started from
+    params = cooperative(p1=1.0, p2=1.0, p3=0.0, p4=0.0)
     # start: player1 loser, players 2,3 winners; player 1 sees (p3 branch
     # prev=loser? prev of 1 is 3=winner, next=2 winner) -> p1=1 -> wins
     start = ClassicalState(np.zeros(3, dtype=int), np.array([False, True, True]))
     rng = np.random.default_rng(0)
-    seq = cooperative_step(start, "B", params_seq, rng)
-    # sequential: player 2 sees prev=player1 just won -> p1/p2 branch -> wins
+    seq = cooperative_step(start, "B", params, rng)
+    # player 2 sees prev=player1 just won -> p1/p2 branch -> wins; from the
+    # round-start flags (prev=loser, next=winner) it would take p3=0 and lose
     assert seq.capitals[1] == 1
-    rng = np.random.default_rng(0)
-    syn = cooperative_step(start, "B", params_syn, rng)
-    # synchronous: player 2 sees snapshot prev=loser, next=winner -> p3=0 -> loses
-    assert syn.capitals[1] == -1
 
 
 def test_cooperative_game_a_is_fair():
@@ -248,21 +235,16 @@ def test_run_classical_deterministic():
 SCHEMES = (PURE_A, PURE_B, RANDOM_MIX, periodic(2, 3))
 REPLAY_CASES = [
     (
-        cooperative(
-            p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45,
-            n_players=n, update_order=order, initial_flags=flags,
-        ),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=n),
         scheme,
         7,
     )
-    for order, n, flags, scheme in itertools.product(
-        ("sequential", "synchronous"), (9, 11), ("random", "winners", "losers"), SCHEMES
-    )
+    for n, scheme in itertools.product((9, 11), SCHEMES)
 ] + [
     # every player wins every round: the per-round winner count reaches
     # n_players, past 127 (one byte, signed) and past 255 (one byte)
     (cooperative(pa=1.0, n_players=130), PURE_A, 7),
-    (cooperative(p1=1.0, n_players=300, initial_flags="winners"), PURE_B, 7),
+    (cooperative(p1=1.0, p2=1.0, p3=1.0, p4=1.0, n_players=300), PURE_B, 7),
 ] + [
     # the edges of the win table: a probability of exactly 0 (never won)
     # and of 1, five distinct probabilities (a uniform above the largest
@@ -274,9 +256,8 @@ REPLAY_CASES = [
     (cooperative(p1=0.4, p2=0.4, p3=0.4, p4=0.4, pa=0.4, n_players=8), periodic(2, 3), 12),
 ] + [
     # an even ring: player n-1's successor is player 0
-    (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8, update_order=order),
-     scheme, 9)
-    for order in ("sequential", "synchronous") for scheme in (PURE_B, RANDOM_MIX)
+    (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8), scheme, 9)
+    for scheme in (PURE_B, RANDOM_MIX)
 ]
 
 
@@ -321,8 +302,6 @@ def test_random_parameter_sets_replay_the_oracle_bitwise():
         params = cooperative(
             p1=p1, p2=p2, p3=p3, p4=p4, pa=pa,
             n_players=int(rng.integers(8, 12)),
-            update_order=("sequential", "synchronous")[rng.integers(2)],
-            initial_flags=("random", "winners", "losers")[rng.integers(3)],
         )
         series = run_classical(params, scheme, rounds=rounds, trials=trials, seed=case)
         capitals = oracle_capitals(params, scheme, rounds, trials, case)
@@ -333,41 +312,37 @@ def test_random_parameter_sets_replay_the_oracle_bitwise():
 
 def enumerated_series(params, scheme: GameScheme, rounds: int, trials: int):
     """Exact mean and standard error of the player-averaged gain after every
-    round, from every path a run can take: each start (random flags: every
-    flag pattern, weight 2^-n), each schedule (random mix: every one,
+    round, from every path a run can take: each start (every flag pattern
+    of a ring, weight 2^-n), each schedule (random mix: every one,
     weight 2^-rounds) and each outcome of every play, weighted by its
     probability. The plays follow the scalar step functions' rule,
     numpy-vectorized over the paths."""
     cooperative = isinstance(params, CooperativeParams)
     n = params.n_players if cooperative else 1
-    drawn = cooperative and params.initial_flags == "random"
     mixed = scheme.kind == "mix"
     # one axis per drawn start flag, per round's game and per play
-    axes = (2,) * (n * drawn + rounds * mixed + rounds * n)
+    axes = (2,) * (n * cooperative + rounds * mixed + rounds * n)
     digits = np.indices(axes).reshape(len(axes), -1)
-    if drawn:
+    if cooperative:
         flags, digits = digits[:n].astype(bool), digits[n:]
     else:
-        start = cooperative and params.initial_flags == "winners"
-        flags = np.full((n, digits.shape[1]), start)
+        flags = np.zeros((n, digits.shape[1]), dtype=bool)
     if mixed:
         games, digits = digits[:rounds] == 1, digits[rounds:]
     else:
         labels = oracle_labels(scheme, rounds, None)
         games = np.array([[label == "B"] for label in labels])
     wins = digits.reshape(rounds, n, -1).astype(bool)
-    weight = np.full(wins.shape[-1], 0.5 ** len(axes[: n * drawn + rounds * mixed]))
+    weight = np.full(wins.shape[-1], 0.5 ** len(axes[: n * cooperative + rounds * mixed]))
     capital = np.zeros(wins.shape[-1])
     mean, second = [0.0], [0.0]
     for t, (plays_b, won) in enumerate(zip(games, wins), 1):
-        snapshot = flags.copy()
         for i in range(n):
             if not cooperative:
                 b_win = np.where(capital % 3 == 0, params.win_b1, params.win_b2)
                 p = np.where(plays_b, b_win, params.win_a)
             else:
-                source = flags if params.update_order == "sequential" else snapshot
-                prev_won, next_won = source[i - 1], source[(i + 1) % n]
+                prev_won, next_won = flags[i - 1], flags[(i + 1) % n]
                 branch = np.select(
                     [prev_won & next_won, prev_won, next_won],
                     [params.p1, params.p2, params.p3],
@@ -390,7 +365,7 @@ def enumerated_series(params, scheme: GameScheme, rounds: int, trials: int):
 def enumerable_rounds(params, scheme: GameScheme, limit: int = 10**5) -> int:
     """The most rounds whose paths stay within ``limit``."""
     n = params.n_players if isinstance(params, CooperativeParams) else 1
-    starts = 2**n if n > 1 and params.initial_flags == "random" else 1
+    starts = 2**n
     per_round = 2 ** (n + (scheme.kind == "mix"))
     rounds = 0
     while starts * per_round ** (rounds + 1) <= limit:
@@ -415,14 +390,10 @@ def assert_matches_enumeration(params):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("order", ["sequential", "synchronous"])
-@pytest.mark.parametrize("flags", ["random", "winners", "losers"])
-def test_chain_matches_enumeration_of_every_path(n, order, flags):
+def test_chain_matches_enumeration_of_every_path(n):
     # mean and standard error after every round, for every scheme, against
     # the probability-weighted sum over every path of the scalar rule
-    assert_matches_enumeration(
-        cooperative(**ENUMERATED_PROBS, n_players=n, update_order=order, initial_flags=flags)
-    )
+    assert_matches_enumeration(cooperative(**ENUMERATED_PROBS, n_players=n))
 
 
 def test_original_chain_matches_enumeration_of_every_path():
@@ -432,9 +403,8 @@ def test_original_chain_matches_enumeration_of_every_path():
 @pytest.mark.parametrize(
     "params",
     [
-        cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=1.0, initial_flags="winners"),
-        cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=0.0, n_players=4,
-                    update_order="synchronous"),
+        cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=1.0),
+        cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=0.0, n_players=4),
         OriginalParams(epsilon=0.0, p=0.0, p1=1.0, p2=0.6),
     ],
 )
@@ -442,12 +412,11 @@ def test_chain_matches_enumeration_at_sure_and_impossible_wins(params):
     assert_matches_enumeration(params)
 
 
-@pytest.mark.parametrize("order", ["sequential", "synchronous"])
 @pytest.mark.parametrize("scheme", [RANDOM_MIX, periodic(2, 3)])
-def test_chain_agrees_with_the_monte_carlo_at_eight_players(order, scheme):
+def test_chain_agrees_with_the_monte_carlo_at_eight_players(scheme):
     # the two estimators cross at 8 players: the chain, called directly,
     # and the Monte Carlo that run_classical plays there
-    params = cooperative(**ENUMERATED_PROBS, n_players=8, update_order=order)
+    params = cooperative(**ENUMERATED_PROBS, n_players=8)
     rounds, trials = 60, 2000
     exact = classical._chain_series(params, scheme, rounds, trials)
     sampled = run_classical(params, scheme, rounds=rounds, trials=trials, seed=8)
@@ -469,11 +438,11 @@ LONG_SCHEMES = (PURE_A, PURE_B, RANDOM_MIX, periodic(1, 1), periodic(2, 3), peri
 @pytest.mark.parametrize(
     "params",
     [
-        *(cooperative(**LONG_PROBS, initial_flags=f) for f in ("random", "winners", "losers")),
-        cooperative(**LONG_PROBS, n_players=5, update_order="synchronous"),
+        cooperative(**LONG_PROBS),
+        cooperative(**LONG_PROBS, n_players=5),
         OriginalParams(epsilon=0.005),
     ],
-    ids=["3-random", "3-winners", "3-losers", "5-synchronous", "original"],
+    ids=["3-random", "5-random", "original"],
 )
 def test_chain_matches_the_round_by_round_oracle(params, scheme, rounds):
     # the chain plays up to 52 rounds of a run at once at 3 players, 3 at
@@ -567,11 +536,9 @@ def test_sure_wins_count_every_player(monkeypatch, n, rounds):
     "params,scheme",
     [
         (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8), RANDOM_MIX),
-        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, n_players=9, initial_flags="winners"),
-         periodic(2, 3)),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, n_players=9), periodic(2, 3)),
         (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=11), RANDOM_MIX),
-        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, n_players=9, update_order="synchronous"),
-         PURE_B),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, n_players=9), PURE_B),
     ],
 )
 def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
@@ -589,10 +556,8 @@ def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
     "params",
     [
         cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8),
-        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=9,
-                    update_order="synchronous"),
-        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=12,
-                    initial_flags="losers"),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=9),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=12),
     ],
 )
 def test_traced_peak_stays_within_the_memory_accounting(monkeypatch, params):
@@ -658,11 +623,10 @@ def exact_cooperative_mix_mean(params: CooperativeParams, rounds: int) -> float:
             for i in range(n):
                 grown = []
                 for weight, flags, gain in paths:
-                    source = flags if params.update_order == "sequential" else s
                     if label == "A":
                         p = params.pa
                     else:
-                        p = _branch_probability(params, source[i - 1], source[(i + 1) % n])
+                        p = _branch_probability(params, flags[i - 1], flags[(i + 1) % n])
                     for won, q in ((True, p), (False, 1 - p)):
                         nxt = flags.copy()
                         nxt[i] = won

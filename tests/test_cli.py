@@ -297,9 +297,19 @@ def test_workers_must_be_positive(capsys, command, workers):
 
 @pytest.mark.parametrize("command", ["run", "sweep-rho4", "discriminate"])
 def test_rounds_beyond_physical_memory_rejected(capsys, command):
-    # rejected from the state size alone, before any walker state exists
-    assert cli_main([command, "--rounds", "100000"]) == 2
-    assert "rounds 100000" in capsys.readouterr().err
+    # rejected from the planned sizes alone, before any array exists; the
+    # discriminator holds O(rounds) bytes, a walk O(rounds^3)
+    rounds = "10000000000000" if command == "discriminate" else "100000"
+    assert cli_main([command, "--rounds", rounds]) == 2
+    err = capsys.readouterr().err
+    assert f"rounds {rounds} " in err and "physical memory" in err
+
+
+@pytest.mark.parametrize("rounds", ["400", "1000"])
+@pytest.mark.parametrize("mode", ["expectation", "sampled"])
+def test_discriminate_takes_hundreds_of_rounds(capsys, mode, rounds):
+    assert cli_main(["discriminate", "--mode", mode, "--rounds", rounds]) == 0
+    assert capsys.readouterr().out.startswith("label=")
 
 
 def refuse_to_walk(*args, **kwargs):

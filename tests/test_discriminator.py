@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import position_distribution, walk_inputs
+from oracle import position_distribution, stepped_position_povm, walk_inputs
 
+import qparrondo.discriminator as discriminator
 from qparrondo import (
+    CoinParams,
     GHZ,
     PURE_A,
     SEPARABLE,
@@ -14,6 +16,7 @@ from qparrondo import (
     initial_coin_state,
     j_entangled,
 )
+from qparrondo.coins import coin_unitary
 from qparrondo.engine import _walk, schedule_mask
 
 
@@ -82,8 +85,8 @@ def test_input_validation():
         discriminate(initial_coin_state(GHZ), mode="sampled", shots=0)
     with pytest.raises(ValueError, match="rounds"):
         discriminate(initial_coin_state(GHZ), rounds=0)
-    with pytest.raises(ValueError, match="physical memory"):
-        discriminate(initial_coin_state(GHZ), rounds=100_000)
+    with pytest.raises(ValueError, match="rounds 10000000000000 .*physical memory"):
+        discriminate(initial_coin_state(GHZ), rounds=10**13)
     with pytest.raises(ValueError, match="mode"):
         discriminate(initial_coin_state(GHZ), mode="guess")
     with pytest.raises(ValueError, match="components"):
@@ -182,3 +185,38 @@ def test_sampled_memory_does_not_grow_with_shots():
     assert result.label == "W"
     # coordinate sums lie in [-84, 84]: a 4-standard-error bound
     assert abs(result.statistic - exact.statistic) < 4 * 84 / np.sqrt(shots)
+
+
+def povm_error(rounds):
+    """Largest entry of the momentum-space M(n) off the stepped oracle's."""
+    coin = coin_unitary(CoinParams(0.5))
+    povm = discriminator._position_povm(coin, rounds)
+    return np.max(np.abs(povm - stepped_position_povm(coin, rounds)))
+
+
+@pytest.mark.parametrize("rounds", [400, 1000])
+def test_position_povm_matches_the_stepped_walk(rounds):
+    assert povm_error(rounds) < 1e-12
+
+
+def test_stepped_walk_catches_a_reversed_step(monkeypatch):
+    # negative control: with S(k) = diag(1, e^{-ik}) the FFT reads the step
+    # counts in reverse order, and the comparison above must fail
+    exp = np.exp
+    monkeypatch.setattr(discriminator.np, "exp", lambda z: np.conj(exp(z)))
+    assert povm_error(400) > 1e-3
+
+
+@pytest.mark.parametrize("rounds", [28, 400, 3000])
+@pytest.mark.parametrize("mode", ["expectation", "sampled"])
+def test_traced_peak_stays_within_the_planned_bytes(mode, rounds):
+    # the plan is checked against physical memory before anything is built
+    discriminate(initial_coin_state(W), rounds=4, mode=mode, shots=10)  # lazy imports
+    coin_state, rng = initial_coin_state(W), np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        discriminate(coin_state, rounds=rounds, mode=mode, shots=1000, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= discriminator._planned_bytes(rounds)

@@ -118,18 +118,18 @@ def series_with_final(gain, stderr=0.0):
 
 
 def test_classify_winning():
-    v = classify_game(series_with_final(0.5), tol=1e-6)
+    v = classify_game(series_with_final(0.5))
     assert v.verdict is Verdict.WINNING
     assert v.gain == 0.5
 
 
 def test_classify_fair_within_tolerance():
-    v = classify_game(series_with_final(1e-12), tol=1e-9)
+    v = classify_game(series_with_final(1e-12))
     assert v.verdict is Verdict.FAIR
 
 
 def test_classify_losing():
-    assert classify_game(series_with_final(-0.3), tol=1e-6).verdict is Verdict.LOSING
+    assert classify_game(series_with_final(-0.3)).verdict is Verdict.LOSING
 
 
 def test_classify_default_tolerance_uses_stderr():
@@ -144,11 +144,6 @@ def test_classify_empty_series():
     )
     with pytest.raises(ValueError, match="empty"):
         classify_game(empty)
-
-
-def test_classify_negative_tol_rejected():
-    with pytest.raises(ValueError, match="tol"):
-        classify_game(series_with_final(0.1), tol=-1.0)
 
 
 def _verdict(kind):
