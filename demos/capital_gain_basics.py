@@ -33,7 +33,7 @@ print()
 # where both neighbors hold |L> carries its own stay-probability rho4;
 # its value decides whether the game wins or loses.
 for rho4 in (0.2, 0.8):
-    game_b = GameBParams.from_rhos(rho4=rho4)
+    game_b = GameBParams(rho4=rho4)
     for name, initial in [("GHZ", GHZ), ("separable", SEPARABLE)]:
         series = run_averaged(
             SimulationConfig(initial=initial, scheme=PURE_B, game_b=game_b)

@@ -35,7 +35,7 @@ def signed(gain: float) -> str:
 base = SimulationConfig(
     initial=GHZ,
     scheme=PURE_A,
-    game_b=GameBParams.from_rhos(rho4=0.9),
+    game_b=GameBParams(rho4=0.9),
     seed=0,
     runs=10,
 )

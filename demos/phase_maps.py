@@ -39,7 +39,7 @@ for name, initial in [("ghz", GHZ), ("w", W)]:
     base = SimulationConfig(
         initial=initial,
         scheme=PURE_A,
-        game_b=GameBParams.from_rhos(rho4=0.7),
+        game_b=GameBParams(rho4=0.7),
         seed=0,
         runs=10,
     )

@@ -86,14 +86,14 @@ _STACK_BYTES = 1 << 18
 class OriginalParams:
     """Single-player capital-dependent pair of games.
 
-    Game A wins with probability ``p`` (default 1/2 - epsilon). Game B
+    Game A wins with probability ``pa`` (default 1/2 - epsilon). Game B
     uses coin B1 with win probability ``p1`` when the capital is a
     multiple of 3 and coin B2 with probability ``p2`` otherwise; the
     defaults are 1/10 - epsilon and 3/4 - epsilon.
     """
 
     epsilon: float = 0.005
-    p: float | None = None
+    pa: float | None = None
     p1: float | None = None
     p2: float | None = None
 
@@ -101,7 +101,7 @@ class OriginalParams:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         for name, given, value in (
-            ("p", self.p, self.win_a), ("p1", self.p1, self.win_b1), ("p2", self.p2, self.win_b2)
+            ("pa", self.pa, self.win_a), ("p1", self.p1, self.win_b1), ("p2", self.p2, self.win_b2)
         ):
             if 0.0 <= value <= 1.0:
                 continue
@@ -114,7 +114,7 @@ class OriginalParams:
 
     @property
     def win_a(self) -> float:
-        return 0.5 - self.epsilon if self.p is None else self.p
+        return 0.5 - self.epsilon if self.pa is None else self.pa
 
     @property
     def win_b1(self) -> float:

@@ -18,13 +18,7 @@ import numpy as np
 from .classical import CooperativeParams, OriginalParams, run_classical
 from .coins import CoinParams, GameBParams, InitialCoin, initial_coin_state
 from .discriminator import discriminate
-from .engine import (
-    PURE_A,
-    PURE_B,
-    SimulationConfig,
-    parse_scheme,
-    run_averaged,
-)
+from .engine import SimulationConfig, parse_scheme, run_averaged
 from .sweeps import (
     DEFAULT_OMEGA_GRID,
     DEFAULT_PHASE_STEP,
@@ -50,7 +44,6 @@ FLAGS = {
     "rounds": (16, {"type": int}),
     **{f"rho{k}": (0.5, {"type": float}) for k in range(5)},
     "theta": (HALF_PI, {"type": float}),
-    "phi": (HALF_PI, {"type": float}),
     "seed": (0, {"type": int}),
     "runs": (10, {"type": int}),
     # classical's mode; discriminate's --mode is a flag of its own, not a field
@@ -64,7 +57,7 @@ FLAGS = {
 
 SHARED = (
     "initial", "omega", "scheme", "rounds", "rho0", "rho1", "rho2", "rho3", "rho4",
-    "theta", "phi", "seed", "runs",
+    "theta", "seed", "runs",
 )
 
 
@@ -121,19 +114,17 @@ def _merge(args: argparse.Namespace) -> tuple[dict, set]:
 
 
 def _sim_config(opts: dict) -> SimulationConfig:
-    for name in ("rho0", "rho1", "rho2", "rho3", "rho4"):
-        rho = float(opts[name])
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {rho}")
+    # CoinParams calls --rho0 rho; name the flag instead
+    rho0 = float(opts["rho0"])
+    if not 0.0 <= rho0 <= 1.0:
+        raise ValueError(f"rho0 must lie in [0, 1], got {rho0}")
     kind = opts["initial"]
     return SimulationConfig(
         initial=InitialCoin(kind, float(opts["omega"]) if kind == "j" else None),
         scheme=parse_scheme(opts["scheme"]),
         rounds=int(opts["rounds"]),
-        coin_a=CoinParams(float(opts["rho0"]), float(opts["theta"]), float(opts["phi"])),
-        game_b=GameBParams.from_rhos(
-            float(opts["rho1"]), float(opts["rho2"]), float(opts["rho3"]), float(opts["rho4"])
-        ),
+        coin_a=CoinParams(rho0, float(opts["theta"])),
+        game_b=GameBParams(**{f"rho{k}": float(opts[f"rho{k}"]) for k in range(1, 5)}),
         seed=int(opts["seed"]),
         runs=int(opts["runs"]),
     )
@@ -149,7 +140,10 @@ def _parse_values(text: str, name: str) -> list[float]:
     return values
 
 
-def _parse_schemes(text: str):
+def _parse_schemes(text: str | None):
+    """A sweep's --schemes, by default a, b, periodic:2,2 and mix."""
+    if text is None:
+        return DEFAULT_SCHEMES
     # comma separates schemes, but periodic:M,N itself contains one;
     # re-attach a bare block length to a preceding incomplete periodic
     parts = []
@@ -170,20 +164,6 @@ def _parse_schemes(text: str):
     return tuple(parse_scheme(part) for part in parts)
 
 
-def _sweep_schemes(args: argparse.Namespace, opts: dict, explicit: set):
-    """Scheme columns for a sweep: --schemes wins; an explicitly chosen
-    --scheme sweeps that scheme (pure games included for paradox flags);
-    otherwise the default four."""
-    if args.schemes is not None:
-        return _parse_schemes(args.schemes)
-    if "scheme" in explicit:
-        requested = parse_scheme(opts["scheme"])
-        if requested in (PURE_A, PURE_B):
-            return (PURE_A, PURE_B)
-        return (PURE_A, PURE_B, requested)
-    return DEFAULT_SCHEMES
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     opts, _ = _merge(args)
     config = _sim_config(opts)
@@ -201,7 +181,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_values(args: argparse.Namespace) -> int:
     """sweep-rho4 and sweep-omega: one row per grid value and scheme."""
-    opts, explicit = _merge(args)
+    opts, _ = _merge(args)
     base = _sim_config(opts)
     if args.command == "sweep-rho4":
         name, spec, flag, text, grid = "rho4", "g", "--values", args.values, DEFAULT_RHO4_GRID
@@ -209,7 +189,7 @@ def _cmd_sweep_values(args: argparse.Namespace) -> int:
         name, spec, flag, text, grid = "omega", ".4f", "--omegas", args.omegas, DEFAULT_OMEGA_GRID
     values = grid if text is None else _parse_values(text, flag)
     sweep = sweep_rho4 if name == "rho4" else sweep_entanglement
-    records = sweep(base, values, _sweep_schemes(args, opts, explicit))
+    records = sweep(base, values, _parse_schemes(args.schemes))
     if args.out:
         emit_sweep_csv(records, args.out, value_name=name)
         print(f"wrote {len(records)} rows to {args.out}")
@@ -221,9 +201,9 @@ def _cmd_sweep_values(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_phase(args: argparse.Namespace) -> int:
-    opts, explicit = _merge(args)
+    opts, _ = _merge(args)
     base = _sim_config(opts)
-    schemes = _sweep_schemes(args, opts, explicit)
+    schemes = _parse_schemes(args.schemes)
     step = args.step if args.step is not None else DEFAULT_PHASE_STEP
     records = sweep_phase_map(base, step, schemes)
     if args.out:
@@ -238,17 +218,16 @@ def _cmd_sweep_phase(args: argparse.Namespace) -> int:
 
 
 def _cmd_discriminate(args: argparse.Namespace) -> int:
-    opts, _ = _merge(args)
-    _refuse_unless(
-        ["shots"] if args.shots is not None else [], args.mode == "sampled", "--mode sampled"
-    )
+    opts, explicit = _merge(args)
     if opts["seed"] < 0:
         raise ValueError(f"seed must be >= 0, got {opts['seed']}")
+    # expectation mode draws nothing
+    given = explicit & {"seed"} | ({"shots"} if args.shots is not None else set())
+    _refuse_unless(given, args.mode == "sampled", "--mode sampled")
     kind = opts["initial"]
     coin_state = initial_coin_state(
         InitialCoin(kind, float(opts["omega"]) if kind == "j" else None)
     )
-    # expectation mode draws nothing
     rng = np.random.default_rng(int(opts["seed"])) if args.mode == "sampled" else None
     result = discriminate(
         coin_state,
@@ -278,11 +257,8 @@ def _cmd_classical(args: argparse.Namespace) -> int:
                    "--mode original and an unset --pa, --p1 or --p2")
     scheme = parse_scheme(opts["scheme"])
     if opts["mode"] == "original":
-        # OriginalParams calls game A's probability p; name the flag instead
-        if opts["pa"] is not None and not 0.0 <= opts["pa"] <= 1.0:
-            raise ValueError(f"pa must lie in [0, 1], got {opts['pa']}")
         params = OriginalParams(
-            epsilon=float(opts["epsilon"]), p=opts["pa"], p1=opts["p1"], p2=opts["p2"]
+            epsilon=float(opts["epsilon"]), pa=opts["pa"], p1=opts["p1"], p2=opts["p2"]
         )
     else:
         names = ("pa", "p1", "p2", "p3", "p4")
@@ -332,24 +308,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_command(sub, "run", "single simulation, series CSV output", _cmd_run, SHARED)
 
-    # each sweep's grid sets the flags it leaves out
+    # each sweep's grid sets the flags it leaves out, and --schemes its schemes
     p_rho = _add_command(
         sub, "sweep-rho4", "sweep the loser-loser branch rho4", _cmd_sweep_values,
-        _shared_but("rho4"),
+        _shared_but("rho4", "scheme"),
     )
     p_rho.add_argument("--values", help="comma-separated rho4 values (default 0.1..0.9)")
     p_rho.add_argument("--schemes", help="comma-separated schemes (default a,b,periodic:2,2,mix)")
 
     p_phase = _add_command(
         sub, "sweep-phase", "map final gain over the (theta, phi) grid", _cmd_sweep_phase,
-        _shared_but("theta", "phi"),
+        _shared_but("theta", "scheme"),
     )
     p_phase.add_argument("--step", type=float, help="grid step in radians (default pi/8)")
     p_phase.add_argument("--schemes", help="comma-separated schemes")
 
     p_omega = _add_command(
         sub, "sweep-omega", "sweep the initial entanglement angle of J(omega)|LLL>",
-        _cmd_sweep_values, _shared_but("initial", "omega"),
+        _cmd_sweep_values, _shared_but("initial", "omega", "scheme"),
     )
     p_omega.add_argument("--omegas", help="comma-separated omega values (default 0..pi/2)")
     p_omega.add_argument("--schemes", help="comma-separated schemes")

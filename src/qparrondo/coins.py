@@ -41,29 +41,24 @@ class CoinParams:
 class GameBParams:
     """The rho of each of game B's four neighbor-conditioned coins.
 
-    ``ww`` applies when both ring neighbors hold |R> (winner-winner),
-    ``wl`` when the predecessor holds |R> and the successor |L>, ``lw``
-    for the reverse, and ``ll`` when both hold |L>. Every coin of game B
-    takes its phases (theta, phi) from coin A, as all five coins share one
-    phase pair.
+    ``rho1`` applies when both ring neighbors hold |R> (winner-winner),
+    ``rho2`` when the predecessor holds |R> and the successor |L>, ``rho3``
+    for the reverse, and ``rho4`` when both hold |L> (loser-loser). Every
+    coin of game B takes its phases (theta, phi) from coin A, as all five
+    coins share one phase pair. At the all-0.5 defaults every branch coin
+    is game A's default coin, so game B plays game A.
     """
 
-    ww: float
-    wl: float
-    lw: float
-    ll: float
+    rho1: float = 0.5
+    rho2: float = 0.5
+    rho3: float = 0.5
+    rho4: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("ww", "wl", "lw", "ll"):
+        for name in ("rho1", "rho2", "rho3", "rho4"):
             rho = getattr(self, name)
             if not 0.0 <= rho <= 1.0:
-                raise ValueError(f"rho of branch {name} must lie in [0, 1], got {rho}")
-
-    @classmethod
-    def from_rhos(
-        cls, rho1: float = 0.5, rho2: float = 0.5, rho3: float = 0.5, rho4: float = 0.5
-    ) -> "GameBParams":
-        return cls(ww=rho1, wl=rho2, lw=rho3, ll=rho4)
+                raise ValueError(f"{name} must lie in [0, 1], got {rho}")
 
 
 @dataclass(frozen=True)

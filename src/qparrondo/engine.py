@@ -101,7 +101,7 @@ class SimulationConfig:
     scheme: GameScheme
     rounds: int = 16
     coin_a: CoinParams = field(default_factory=lambda: CoinParams(0.5))
-    game_b: GameBParams = field(default_factory=GameBParams.from_rhos)
+    game_b: GameBParams = field(default_factory=GameBParams)
     seed: int = 0
     runs: int = 10
 
@@ -160,7 +160,7 @@ def _round_operators(rho_a: float, game_b: GameBParams) -> tuple[np.ndarray, np.
     coin the real H_rho = U(rho, 0, 0) that ``_walk`` plays."""
     m = coin_unitary(CoinParams(rho_a, 0.0, 0.0)).real
     mats = [coin_unitary(CoinParams(rho, 0.0, 0.0)).real
-            for rho in (game_b.ww, game_b.wl, game_b.lw, game_b.ll)]
+            for rho in (game_b.rho1, game_b.rho2, game_b.rho3, game_b.rho4)]
     operators = []
     for ops in (
         # the four neighbour projectors sum to the identity

@@ -122,7 +122,7 @@ def sweep_rho4(
             raise ValueError(f"rho4 value must lie in [0, 1], got {v}")
 
     def config_for(value: float, scheme: GameScheme) -> SimulationConfig:
-        return replace(base, scheme=scheme, game_b=replace(base.game_b, ll=value))
+        return replace(base, scheme=scheme, game_b=replace(base.game_b, rho4=value))
 
     return [SweepRecord(*row) for row in _sweep(values, config_for, schemes)]
 

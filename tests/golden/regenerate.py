@@ -106,7 +106,7 @@ def drawn_sigma(name: str, path: Path) -> float:
     if name == "sweep-phase":
         return max(
             run_averaged(SimulationConfig(GHZ, RANDOM_MIX, coin_a=CoinParams(0.5, theta),
-                                          game_b=GameBParams.from_rhos(rho4=0.7))).final_stderr
+                                          game_b=GameBParams(rho4=0.7))).final_stderr
             for theta in phase_grid()
         )
     with open(path) as fh:

@@ -152,7 +152,8 @@ def unframed_round(state: np.ndarray, plays_b: bool, config) -> np.ndarray:
     time, then slice_shift."""
     if plays_b:
         a, b = config.coin_a, config.game_b
-        mats = [coin_unitary(CoinParams(rho, a.theta, a.phi)) for rho in (b.ww, b.wl, b.lw, b.ll)]
+        mats = [coin_unitary(CoinParams(rho, a.theta, a.phi))
+                for rho in (b.rho1, b.rho2, b.rho3, b.rho4)]
         for player in (1, 2, 3):
             state = apply_controlled_coin(state, player, *mats)
     else:

@@ -71,7 +71,7 @@ def config(initial, scheme, rho4=0.5, rounds=ROUNDS, theta=math.pi / 2, phi=math
         scheme=scheme,
         rounds=rounds,
         coin_a=CoinParams(0.5, theta, phi),
-        game_b=GameBParams.from_rhos(rho4=rho4),
+        game_b=GameBParams(rho4=rho4),
         seed=0,
         runs=10,
     )

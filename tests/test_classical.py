@@ -145,11 +145,11 @@ def test_original_params_reject_non_finite_epsilon(epsilon):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"epsilon": 0.6}, "epsilon 0.6 sets the default p to -0.1, outside [0, 1]"),
-        ({"epsilon": 0.2, "p": 0.5}, "epsilon 0.2 sets the default p1 to -0.1, outside [0, 1]"),
-        ({"epsilon": 0.8, "p": 0.5, "p1": 0.1},
+        ({"epsilon": 0.6}, "epsilon 0.6 sets the default pa to -0.1, outside [0, 1]"),
+        ({"epsilon": 0.2, "pa": 0.5}, "epsilon 0.2 sets the default p1 to -0.1, outside [0, 1]"),
+        ({"epsilon": 0.8, "pa": 0.5, "p1": 0.1},
          "epsilon 0.8 sets the default p2 to -0.05, outside [0, 1]"),
-        ({"epsilon": 0.2, "p": 0.5, "p1": -0.1}, "p1 must lie in [0, 1], got -0.1"),
+        ({"epsilon": 0.2, "pa": 0.5, "p1": -0.1}, "p1 must lie in [0, 1], got -0.1"),
     ],
 )
 def test_out_of_range_probability_names_its_source(kwargs, message):
@@ -162,7 +162,7 @@ def test_out_of_range_probability_names_its_source(kwargs, message):
 
 def test_original_step_game_a_sure_win():
     rng = np.random.default_rng(0)
-    params = OriginalParams(epsilon=0.0, p=1.0)
+    params = OriginalParams(epsilon=0.0, pa=1.0)
     assert original_step(5, "A", params, rng) == 6
 
 
@@ -405,7 +405,7 @@ def test_original_chain_matches_enumeration_of_every_path():
     [
         cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=1.0),
         cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=0.0, n_players=4),
-        OriginalParams(epsilon=0.0, p=0.0, p1=1.0, p2=0.6),
+        OriginalParams(epsilon=0.0, pa=0.0, p1=1.0, p2=0.6),
     ],
 )
 def test_chain_matches_enumeration_at_sure_and_impossible_wins(params):

@@ -37,7 +37,6 @@ def test_run_rejects_out_of_range_rho(capsys, name):
     "flags, message",
     [
         (["--theta", "nan"], "theta must be finite, got nan"),
-        (["--phi=-inf"], "phi must be finite, got -inf"),
     ],
 )
 def test_run_rejects_non_finite_phases(capsys, flags, message):
@@ -47,8 +46,8 @@ def test_run_rejects_non_finite_phases(capsys, flags, message):
 
 @pytest.mark.parametrize("command", ["run", "sweep-rho4"])
 def test_phases_whose_triple_overflows_play(capsys, command):
-    # every finite phase pair plays: theta + phi, 2 theta or 3 phi may overflow
-    for phases in (["--phi", "7e307", "--theta=-7e307"], ["--theta", "1e308", "--phi", "1e308"]):
+    # every finite theta plays: 2 theta or 3 theta may overflow
+    for phases in (["--theta=-7e307"], ["--theta", "1e308"]):
         argv = [command, "--initial", "ghz", "--rounds", "3", *phases]
         assert cli_main(argv) == 0
         assert "nan" not in capsys.readouterr().out
@@ -420,11 +419,11 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_rho4_honors_explicit_shared_scheme(tmp_path):
+def test_sweep_rho4_writes_one_column_per_listed_scheme(tmp_path):
     out = tmp_path / "rho4.csv"
     code = cli_main(
         [
-            "sweep-rho4", "--initial", "separable", "--scheme", "periodic:2,2",
+            "sweep-rho4", "--initial", "separable", "--schemes", "a,b,periodic:2,2",
             "--values", "0.3", "--rounds", "8", "--out", str(out),
         ]
     )
@@ -438,18 +437,24 @@ def test_sweep_rho4_honors_explicit_shared_scheme(tmp_path):
 
 SHARED = (
     "--initial", "--omega", "--scheme", "--rounds", "--rho0", "--rho1", "--rho2", "--rho3",
-    "--rho4", "--theta", "--phi", "--seed", "--runs",
+    "--rho4", "--theta", "--seed", "--runs",
 )
+# flags no command takes any more: no walk reads phi
+REMOVED = ("--phi",)
 
-# command -> (shared flags it reads, its own flags)
+# command -> (shared flags it reads, its own flags); a sweep's --schemes
+# lists its schemes
 READS = {
     "run": (SHARED, ()),
-    "sweep-rho4": (tuple(f for f in SHARED if f != "--rho4"), ("--values", "--schemes")),
+    "sweep-rho4": (
+        tuple(f for f in SHARED if f not in ("--rho4", "--scheme")), ("--values", "--schemes"),
+    ),
     "sweep-phase": (
-        tuple(f for f in SHARED if f not in ("--theta", "--phi")), ("--step", "--schemes"),
+        tuple(f for f in SHARED if f not in ("--theta", "--scheme")), ("--step", "--schemes"),
     ),
     "sweep-omega": (
-        tuple(f for f in SHARED if f not in ("--initial", "--omega")), ("--omegas", "--schemes"),
+        tuple(f for f in SHARED if f not in ("--initial", "--omega", "--scheme")),
+        ("--omegas", "--schemes"),
     ),
     "discriminate": (("--initial", "--omega", "--rounds", "--seed"), ("--mode", "--shots")),
     "classical": (
@@ -481,7 +486,7 @@ def test_each_command_accepts_exactly_the_flags_it_reads():
 UNREAD = [
     (command, flag)
     for command, (shared, _) in READS.items()
-    for flag in SHARED
+    for flag in (*SHARED, *REMOVED)
     if flag not in shared
 ]
 
@@ -541,6 +546,7 @@ COOPERATIVE = ["--mode", "cooperative", "--pa", "0.5", "--p1", "0.3", "--p2", "0
         (["classical", *COOPERATIVE, "--epsilon", "0.01"], "--epsilon"),
         (["classical", "--pa", "0.5", "--p1", "0.1", "--p2", "0.7", "--epsilon", "0.3"],
          "--epsilon"),
+        (["discriminate", "--seed", "3"], "--seed"),
     ],
 )
 def test_flag_unread_for_another_flags_value_rejected(capsys, argv, flag):
@@ -556,6 +562,7 @@ def test_flag_unread_for_another_flags_value_rejected(capsys, argv, flag):
         ("classical", {"players": 4}, "players"),
         ("classical", {"mode": "cooperative", "epsilon": 0.01}, "epsilon"),
         ("classical", {"pa": 0.5, "p1": 0.1, "p2": 0.7, "epsilon": 0.3}, "epsilon"),
+        ("discriminate", {"seed": 3}, "seed"),
     ],
 )
 def test_config_field_unread_for_another_fields_value_rejected(
@@ -576,6 +583,7 @@ def test_config_field_unread_for_another_fields_value_rejected(
         ["classical", *COOPERATIVE, "--players", "4", "--trials", "5"],
         ["classical", "--mode", "original", "--epsilon", "0.01", "--trials", "5"],
         ["classical", "--pa", "0.5", "--p1", "0.1", "--epsilon", "0.3", "--trials", "5"],
+        ["discriminate", "--mode", "sampled", "--shots", "10", "--seed", "3"],
     ],
 )
 def test_flag_read_for_another_flags_value_accepted(tmp_path, argv):
@@ -615,7 +623,7 @@ def test_epsilon_with_a_null_original_probability_accepted(tmp_path):
     [
         (["--epsilon", "nan"], "epsilon must be a finite number >= 0, got nan"),
         (["--epsilon", "inf"], "epsilon must be a finite number >= 0, got inf"),
-        (["--epsilon", "0.6"], "epsilon 0.6 sets the default p to -0.1, outside [0, 1]"),
+        (["--epsilon", "0.6"], "epsilon 0.6 sets the default pa to -0.1, outside [0, 1]"),
         (["--pa", "0.5", "--epsilon", "0.2"],
          "epsilon 0.2 sets the default p1 to -0.1, outside [0, 1]"),
         (["--pa", "2"], "pa must lie in [0, 1], got 2.0"),
@@ -717,6 +725,102 @@ def test_classical_exact_rows_take_any_number_of_trials(capsys):
     assert "2147483648 trials, exact" in capsys.readouterr().out
 
 
+# --- every flag a command takes moves what it prints or writes -------------
+
+# short walks with a mix whose two runs play both games (seed 0 plays
+# B, B, B twice); game B differs from game A where rho4 is 0.3
+WALK = ["--rounds", "3", "--runs", "2", "--seed", "1"]
+RUN = ["--initial", "separable", "--scheme", "mix", "--rho4", "0.3", *WALK]
+SWEEP = ["--schemes", "b,mix", *WALK]
+# what each shared flag is changed to; the bases below play separable
+WALK_CHANGES = {
+    "--initial": "ghz", "--scheme": "b", "--rounds": "4", "--rho0": "0.2", "--rho1": "0.2",
+    "--rho2": "0.2", "--rho3": "0.2", "--rho4": "0.6", "--theta": "0.7", "--seed": "2",
+    "--runs": "3",
+}
+
+
+def moves(command, base, changes):
+    """(base call, the arguments that change it) for each flag in
+    ``changes`` that ``command`` takes, with its changed value."""
+    shared, own = READS[command]
+    return {
+        flag: ([command, *base], [flag, value])
+        for flag, value in changes.items() if flag in (*shared, *own)
+    }
+
+
+PHASE_MAP = ["--step", "3.141592653589793", "--rho4", "0.3", *SWEEP]
+
+# command -> flag -> (base call, arguments that change its output)
+MOVES = {
+    "run": {
+        **moves("run", RUN, WALK_CHANGES),
+        **moves("run", [*RUN, "--initial", "j"], {"--omega": "0.3"}),
+    },
+    "sweep-rho4": {
+        **moves("sweep-rho4", ["--initial", "separable", "--values", "0.3", *SWEEP],
+                {**WALK_CHANGES, "--values": "0.4", "--schemes": "a"}),
+        **moves("sweep-rho4", ["--initial", "j", "--values", "0.3", *SWEEP], {"--omega": "0.3"}),
+    },
+    "sweep-phase": {
+        **moves("sweep-phase", ["--initial", "separable", *PHASE_MAP],
+                {**WALK_CHANGES, "--step": "1.5707963267948966", "--schemes": "a"}),
+        **moves("sweep-phase", ["--initial", "j", *PHASE_MAP], {"--omega": "0.3"}),
+    },
+    "sweep-omega": moves("sweep-omega", ["--omegas", "0.3", "--rho4", "0.3", *SWEEP],
+                         {**WALK_CHANGES, "--omegas": "0.7", "--schemes": "a"}),
+    "discriminate": {
+        **moves("discriminate", ["--initial", "w", "--rounds", "3"],
+                {"--initial": "ghz", "--rounds": "4", "--mode": "sampled"}),
+        **moves("discriminate", ["--initial", "j", "--rounds", "3"], {"--omega": "0.3"}),
+        # expectation mode draws nothing
+        **moves("discriminate", ["--initial", "w", "--rounds", "3", "--mode", "sampled",
+                                 "--shots", "10"], {"--seed": "7", "--shots": "20"}),
+    },
+    "classical": {
+        **moves("classical", ["--scheme", "mix", "--rounds", "3", "--trials", "5"], {
+            "--scheme": "b", "--rounds": "4", "--trials": "6", "--epsilon": "0.01",
+            "--pa": "0.3", "--p1": "0.2", "--p2": "0.6",
+        }),
+        # 8 players and more run Monte Carlo, fewer the exact chain
+        **moves("classical", [*COOPERATIVE, "--players", "8", "--scheme", "mix", "--rounds",
+                              "3", "--trials", "5"],
+                {"--seed": "7", "--players": "3", "--p3": "0.2", "--p4": "0.2"}),
+    },
+}
+# the cooperative mode requires the two probabilities the original refuses
+MOVES["classical"]["--mode"] = (
+    ["classical", "--pa", "0.5", "--p1", "0.3", "--p2", "0.5", "--rounds", "3", "--trials", "5"],
+    ["--mode", "cooperative", "--p3", "0.5", "--p4", "0.8"],
+)
+
+
+def output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+    return capsys.readouterr().out, out.read_bytes()
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag)
+    for command, sub in subparsers().items()
+    for action in sub._actions
+    for flag in action.option_strings
+    if flag not in ("-h", "--help", "--config", "--out")
+])
+def test_every_flag_moves_an_output(tmp_path, capsys, command, flag):
+    assert flag in MOVES[command], f"no call shows what {command} {flag} changes"
+    base, change = MOVES[command][flag]
+    assert change[0] == flag
+    assert output(tmp_path, capsys, base) != output(tmp_path, capsys, [*base, *change])
+
+
+def test_some_command_takes_every_config_field():
+    taken = {key for sub in subparsers().values() for key in sub.get_default("fields")}
+    assert taken == set(cli.FLAGS)
+
+
 # --- seeded fuzz: every argv ends with exit 0 or 2, never a traceback -------
 
 INT_EDGES = ("-1", "0", "9223372036854775808", "5e-324", "nan", "x", "")
@@ -737,7 +841,6 @@ FUZZ_VALUES = {
     "--rounds": (("1", "3", "4"), INT_EDGES),
     **{f"--rho{k}": PROBABILITY for k in range(5)},
     "--theta": (("0", "0.7", "-7e307", "1e308"), FLOAT_EDGES),
-    "--phi": (("0", "1.9", "7e307", "-1e308"), FLOAT_EDGES),
     "--seed": (("0", "7", "18446744073709551616"), INT_EDGES),
     "--runs": (("1", "3"), INT_EDGES),
     "--values": (("0.1,0.5", "0,1", "5e-324"), ("1.5", "nan", "inf", ",", "", "x")),

@@ -165,15 +165,15 @@ def test_j_entangled_domain_check():
         j_entangled(2.0)
 
 
-def test_game_b_params_from_rhos():
-    b = GameBParams.from_rhos(rho4=0.4)
-    assert b == GameBParams(ww=0.5, wl=0.5, lw=0.5, ll=0.4)
+def test_game_b_params_default_rhos():
+    b = GameBParams(rho4=0.4)
+    assert b == GameBParams(0.5, 0.5, 0.5, 0.4)
 
 
-@pytest.mark.parametrize("branch", ["ww", "wl", "lw", "ll"])
+# each branch's rho, with the neighbour pattern that selects it as its id
+@pytest.mark.parametrize("branch", ["rho1", "rho2", "rho3", "rho4"], ids=["ww", "wl", "lw", "ll"])
 @pytest.mark.parametrize("rho", [-0.1, 1.5, float("nan")])
 def test_game_b_params_domain_names_the_branch(branch, rho):
-    rhos = {"ww": 0.5, "wl": 0.5, "lw": 0.5, "ll": 0.5, branch: rho}
     with pytest.raises(ValueError) as excinfo:
-        GameBParams(**rhos)
-    assert str(excinfo.value) == f"rho of branch {branch} must lie in [0, 1], got {rho}"
+        GameBParams(**{branch: rho})
+    assert str(excinfo.value) == f"{branch} must lie in [0, 1], got {rho}"

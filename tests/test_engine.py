@@ -124,7 +124,7 @@ def test_config_validation():
 def test_step_round_b_with_equal_branches_matches_a():
     config_a = SimulationConfig(initial=SEPARABLE, scheme=PURE_A)
     config_b = SimulationConfig(
-        initial=SEPARABLE, scheme=PURE_B, game_b=GameBParams.from_rhos()
+        initial=SEPARABLE, scheme=PURE_B, game_b=GameBParams()
     )
     a = true_state(initial_coin_state(SEPARABLE), [False], config_a)
     b = true_state(initial_coin_state(SEPARABLE), [True], config_b)
@@ -173,7 +173,7 @@ def test_run_simulation_deterministic():
 def test_rho4_unused_by_pure_a():
     base = SimulationConfig(initial=SEPARABLE, scheme=PURE_A)
     alt = SimulationConfig(
-        initial=SEPARABLE, scheme=PURE_A, game_b=GameBParams.from_rhos(rho4=0.1)
+        initial=SEPARABLE, scheme=PURE_A, game_b=GameBParams(rho4=0.1)
     )
     assert np.array_equal(run_averaged(base).per_player, run_averaged(alt).per_player)
 
@@ -187,7 +187,7 @@ def test_pure_a_player_symmetry(initial):
 
 def test_norm_and_support_every_round():
     config = SimulationConfig(
-        initial=SEPARABLE, scheme=periodic(2, 2), game_b=GameBParams.from_rhos(rho4=0.3)
+        initial=SEPARABLE, scheme=periodic(2, 2), game_b=GameBParams(rho4=0.3)
     )
     rounds = 8
     schedule = schedule_mask(config.scheme, rounds, rng_for())
@@ -234,7 +234,7 @@ def test_run_averaged_mix_stderr_positive():
         initial=SEPARABLE,
         scheme=RANDOM_MIX,
         runs=6,
-        game_b=GameBParams.from_rhos(rho4=0.2),
+        game_b=GameBParams(rho4=0.2),
     )
     avg = run_averaged(config)
     assert avg.final_stderr > 0
@@ -243,7 +243,7 @@ def test_run_averaged_mix_stderr_positive():
 def test_one_round_matches_dense_oracle_both_labels():
     rho4 = 0.3
     config = SimulationConfig(
-        initial=SEPARABLE, scheme=PURE_B, game_b=GameBParams.from_rhos(rho4=rho4)
+        initial=SEPARABLE, scheme=PURE_B, game_b=GameBParams(rho4=rho4)
     )
     fair = coin_unitary(CoinParams(0.5))
     special = coin_unitary(CoinParams(rho4))
@@ -259,7 +259,7 @@ def test_one_round_matches_dense_oracle_both_labels():
 
 # coins of the mixed-round test: non-default rhos and phases theta=0.7, phi=1.9
 MIXED_COIN_A = CoinParams(0.4, 0.7, 1.9)
-MIXED_GAME_B = GameBParams.from_rhos(0.6, 0.5, 0.3, 0.2)
+MIXED_GAME_B = GameBParams(0.6, 0.5, 0.3, 0.2)
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +270,7 @@ def mixed_round_ops():
     return {
         False: [coin_unitary(a)] * 3,
         True: [tuple(coin_unitary(CoinParams(rho, a.theta, a.phi))
-                     for rho in (b.ww, b.wl, b.lw, b.ll))] * 3,
+                     for rho in (b.rho1, b.rho2, b.rho3, b.rho4))] * 3,
     }
 
 
@@ -311,7 +311,7 @@ def test_three_mixed_rounds_in_one_plane_slabs_match_dense_oracle(
 # (coin_a, game_b) of walk_payoffs: the default phases, and theta=0.7,
 # phi=1.9, where no coin has a real multiple
 WALK_COINS = {
-    "real": (CoinParams(0.4), GameBParams.from_rhos(rho4=0.3)),
+    "real": (CoinParams(0.4), GameBParams(rho4=0.3)),
     "complex": (MIXED_COIN_A, MIXED_GAME_B),
 }
 
@@ -488,7 +488,7 @@ def test_traced_workspace_stays_within_the_memory_bound(rounds):
 
 def test_run_averaged_equals_the_mean_of_its_runs_bitwise():
     config = SimulationConfig(
-        initial=SEPARABLE, scheme=RANDOM_MIX, runs=7, game_b=GameBParams.from_rhos(rho4=0.2)
+        initial=SEPARABLE, scheme=RANDOM_MIX, runs=7, game_b=GameBParams(rho4=0.2)
     )
     runs = [walk_run(config, k) for k in range(config.runs)]
     gains = np.stack([per_player.mean(axis=1) for per_player in runs])
@@ -520,7 +520,7 @@ FRAME_STATES = {
 
 
 def shared_phases(theta, phi, rhos=(0.3, 0.8, 0.15, 0.6, 0.35)):
-    return CoinParams(rhos[0], theta, phi), GameBParams.from_rhos(*rhos[1:])
+    return CoinParams(rhos[0], theta, phi), GameBParams(*rhos[1:])
 
 
 # (coin_a, game_b): all five coins share coin A's (theta, phi)
@@ -604,7 +604,7 @@ def test_phi_moves_no_payoff(phi):
 def test_round_operators_are_real_for_every_coin():
     rng = np.random.default_rng(5)
     for rhos in [(0.0,) * 5, (1.0,) * 5, (0.5,) * 5, *rng.random((20, 5))]:
-        for op in engine._round_operators(rhos[0], GameBParams.from_rhos(*rhos[1:])):
+        for op in engine._round_operators(rhos[0], GameBParams(*rhos[1:])):
             assert op.dtype == np.float64 and op.flags.c_contiguous
             assert np.max(np.abs(op.T @ op - np.eye(8))) < 1e-14
 

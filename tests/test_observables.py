@@ -94,7 +94,7 @@ def test_payoffs_match_position_oracle(initial, scheme):
         scheme=scheme,
         rounds=ORACLE_ROUNDS,
         coin_a=CoinParams(0.3, 0.7, 1.9),
-        game_b=GameBParams(ww=0.8, wl=0.15, lw=0.6, ll=0.35),
+        game_b=GameBParams(0.8, 0.15, 0.6, 0.35),
         seed=11,
         runs=1,
     )

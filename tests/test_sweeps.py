@@ -36,7 +36,7 @@ def base_config(initial=SEPARABLE, rho4=0.5):
         initial=initial,
         scheme=PURE_A,
         rounds=8,
-        game_b=GameBParams.from_rhos(rho4=rho4),
+        game_b=GameBParams(rho4=rho4),
         seed=0,
         runs=3,
     )
@@ -62,13 +62,13 @@ def test_sweep_rho4_domain_check():
 
 def test_sweep_rho4_keeps_the_other_branch_rhos():
     # only rho4 is swept; the WW branch keeps its own rho
-    game_b = GameBParams(ww=0.2, wl=0.5, lw=0.5, ll=0.9)
+    game_b = GameBParams(rho1=0.2, rho4=0.9)
     base = SimulationConfig(initial=GHZ, scheme=PURE_B, rounds=4, game_b=game_b)
     (record,) = sweep_rho4(base, values=[0.4], schemes=(PURE_B,))
-    played = replace(base, game_b=replace(game_b, ll=0.4))
+    played = replace(base, game_b=replace(game_b, rho4=0.4))
     assert record.gain == run_averaged(played).final_gain
-    fair_ww = replace(played, game_b=GameBParams.from_rhos(rho4=0.4))
-    assert record.gain != run_averaged(fair_ww).final_gain
+    fair_rho1 = replace(played, game_b=GameBParams(rho4=0.4))
+    assert record.gain != run_averaged(fair_rho1).final_gain
 
 
 def test_sweep_rho4_paradox_consistent_with_verdicts():
@@ -120,7 +120,7 @@ def count_walks(monkeypatch) -> list[str]:
 def standalone_record(base, value, scheme, verdicts):
     """The record of one (rho4, scheme) from its own walk; ``verdicts``
     collects the pure-game verdicts of the point for the paradox flag."""
-    config = replace(base, scheme=scheme, game_b=GameBParams.from_rhos(rho4=value))
+    config = replace(base, scheme=scheme, game_b=GameBParams(rho4=value))
     series = run_averaged(config)
     verdict = classify_game(series).verdict
     verdicts[scheme.label] = verdict
@@ -160,7 +160,7 @@ def test_sweep_rho4_walks_pure_a_once(monkeypatch, schemes, walks):
 
 def test_pure_b_is_served_from_the_memo_when_only_phi_changes(monkeypatch):
     # no walk reads phi: points that differ only there share every walk
-    base = replace(base_config(initial=GHZ), game_b=GameBParams.from_rhos(rho4=0.3))
+    base = replace(base_config(initial=GHZ), game_b=GameBParams(rho4=0.3))
     phis = [math.pi / 2, 1.9, 0.3]
 
     def config_for(phi, scheme):
@@ -286,7 +286,7 @@ def test_emit_series_csv_layout(tmp_path):
 def test_emit_series_csv_significant_digits(tmp_path):
     series = run_averaged(
         SimulationConfig(
-            initial=SEPARABLE, scheme=PURE_B, rounds=4, game_b=GameBParams.from_rhos(rho4=0.3)
+            initial=SEPARABLE, scheme=PURE_B, rounds=4, game_b=GameBParams(rho4=0.3)
         )
     )
     path = tmp_path / "series.csv"
