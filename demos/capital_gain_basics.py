@@ -16,7 +16,6 @@ from qparrondo import (
     PURE_B,
     SEPARABLE,
     W,
-    GameBParams,
     SimulationConfig,
     run_averaged,
 )
@@ -33,11 +32,8 @@ print()
 # where both neighbors hold |L> carries its own stay-probability rho4;
 # its value decides whether the game wins or loses.
 for rho4 in (0.2, 0.8):
-    game_b = GameBParams(rho4=rho4)
     for name, initial in [("GHZ", GHZ), ("separable", SEPARABLE)]:
-        series = run_averaged(
-            SimulationConfig(initial=initial, scheme=PURE_B, game_b=game_b)
-        )
+        series = run_averaged(SimulationConfig(initial=initial, scheme=PURE_B, rho4=rho4))
         print(f"game B (rho4={rho4}) from {name:>9}: final gain {series.final_gain:+.6f}")
 
 print()

@@ -17,7 +17,6 @@ from qparrondo import (
     PURE_A,
     PURE_B,
     RANDOM_MIX,
-    GameBParams,
     SimulationConfig,
     periodic,
     sweep_entanglement,
@@ -35,7 +34,7 @@ def signed(gain: float) -> str:
 base = SimulationConfig(
     initial=GHZ,
     scheme=PURE_A,
-    game_b=GameBParams(rho4=0.9),
+    rho4=0.9,
     seed=0,
     runs=10,
 )

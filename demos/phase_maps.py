@@ -25,7 +25,6 @@ from qparrondo import (
     PURE_A,
     PURE_B,
     W,
-    GameBParams,
     SimulationConfig,
     emit_map_csv,
     sweep_phase_map,
@@ -39,7 +38,7 @@ for name, initial in [("ghz", GHZ), ("w", W)]:
     base = SimulationConfig(
         initial=initial,
         scheme=PURE_A,
-        game_b=GameBParams(rho4=0.7),
+        rho4=0.7,
         seed=0,
         runs=10,
     )

@@ -19,8 +19,6 @@ from .coins import (
     GHZ,
     SEPARABLE,
     W,
-    CoinParams,
-    GameBParams,
     InitialCoin,
     coin_unitary,
     entangler_j,
@@ -59,11 +57,9 @@ from .sweeps import (
 
 __all__ = [
     "ClassicalSeries",
-    "CoinParams",
     "CooperativeParams",
     "DiscriminationResult",
     "GHZ",
-    "GameBParams",
     "GameScheme",
     "GameVerdict",
     "InitialCoin",

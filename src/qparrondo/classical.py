@@ -29,10 +29,10 @@ any single trajectory is reproducible in isolation and aggregate results do
 not depend on execution order or chunking. Within a trial the stream is
 consumed in a fixed order:
 
-1. the initial winner flags, ``random(n_players) < 1/2``;
+1. the initial winner flags, ``random(players) < 1/2``;
 2. the schedule, ``integers(0, 2, size=rounds)`` with 1 meaning game B
    (random mix only, drawn by ``schedule_mask``);
-3. one win uniform per play, ``random((rounds, n_players))``, row t holding
+3. one win uniform per play, ``random((rounds, players))``, row t holding
    the players of round t in index order.
 
 A play wins when its uniform u is below the win probability p of its game
@@ -141,11 +141,11 @@ class CooperativeParams:
     p2: float
     p3: float
     p4: float
-    n_players: int = 3
+    players: int = 3
 
     def __post_init__(self) -> None:
-        if self.n_players < 3:
-            raise ValueError(f"n_players must be >= 3, got {self.n_players}")
+        if self.players < 3:
+            raise ValueError(f"players must be >= 3, got {self.players}")
         for name in ("pa", "p1", "p2", "p3", "p4"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -219,7 +219,7 @@ def _transitions(
         up = np.roll(np.eye(3), 1, axis=1)
         down = np.roll(np.eye(3), -1, axis=1)
         return table[:, :, None] * up + (1 - table[:, :, None]) * down, up - down
-    n, states = params.n_players, 2**params.n_players
+    n, states = params.players, 2**params.players
     bits = np.arange(states)[:, None] >> np.arange(n) & 1  # (states, n)
     flags = np.broadcast_to(bits[:, None, :], (states, states, n)).copy()
     transition = np.ones((2, states, states))
@@ -326,7 +326,7 @@ def _play_codes(
     play's code is ``(game * levels + rank) * 4``, with game 1 for B,
     ``levels = len(thresholds) + 1`` and the rank of the play's uniform.
     """
-    n = params.n_players
+    n = params.players
     m = len(trial_indices)
     levels = np.uint8(len(thresholds) + 1)
     codes = np.empty((m, rounds, n), dtype=np.uint8)
@@ -362,7 +362,7 @@ def _play_codes(
 
 def _play_cooperative(codes: np.ndarray, flags: np.ndarray, lut: np.ndarray) -> np.ndarray:
     """Winners per round and trial, ``(rounds, trials)``, in the smallest
-    unsigned type that holds ``n_players``. ``flags`` ``(n, trials)`` holds
+    unsigned type that holds the ring size n. ``flags`` ``(n, trials)`` holds
     the winner flags, which players read live, and is updated in place."""
     m, rounds, n = codes.shape
     wins = np.empty((rounds, m), dtype=np.min_scalar_type(n))
@@ -433,7 +433,7 @@ def run_classical(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    n = params.n_players if isinstance(params, CooperativeParams) else 1
+    n = params.players if isinstance(params, CooperativeParams) else 1
     exact = n <= _EXACT_PLAYERS
     _check_size(rounds, n, exact)
     if exact:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .classical import CooperativeParams, OriginalParams, run_classical
-from .coins import CoinParams, GameBParams, InitialCoin, initial_coin_state
+from .coins import InitialCoin, initial_coin_state
 from .discriminator import discriminate
 from .engine import SimulationConfig, parse_scheme, run_averaged
 from .sweeps import (
@@ -114,17 +114,12 @@ def _merge(args: argparse.Namespace) -> tuple[dict, set]:
 
 
 def _sim_config(opts: dict) -> SimulationConfig:
-    # CoinParams calls --rho0 rho; name the flag instead
-    rho0 = float(opts["rho0"])
-    if not 0.0 <= rho0 <= 1.0:
-        raise ValueError(f"rho0 must lie in [0, 1], got {rho0}")
     kind = opts["initial"]
     return SimulationConfig(
         initial=InitialCoin(kind, float(opts["omega"]) if kind == "j" else None),
         scheme=parse_scheme(opts["scheme"]),
         rounds=int(opts["rounds"]),
-        coin_a=CoinParams(rho0, float(opts["theta"])),
-        game_b=GameBParams(**{f"rho{k}": float(opts[f"rho{k}"]) for k in range(1, 5)}),
+        **{key: float(opts[key]) for key in ("rho0", "rho1", "rho2", "rho3", "rho4", "theta")},
         seed=int(opts["seed"]),
         runs=int(opts["runs"]),
     )
@@ -266,7 +261,7 @@ def _cmd_classical(args: argparse.Namespace) -> int:
         if missing:
             raise ValueError(f"cooperative mode requires --{', --'.join(missing)}")
         params = CooperativeParams(
-            **{k: float(opts[k]) for k in names}, n_players=int(opts["players"])
+            **{k: float(opts[k]) for k in names}, players=int(opts["players"])
         )
     series = run_classical(
         params, scheme, rounds=int(opts["rounds"]), trials=int(opts["trials"]),

@@ -17,51 +17,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
-class CoinParams:
-    """Parameters (rho, theta, phi) of a single 2x2 coin unitary.
-
-    ``rho`` is the probability that the coin keeps its state; ``1 - rho``
-    is the classical probability that it flips.
-    """
-
-    rho: float
-    theta: float = HALF_PI
-    phi: float = HALF_PI
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        for name in ("theta", "phi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
-class GameBParams:
-    """The rho of each of game B's four neighbor-conditioned coins.
-
-    ``rho1`` applies when both ring neighbors hold |R> (winner-winner),
-    ``rho2`` when the predecessor holds |R> and the successor |L>, ``rho3``
-    for the reverse, and ``rho4`` when both hold |L> (loser-loser). Every
-    coin of game B takes its phases (theta, phi) from coin A, as all five
-    coins share one phase pair. At the all-0.5 defaults every branch coin
-    is game A's default coin, so game B plays game A.
-    """
-
-    rho1: float = 0.5
-    rho2: float = 0.5
-    rho3: float = 0.5
-    rho4: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("rho1", "rho2", "rho3", "rho4"):
-            rho = getattr(self, name)
-            if not 0.0 <= rho <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {rho}")
-
-
-@dataclass(frozen=True)
 class InitialCoin:
     """Initial three-coin state selector.
 
@@ -92,19 +47,24 @@ def j_entangled(omega: float) -> InitialCoin:
     return InitialCoin("j", omega)
 
 
-def coin_unitary(p: CoinParams) -> np.ndarray:
-    """2x2 coin unitary in the (|L>, |R>) basis.
+def coin_unitary(rho: float, theta: float = HALF_PI, phi: float = HALF_PI) -> np.ndarray:
+    """2x2 coin unitary U(rho, theta, phi) in the (|L>, |R>) basis.
 
-    Returns
+    ``rho`` is the probability that the coin keeps its state; ``1 - rho``
+    is the classical probability that it flips. Returns
         [[sqrt(rho),              sqrt(1-rho) e^{i theta}],
          [sqrt(1-rho) e^{i phi}, -sqrt(rho) e^{i theta} e^{i phi}]]
 
     The lower-right entry multiplies the two unit phases instead of adding
     the angles, so every finite pair gives a finite coin.
     """
-    a = math.sqrt(p.rho)
-    b = math.sqrt(1.0 - p.rho)
-    e_theta, e_phi = np.exp(1j * p.theta), np.exp(1j * p.phi)
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    for name, value in (("theta", theta), ("phi", phi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    a, b = math.sqrt(rho), math.sqrt(1.0 - rho)
+    e_theta, e_phi = np.exp(1j * theta), np.exp(1j * phi)
     return np.array([[a, b * e_theta], [b * e_phi, -a * (e_theta * e_phi)]], dtype=complex)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinParams, W, coin_unitary, initial_coin_state
+from .coins import W, coin_unitary, initial_coin_state
 from .engine import _check_memory
 from .state import init_walker_state
 
@@ -96,7 +96,7 @@ def discriminate(
         raise ValueError(f"rounds must be >= 3 to tell W from GHZ, got {rounds}")
     _check_memory(_planned_bytes(rounds), f"the discriminator's arrays of rounds {rounds}")
     coins = init_walker_state(coin_state).reshape(2, 2, 2)  # validates coin_state
-    povm = _position_povm(coin_unitary(CoinParams(0.5)), rounds)
+    povm = _position_povm(coin_unitary(0.5), rounds)
     x_moments = np.tensordot(2 * np.arange(rounds + 1) - rounds, povm, axes=1)
     statistic = _summed_payoff(coins, x_moments)
     threshold = abs(_summed_payoff(initial_coin_state(W).reshape(2, 2, 2), x_moments)) / 2.0

@@ -7,20 +7,15 @@ selected by the live coin states of its ring neighbors.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .coins import (
-    CoinParams,
-    GameBParams,
-    InitialCoin,
-    coin_unitary,
-    initial_coin_state,
-)
+from .coins import HALF_PI, InitialCoin, coin_unitary, initial_coin_state
 from .observables import PayoffSeries
 from .state import (
     COIN_BITS,
@@ -97,15 +92,38 @@ def _check_memory(need: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One walk's inputs, each named as its command-line flag.
+
+    Every coin is U(rho, theta, phi) (``coins.coin_unitary``). Game A tosses
+    every coin with ``rho0``. Game B tosses each coin with one of four
+    neighbour-conditioned coins: ``rho1`` when both ring neighbours hold |R>
+    (winner-winner), ``rho2`` when the predecessor holds |R> and the
+    successor |L>, ``rho3`` for the reverse, and ``rho4`` when both hold |L>
+    (loser-loser). All five coins share the phases (``theta``, phi); the
+    walk absorbs phi into a site phase (``run_averaged``), so phi is no
+    input. At the all-0.5 defaults every branch coin is game A's coin, so
+    game B plays game A. Only the random mix reads ``seed`` and ``runs``.
+    """
+
     initial: InitialCoin
     scheme: GameScheme
     rounds: int = 16
-    coin_a: CoinParams = field(default_factory=lambda: CoinParams(0.5))
-    game_b: GameBParams = field(default_factory=GameBParams)
+    rho0: float = 0.5
+    rho1: float = 0.5
+    rho2: float = 0.5
+    rho3: float = 0.5
+    rho4: float = 0.5
+    theta: float = HALF_PI
     seed: int = 0
     runs: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("rho0", "rho1", "rho2", "rho3", "rho4"):
+            rho = getattr(self, name)
+            if not 0.0 <= rho <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {rho}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.runs < 1:
@@ -153,14 +171,16 @@ _R_COUNTS = np.array(COIN_BITS).sum(axis=1)
 
 
 @lru_cache(maxsize=128)
-def _round_operators(rho_a: float, game_b: GameBParams) -> tuple[np.ndarray, np.ndarray]:
+def _round_operators(
+    rho0: float, rho1: float, rho2: float, rho3: float, rho4: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The composed real 8x8 coin-register operators of one round of game A,
-    whose coins keep their state with probability ``rho_a``, and of game B,
+    whose coins keep their state with probability ``rho0``, and of game B,
+    whose branch coins take ``rho1`` .. ``rho4`` (see ``SimulationConfig``),
     in that order: the toss of player 1, then player 2, then player 3, each
     coin the real H_rho = U(rho, 0, 0) that ``_walk`` plays."""
-    m = coin_unitary(CoinParams(rho_a, 0.0, 0.0)).real
-    mats = [coin_unitary(CoinParams(rho, 0.0, 0.0)).real
-            for rho in (game_b.rho1, game_b.rho2, game_b.rho3, game_b.rho4)]
+    m = coin_unitary(rho0, 0.0, 0.0).real
+    mats = [coin_unitary(rho, 0.0, 0.0).real for rho in (rho1, rho2, rho3, rho4)]
     operators = []
     for ops in (
         # the four neighbour projectors sum to the identity
@@ -346,7 +366,7 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
     a single run or a fixed schedule).
     """
     runs = config.runs if config.scheme.is_random else 1
-    # The walk's gauge. Every coin takes coin A's phases: U = P(phi) H_rho
+    # The walk's gauge. All five coins share (theta, phi): U = P(phi) H_rho
     # P(theta), with P(a) = diag(1, e^{ia}) and the real H_rho. D(a) =
     # P(a)^(x3) multiplies coin component c by e^{ia r(c)}, r(c) its number of
     # |R> coins. Diagonal coin operators commute with game B's neighbour
@@ -358,10 +378,10 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
     # starts from D(theta) psi0, tosses the real R and returns chi, and the
     # true state is psi = e^{-i theta r(c)} (e^{i theta} e^{i phi})^(n1 + n2 +
     # n3) chi, with the same weights. Only unit phases are multiplied, so no
-    # finite phase overflows, and phi is read by nothing.
+    # finite phase overflows, and phi is no input.
     start = init_walker_state(initial_coin_state(config.initial)).reshape(8)
-    start *= np.exp(1j * config.coin_a.theta) ** _R_COUNTS
-    ops = _round_operators(config.coin_a.rho, config.game_b)
+    start *= np.exp(1j * config.theta) ** _R_COUNTS
+    ops = _round_operators(config.rho0, config.rho1, config.rho2, config.rho3, config.rho4)
     # SimulationConfig's memory check counts this array and the gains
     per_player = np.zeros((runs, config.rounds + 1, 3))
     for k in range(runs):

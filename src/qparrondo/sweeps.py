@@ -2,11 +2,12 @@
 
 Every sweep runs through one serial driver that visits the grid points in
 order and plays each distinct walk of the sweep once. A walk is known by
-the inputs it reads: no walk reads phi, pure A never reads ``game_b``,
-and only the random mix reads ``seed`` and ``runs``. So ``sweep_rho4``
-plays pure A once for the whole grid, a phase map plays each scheme once
-per theta, and a scheme listed twice is played once. Records come out in
-grid order, one per point and distinct scheme label.
+the inputs it reads: pure A never reads rho1..rho4, and only the random
+mix reads ``seed`` and ``runs``. So ``sweep_rho4`` plays pure A once for
+the whole grid, and a scheme listed twice is played once. No walk reads
+phi, so a phase map walks each scheme once per theta and repeats its rows
+across phi. Records come out in grid order, one per point and distinct
+scheme label.
 """
 from __future__ import annotations
 
@@ -73,9 +74,10 @@ def _walk_key(config: SimulationConfig) -> tuple:
         config.initial,
         config.rounds,
         config.scheme.label,
-        config.coin_a.rho,
-        config.coin_a.theta,
-        None if config.scheme.kind == "a" else config.game_b,
+        config.rho0,
+        config.theta,
+        None if config.scheme.kind == "a"
+        else (config.rho1, config.rho2, config.rho3, config.rho4),
         (config.seed, config.runs) if config.scheme.is_random else None,
     )
 
@@ -122,7 +124,7 @@ def sweep_rho4(
             raise ValueError(f"rho4 value must lie in [0, 1], got {v}")
 
     def config_for(value: float, scheme: GameScheme) -> SimulationConfig:
-        return replace(base, scheme=scheme, game_b=replace(base.game_b, rho4=value))
+        return replace(base, scheme=scheme, rho4=value)
 
     return [SweepRecord(*row) for row in _sweep(values, config_for, schemes)]
 
@@ -163,9 +165,10 @@ def sweep_phase_map(
     """Final gain on the (theta, phi) grid over [0, 2*pi)^2 per scheme.
 
     All five coins share the grid point's phase pair. No walk reads phi,
-    so each scheme is played once per theta. The paradox flag of a
-    combined scheme is recomputed at every grid point from the pure-game
-    verdicts there. A grid whose records cannot fit in physical memory is
+    so each scheme is played once per theta, and its row at theta is
+    repeated for every phi, theta outer and phi inner. The paradox flag of a
+    combined scheme is computed at every theta from the pure-game verdicts
+    there. A grid whose records cannot fit in physical memory is
     refused before its first point exists.
     """
     count = _grid_count(step)
@@ -174,16 +177,15 @@ def sweep_phase_map(
     _check_memory(need, f"the records of the {count:.3g} x {count:.3g} phase map of step {step}")
     grid = phase_grid(step)
 
-    def config_for(point: tuple[float, float], scheme: GameScheme) -> SimulationConfig:
-        theta, phi = point
-        return replace(base, scheme=scheme, coin_a=replace(base.coin_a, theta=theta, phi=phi))
+    def config_for(theta: float, scheme: GameScheme) -> SimulationConfig:
+        return replace(base, scheme=scheme, theta=theta)
 
-    return [
-        MapRecord(theta, phi, label, gain, paradox)
-        for (theta, phi), label, gain, _, _, paradox in _sweep(
-            itertools.product(grid, grid), config_for, schemes
-        )
-    ]
+    records = []
+    for theta, rows in itertools.groupby(_sweep(grid, config_for, schemes), lambda row: row[0]):
+        rows = list(rows)
+        records += [MapRecord(theta, phi, label, gain, paradox)
+                    for phi in grid for _, label, gain, _, _, paradox in rows]
+    return records
 
 
 # --- CSV output ------------------------------------------------------------

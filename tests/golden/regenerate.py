@@ -30,8 +30,6 @@ from qparrondo import (  # noqa: E402
     GHZ,
     RANDOM_MIX,
     W,
-    CoinParams,
-    GameBParams,
     SimulationConfig,
     discriminate,
     initial_coin_state,
@@ -105,8 +103,7 @@ def drawn_sigma(name: str, path: Path) -> float:
         return float(np.sqrt((rng.pvals @ sums**2 - mean**2) / 100_000))
     if name == "sweep-phase":
         return max(
-            run_averaged(SimulationConfig(GHZ, RANDOM_MIX, coin_a=CoinParams(0.5, theta),
-                                          game_b=GameBParams(rho4=0.7))).final_stderr
+            run_averaged(SimulationConfig(GHZ, RANDOM_MIX, rho4=0.7, theta=theta)).final_stderr
             for theta in phase_grid()
         )
     with open(path) as fh:

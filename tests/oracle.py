@@ -31,7 +31,7 @@ import numpy as np
 
 from qparrondo import engine
 from qparrondo.classical import OriginalParams
-from qparrondo.coins import CoinParams, coin_unitary
+from qparrondo.coins import HALF_PI, coin_unitary
 from qparrondo.state import (
     _P_L,
     _P_R,
@@ -145,19 +145,18 @@ def apply_position_update(state: np.ndarray, *, out: np.ndarray) -> np.ndarray:
     return out[: 8 * (n + 1) ** 3].reshape(8, n + 1, n + 1, n + 1)
 
 
-def unframed_round(state: np.ndarray, plays_b: bool, config) -> np.ndarray:
+def unframed_round(state: np.ndarray, plays_b: bool, config, phi: float = HALF_PI) -> np.ndarray:
     """One round of game B if ``plays_b``, else of game A, on the true
     state with ``config``'s full complex coins U(rho, theta, phi), every
-    coin with coin A's phases: the tosses of players 1, 2 and 3 one at a
-    time, then slice_shift."""
+    coin with the phases (config.theta, ``phi``): the tosses of players 1,
+    2 and 3 one at a time, then slice_shift."""
     if plays_b:
-        a, b = config.coin_a, config.game_b
-        mats = [coin_unitary(CoinParams(rho, a.theta, a.phi))
-                for rho in (b.rho1, b.rho2, b.rho3, b.rho4)]
+        mats = [coin_unitary(rho, config.theta, phi)
+                for rho in (config.rho1, config.rho2, config.rho3, config.rho4)]
         for player in (1, 2, 3):
             state = apply_controlled_coin(state, player, *mats)
     else:
-        m = coin_unitary(config.coin_a)
+        m = coin_unitary(config.rho0, config.theta, phi)
         for player in (1, 2, 3):
             state = apply_coin_matrix(state, player, m)
     return slice_shift(state)
@@ -166,19 +165,18 @@ def unframed_round(state: np.ndarray, plays_b: bool, config) -> np.ndarray:
 # --- pure A as three 1D walks ----------------------------------------------
 
 
-def pure_a_positions(coin_state: np.ndarray, coin, rounds: int) -> np.ndarray:
-    """Expected positions <x_i>_t of pure A with ``coin`` after t = 0..rounds
-    rounds from the coin vector ``coin_state`` at the origin, shape
-    (rounds + 1, 3).
+def pure_a_positions(coin_state: np.ndarray, u: np.ndarray, rounds: int) -> np.ndarray:
+    """Expected positions <x_i>_t of pure A with the 2x2 coin ``u`` after
+    t = 0..rounds rounds from the coin vector ``coin_state`` at the origin,
+    shape (rounds + 1, 3).
 
-    A game-A round tosses each coin with U = coin_unitary(coin) and moves
+    A game-A round tosses each coin with U = ``u`` and moves
     each axis by its own coin, so the walk is a product of three 1D walks
     and <x_i>_t = Tr[rho_i X_t]: rho_i is player i's reduced coin state and
     X_t[a, b] = sum_x x <psi_a(x)|psi_b(x)> for the 1D walks psi_a and psi_b
     from coins |a> and |b> at position 0, played on the positions
     -rounds..rounds.
     """
-    u = coin_unitary(coin)
     x = np.arange(-rounds, rounds + 1)
     # psi[b, a, k]: coin b at position x[k] of the 1D walk from coin |a>
     psi = np.zeros((2, 2, len(x)), dtype=complex)
@@ -214,12 +212,12 @@ def stepped_position_povm(coin: np.ndarray, rounds: int) -> np.ndarray:
 # --- the engine's walk out of its gauge -------------------------------------
 
 
-def ungauge(chi: np.ndarray, config) -> np.ndarray:
+def ungauge(chi: np.ndarray, config, phi: float = HALF_PI) -> np.ndarray:
     """The true state psi = e^{-i theta r(c)} (e^{i theta} e^{i phi})^(n1+n2+n3)
-    chi of the state chi that engine._walk returns, with coin A's phases:
-    r(c) is the number of |R> coins of component c, and n1 + n2 + n3 the
-    site's count sum."""
-    theta, phi = config.coin_a.theta, config.coin_a.phi
+    chi of the state chi that engine._walk returns, with the coins' phases
+    (config.theta, ``phi``): r(c) is the number of |R> coins of component
+    c, and n1 + n2 + n3 the site's count sum."""
+    theta = config.theta
     counts = np.arange(chi.shape[1])
     count_sum = counts[:, None, None] + counts[:, None] + counts
     site = (np.exp(1j * theta) * np.exp(1j * phi)) ** count_sum
@@ -232,17 +230,19 @@ def walk_inputs(coin_state: np.ndarray, config) -> tuple[np.ndarray, tuple]:
     ``config``, as run_averaged builds them: the validated coin vector in
     the walk's gauge, D(theta) psi0, which multiplies component c by
     e^{i theta r(c)}, and the real round operators of games A and B."""
-    phases = np.exp(1j * config.coin_a.theta) ** np.sum(COIN_BITS, axis=1)
+    phases = np.exp(1j * config.theta) ** np.sum(COIN_BITS, axis=1)
     start = init_walker_state(coin_state).reshape(8) * phases
-    return start, engine._round_operators(config.coin_a.rho, config.game_b)
+    rhos = (config.rho0, config.rho1, config.rho2, config.rho3, config.rho4)
+    return start, engine._round_operators(*rhos)
 
 
-def true_state(coin_state: np.ndarray, mask, config) -> np.ndarray:
+def true_state(coin_state: np.ndarray, mask, config, phi: float = HALF_PI) -> np.ndarray:
     """The true state after the rounds of ``mask`` (True plays B) from
-    ``coin_state``: engine._walk's state, ungauged."""
+    ``coin_state``, its coins with the phases (config.theta, ``phi``):
+    engine._walk's state, ungauged."""
     mask = np.asarray(mask, dtype=bool)
     chi = engine._walk(*walk_inputs(coin_state, config), mask, np.zeros((len(mask) + 1, 3)))
-    return ungauge(chi, config)
+    return ungauge(chi, config, phi)
 
 
 # --- dense Kronecker round -------------------------------------------------
@@ -414,7 +414,7 @@ def _classical_transitions(params) -> tuple[np.ndarray, np.ndarray]:
                 transition[g, s, down] = 1 - np.longdouble(p)
             gain[s, up], gain[s, down] = 1, -1
         return transition, gain
-    n = params.n_players
+    n = params.players
     branch = {(1, 1): params.p1, (1, 0): params.p2, (0, 1): params.p3, (0, 0): params.p4}
     transition = np.ones((2, 2**n, 2**n), dtype=np.longdouble)
     gain = np.zeros((2**n, 2**n), dtype=np.longdouble)

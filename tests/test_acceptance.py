@@ -30,8 +30,6 @@ from qparrondo import (
     RANDOM_MIX,
     SEPARABLE,
     W,
-    CoinParams,
-    GameBParams,
     SimulationConfig,
     Verdict,
     coin_unitary,
@@ -65,15 +63,9 @@ def report(cid: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{cid}{suffix}"
 
 
-def config(initial, scheme, rho4=0.5, rounds=ROUNDS, theta=math.pi / 2, phi=math.pi / 2):
+def config(initial, scheme, rho4=0.5, rounds=ROUNDS):
     return SimulationConfig(
-        initial=initial,
-        scheme=scheme,
-        rounds=rounds,
-        coin_a=CoinParams(0.5, theta, phi),
-        game_b=GameBParams(rho4=rho4),
-        seed=0,
-        runs=10,
+        initial=initial, scheme=scheme, rounds=rounds, rho4=rho4, seed=0, runs=10
     )
 
 
@@ -100,7 +92,7 @@ def omega_table():
 
 def test_criterion_1_fair_toss_state_identity():
     st = init_walker_state(initial_coin_state(GHZ))
-    fair = coin_unitary(CoinParams(0.5))
+    fair = coin_unitary(0.5)
     for player in (1, 2, 3):
         st = apply_coin_matrix(st, player, fair)
     coin_vec = st[:, 0, 0, 0]
@@ -283,8 +275,8 @@ def test_criterion_6_phase_maps():
 
 
 def test_criterion_7_oracle_equivalence():
-    fair = coin_unitary(CoinParams(0.5))
-    special = coin_unitary(CoinParams(0.3))
+    fair = coin_unitary(0.5)
+    special = coin_unitary(0.3)
     worst = 0.0
     for initial in (GHZ, SEPARABLE):
         st = init_walker_state(initial_coin_state(initial))
@@ -304,9 +296,8 @@ def test_criterion_8a_unitarity_over_random_draws():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(1000):
-        p = CoinParams(rng.random(), rng.uniform(-2 * math.pi, 2 * math.pi),
-                       rng.uniform(-2 * math.pi, 2 * math.pi))
-        m = coin_unitary(p)
+        m = coin_unitary(rng.random(), rng.uniform(-2 * math.pi, 2 * math.pi),
+                         rng.uniform(-2 * math.pi, 2 * math.pi))
         worst = max(worst, float(np.max(np.abs(m.conj().T @ m - np.eye(2)))))
     for _ in range(1000):
         j = entangler_j(rng.uniform(0, math.pi / 2))

@@ -59,7 +59,7 @@ def cooperative_step(
     Game B selects the branch probability from the ring neighbors' winner
     flags, read live as each player finishes.
     """
-    n = params.n_players
+    n = params.players
     capitals = state.capitals.copy()
     flags = state.winner_flags.copy()
     for i in range(n):
@@ -97,7 +97,7 @@ def oracle_capitals(params, scheme: GameScheme, rounds: int, trials: int, seed: 
     replayed trial by trial through the scalar step functions from the same
     streams."""
     cooperative = isinstance(params, CooperativeParams)
-    n = params.n_players if cooperative else 1
+    n = params.players if cooperative else 1
     capitals = np.zeros((trials, rounds + 1), dtype=np.int64)
     for k in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
@@ -117,7 +117,7 @@ def oracle_capitals(params, scheme: GameScheme, rounds: int, trials: int, seed: 
 def oracle_series(params, scheme: GameScheme, rounds: int, trials: int, seed: int):
     """Mean and standard error of the player-averaged gain over the oracle's
     trials, in floating point."""
-    n = params.n_players if isinstance(params, CooperativeParams) else 1
+    n = params.players if isinstance(params, CooperativeParams) else 1
     gains = oracle_capitals(params, scheme, rounds, trials, seed) / n
     return gains.mean(axis=0), gains.std(axis=0, ddof=1) / np.sqrt(trials)
 
@@ -179,8 +179,8 @@ def cooperative(p1=0.5, p2=0.5, p3=0.5, p4=0.5, pa=0.5, **kw):
 
 
 def test_cooperative_params_validation():
-    with pytest.raises(ValueError, match="n_players"):
-        cooperative(n_players=2)
+    with pytest.raises(ValueError, match="^players must be >= 3, got 2$"):
+        cooperative(players=2)
     with pytest.raises(ValueError, match="p4"):
         cooperative(p4=-0.2)
 
@@ -235,28 +235,28 @@ def test_run_classical_deterministic():
 SCHEMES = (PURE_A, PURE_B, RANDOM_MIX, periodic(2, 3))
 REPLAY_CASES = [
     (
-        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=n),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, players=n),
         scheme,
         7,
     )
     for n, scheme in itertools.product((9, 11), SCHEMES)
 ] + [
     # every player wins every round: the per-round winner count reaches
-    # n_players, past 127 (one byte, signed) and past 255 (one byte)
-    (cooperative(pa=1.0, n_players=130), PURE_A, 7),
-    (cooperative(p1=1.0, p2=1.0, p3=1.0, p4=1.0, n_players=300), PURE_B, 7),
+    # players, past 127 (one byte, signed) and past 255 (one byte)
+    (cooperative(pa=1.0, players=130), PURE_A, 7),
+    (cooperative(p1=1.0, p2=1.0, p3=1.0, p4=1.0, players=300), PURE_B, 7),
 ] + [
     # the edges of the win table: a probability of exactly 0 (never won)
     # and of 1, five distinct probabilities (a uniform above the largest
     # gives the largest play code), all probabilities equal (one threshold)
-    (cooperative(p1=0.7, p2=0.0, p3=0.4, p4=0.0, pa=0.0, n_players=9), RANDOM_MIX, 12),
-    (cooperative(p1=1.0, p2=0.6, p3=1.0, p4=0.0, pa=0.0, n_players=9), RANDOM_MIX, 12),
-    (cooperative(p1=0.95, p2=0.35, p3=0.65, p4=0.05, pa=0.2, n_players=8), RANDOM_MIX, 12),
-    (cooperative(p1=0.3, p2=0.3, p3=0.3, p4=0.3, pa=0.3, n_players=9), RANDOM_MIX, 12),
-    (cooperative(p1=0.4, p2=0.4, p3=0.4, p4=0.4, pa=0.4, n_players=8), periodic(2, 3), 12),
+    (cooperative(p1=0.7, p2=0.0, p3=0.4, p4=0.0, pa=0.0, players=9), RANDOM_MIX, 12),
+    (cooperative(p1=1.0, p2=0.6, p3=1.0, p4=0.0, pa=0.0, players=9), RANDOM_MIX, 12),
+    (cooperative(p1=0.95, p2=0.35, p3=0.65, p4=0.05, pa=0.2, players=8), RANDOM_MIX, 12),
+    (cooperative(p1=0.3, p2=0.3, p3=0.3, p4=0.3, pa=0.3, players=9), RANDOM_MIX, 12),
+    (cooperative(p1=0.4, p2=0.4, p3=0.4, p4=0.4, pa=0.4, players=8), periodic(2, 3), 12),
 ] + [
     # an even ring: player n-1's successor is player 0
-    (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8), scheme, 9)
+    (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, players=8), scheme, 9)
     for scheme in (PURE_B, RANDOM_MIX)
 ]
 
@@ -301,11 +301,11 @@ def test_random_parameter_sets_replay_the_oracle_bitwise():
         scheme = schemes[rng.integers(len(schemes))]
         params = cooperative(
             p1=p1, p2=p2, p3=p3, p4=p4, pa=pa,
-            n_players=int(rng.integers(8, 12)),
+            players=int(rng.integers(8, 12)),
         )
         series = run_classical(params, scheme, rounds=rounds, trials=trials, seed=case)
         capitals = oracle_capitals(params, scheme, rounds, trials, case)
-        mean, stderr = exact_series(capitals, params.n_players)
+        mean, stderr = exact_series(capitals, params.players)
         assert np.array_equal(series.mean_gain, mean), f"{params} {scheme.label}"
         assert np.array_equal(series.stderr, stderr), f"{params} {scheme.label}"
 
@@ -318,7 +318,7 @@ def enumerated_series(params, scheme: GameScheme, rounds: int, trials: int):
     probability. The plays follow the scalar step functions' rule,
     numpy-vectorized over the paths."""
     cooperative = isinstance(params, CooperativeParams)
-    n = params.n_players if cooperative else 1
+    n = params.players if cooperative else 1
     mixed = scheme.kind == "mix"
     # one axis per drawn start flag, per round's game and per play
     axes = (2,) * (n * cooperative + rounds * mixed + rounds * n)
@@ -364,7 +364,7 @@ def enumerated_series(params, scheme: GameScheme, rounds: int, trials: int):
 
 def enumerable_rounds(params, scheme: GameScheme, limit: int = 10**5) -> int:
     """The most rounds whose paths stay within ``limit``."""
-    n = params.n_players if isinstance(params, CooperativeParams) else 1
+    n = params.players if isinstance(params, CooperativeParams) else 1
     starts = 2**n
     per_round = 2 ** (n + (scheme.kind == "mix"))
     rounds = 0
@@ -393,7 +393,7 @@ def assert_matches_enumeration(params):
 def test_chain_matches_enumeration_of_every_path(n):
     # mean and standard error after every round, for every scheme, against
     # the probability-weighted sum over every path of the scalar rule
-    assert_matches_enumeration(cooperative(**ENUMERATED_PROBS, n_players=n))
+    assert_matches_enumeration(cooperative(**ENUMERATED_PROBS, players=n))
 
 
 def test_original_chain_matches_enumeration_of_every_path():
@@ -404,7 +404,7 @@ def test_original_chain_matches_enumeration_of_every_path():
     "params",
     [
         cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=1.0),
-        cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=0.0, n_players=4),
+        cooperative(p1=1.0, p2=0.0, p3=0.6, p4=0.0, pa=0.0, players=4),
         OriginalParams(epsilon=0.0, pa=0.0, p1=1.0, p2=0.6),
     ],
 )
@@ -416,7 +416,7 @@ def test_chain_matches_enumeration_at_sure_and_impossible_wins(params):
 def test_chain_agrees_with_the_monte_carlo_at_eight_players(scheme):
     # the two estimators cross at 8 players: the chain, called directly,
     # and the Monte Carlo that run_classical plays there
-    params = cooperative(**ENUMERATED_PROBS, n_players=8)
+    params = cooperative(**ENUMERATED_PROBS, players=8)
     rounds, trials = 60, 2000
     exact = classical._chain_series(params, scheme, rounds, trials)
     sampled = run_classical(params, scheme, rounds=rounds, trials=trials, seed=8)
@@ -439,7 +439,7 @@ LONG_SCHEMES = (PURE_A, PURE_B, RANDOM_MIX, periodic(1, 1), periodic(2, 3), peri
     "params",
     [
         cooperative(**LONG_PROBS),
-        cooperative(**LONG_PROBS, n_players=5),
+        cooperative(**LONG_PROBS, players=5),
         OriginalParams(epsilon=0.005),
     ],
     ids=["3-random", "5-random", "original"],
@@ -485,7 +485,7 @@ def test_random_mix_chain_matches_the_closed_form(pa, pb, players, rounds, stder
     # plays plus (pa - pb)^2 from the shared game. The chain's relative
     # errors measured 4.6e-14 in the mean and 8.6e-12 in the stderr
     trials = 1000
-    params = cooperative(p1=pb, p2=pb, p3=pb, p4=pb, pa=pa, n_players=players)
+    params = cooperative(p1=pb, p2=pb, p3=pb, p4=pb, pa=pa, players=players)
     series = run_classical(params, RANDOM_MIX, rounds, trials)
     t = np.arange(1, rounds + 1)
     mean = t * (pa + pb - 1)
@@ -527,7 +527,7 @@ def test_sure_wins_count_every_player(monkeypatch, n, rounds):
     # summed over chunks of one trial each in the second run
     for chunk_bytes in (classical._CHUNK_BYTES, 1000):
         monkeypatch.setattr(classical, "_CHUNK_BYTES", chunk_bytes)
-        series = run_classical(cooperative(pa=1.0, n_players=n), PURE_A, rounds=rounds, trials=3)
+        series = run_classical(cooperative(pa=1.0, players=n), PURE_A, rounds=rounds, trials=3)
         assert np.array_equal(series.mean_gain, np.arange(rounds + 1.0))
         assert np.array_equal(series.stderr, np.zeros(rounds + 1))
 
@@ -535,10 +535,10 @@ def test_sure_wins_count_every_player(monkeypatch, n, rounds):
 @pytest.mark.parametrize(
     "params,scheme",
     [
-        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8), RANDOM_MIX),
-        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, n_players=9), periodic(2, 3)),
-        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=11), RANDOM_MIX),
-        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, n_players=9), PURE_B),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, players=8), RANDOM_MIX),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, players=9), periodic(2, 3)),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, players=11), RANDOM_MIX),
+        (cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, players=9), PURE_B),
     ],
 )
 def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
@@ -555,9 +555,9 @@ def test_chunked_run_equals_single_chunk(monkeypatch, params, scheme):
 @pytest.mark.parametrize(
     "params",
     [
-        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=8),
-        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=9),
-        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, n_players=12),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, players=8),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, players=9),
+        cooperative(p1=0.9, p2=0.3, p3=0.6, p4=0.1, pa=0.45, players=12),
     ],
 )
 def test_traced_peak_stays_within_the_memory_accounting(monkeypatch, params):
@@ -566,7 +566,7 @@ def test_traced_peak_stays_within_the_memory_accounting(monkeypatch, params):
     # block; several chunks and statistics blocks are played here
     monkeypatch.setattr(classical, "_CHUNK_BYTES", 1 << 20)
     rounds, trials = 1000, 600
-    n = params.n_players
+    n = params.players
     per_trial = rounds * (n + 1)
     chunk = min(trials, classical._CHUNK_BYTES // per_trial)
     # float uniforms and their comparison, the schedule's int64 draw and
@@ -589,7 +589,7 @@ def test_traced_peak_stays_within_the_memory_accounting(monkeypatch, params):
 @pytest.mark.parametrize("scheme", [RANDOM_MIX, periodic(300, 200)], ids=lambda s: s.label)
 @pytest.mark.parametrize(
     "params",
-    [cooperative(**LONG_PROBS), cooperative(**LONG_PROBS, n_players=5), OriginalParams()],
+    [cooperative(**LONG_PROBS), cooperative(**LONG_PROBS, players=5), OriginalParams()],
     ids=["3", "5", "original"],
 )
 def test_traced_chain_peak_stays_within_the_memory_accounting(params, scheme):
@@ -610,7 +610,7 @@ def test_traced_chain_peak_stays_within_the_memory_accounting(params, scheme):
 def exact_cooperative_mix_mean(params: CooperativeParams, rounds: int) -> float:
     """Mean player-averaged gain after ``rounds`` random-mix rounds, from the
     exact chain over the 2^n winner flags (random initial flags)."""
-    n = params.n_players
+    n = params.players
     states = list(itertools.product((False, True), repeat=n))
     index = {s: j for j, s in enumerate(states)}
     transition = np.zeros((len(states), len(states)))
@@ -672,7 +672,7 @@ def test_single_trial_statistics_count_toward_the_memory_bound(monkeypatch):
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: 137 * rounds)
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)
     with pytest.raises(ValueError, match="physical memory"):
-        run_classical(cooperative(n_players=8), RANDOM_MIX, rounds=rounds, trials=1)
+        run_classical(cooperative(players=8), RANDOM_MIX, rounds=rounds, trials=1)
 
 
 def test_exact_chain_counts_its_moments_and_schedule(monkeypatch):
@@ -691,7 +691,7 @@ def test_rounds_overflowing_capital_sums_rejected(monkeypatch):
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: 2**60)
     monkeypatch.setattr(classical, "_win_table", refuse_to_run)
     with pytest.raises(ValueError, match="rounds 2000000000 .* int64"):
-        run_classical(cooperative(n_players=8), RANDOM_MIX, rounds=2 * 10**9, trials=1)
+        run_classical(cooperative(players=8), RANDOM_MIX, rounds=2 * 10**9, trials=1)
 
 
 def test_capital_parity():

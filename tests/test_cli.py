@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import importlib.util
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from qparrondo import cli, engine, sweeps
+from qparrondo import CooperativeParams, SimulationConfig, cli, engine, sweeps
 from qparrondo.cli import build_parser, cli_main
 
 
@@ -37,11 +38,28 @@ def test_run_rejects_out_of_range_rho(capsys, name):
     "flags, message",
     [
         (["--theta", "nan"], "theta must be finite, got nan"),
+        (["--theta", "inf"], "theta must be finite, got inf"),
     ],
 )
 def test_run_rejects_non_finite_phases(capsys, flags, message):
     assert cli_main(["run", "--rounds", "2", *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_file_rho0_out_of_range_named(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rho0": 1.5}))
+    assert cli_main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: rho0 must lie in [0, 1], got 1.5\n"
+
+
+def test_config_fields_are_flags_with_the_flags_defaults():
+    # every input of a walk and of a cooperative ring is named as its flag;
+    # a required probability is unset (None) until a flag gives it
+    walk = [f for f in dataclasses.fields(SimulationConfig) if f.name not in ("initial", "scheme")]
+    for field in walk + list(dataclasses.fields(CooperativeParams)):
+        default = None if field.default is dataclasses.MISSING else field.default
+        assert field.name in cli.FLAGS and cli.FLAGS[field.name][0] == default, field.name
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-rho4"])
@@ -627,6 +645,8 @@ def test_epsilon_with_a_null_original_probability_accepted(tmp_path):
         (["--pa", "0.5", "--epsilon", "0.2"],
          "epsilon 0.2 sets the default p1 to -0.1, outside [0, 1]"),
         (["--pa", "2"], "pa must lie in [0, 1], got 2.0"),
+        (["--mode", "cooperative", "--players", "2", "--pa", "0.5", "--p1", "0.3", "--p2",
+          "0.5", "--p3", "0.5", "--p4", "0.8"], "players must be >= 3, got 2"),
     ],
 )
 def test_classical_bad_epsilon_named(capsys, flags, message):

@@ -5,10 +5,10 @@ import pytest
 
 from qparrondo import (
     GHZ,
+    PURE_B,
     SEPARABLE,
     W,
-    CoinParams,
-    GameBParams,
+    SimulationConfig,
     coin_unitary,
     entangler_j,
     initial_coin_state,
@@ -20,32 +20,33 @@ I8 = np.eye(8)
 
 def test_coin_unitary_rho_one():
     theta, phi = 0.7, 1.3
-    m = coin_unitary(CoinParams(1.0, theta, phi))
+    m = coin_unitary(1.0, theta, phi)
     expect = np.array([[1.0, 0.0], [0.0, -np.exp(1j * (theta + phi))]])
     assert np.max(np.abs(m - expect)) < 1e-15
 
 
 def test_coin_unitary_fair():
-    m = coin_unitary(CoinParams(0.5))
+    m = coin_unitary(0.5)
     expect = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2)
     assert np.max(np.abs(m - expect)) < 1e-15
 
 
 def test_coin_unitary_rho_zero():
-    m = coin_unitary(CoinParams(0.0))
+    m = coin_unitary(0.0)
     expect = np.array([[0.0, 1j], [1j, 0.0]])
     assert np.max(np.abs(m - expect)) < 1e-15
 
 
 @pytest.mark.parametrize("rho", [-0.1, 1.5, 2.0])
 def test_coin_params_domain(rho):
-    with pytest.raises(ValueError, match="rho"):
-        CoinParams(rho)
+    with pytest.raises(ValueError) as excinfo:
+        coin_unitary(rho)
+    assert str(excinfo.value) == f"rho must lie in [0, 1], got {rho}"
 
 
 def test_coin_params_nonfinite():
-    with pytest.raises(ValueError):
-        CoinParams(0.5, theta=float("nan"))
+    with pytest.raises(ValueError, match="^theta must be finite, got nan$"):
+        coin_unitary(0.5, theta=float("nan"))
 
 
 @pytest.mark.parametrize(
@@ -57,14 +58,14 @@ def test_coin_params_nonfinite():
 )
 def test_coin_params_non_finite_phase_named(theta, phi, message):
     with pytest.raises(ValueError) as excinfo:
-        CoinParams(0.5, theta, phi)
+        coin_unitary(0.5, theta, phi)
     assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("theta, phi", [(1e308, 1e308), (-1e308, -1e308), (-7e307, 7e307)])
 def test_coin_of_phases_whose_sum_overflows_is_unitary(theta, phi):
     # the lower-right entry multiplies e^{i theta} and e^{i phi}; no angle is added
-    m = coin_unitary(CoinParams(0.3, theta, phi))
+    m = coin_unitary(0.3, theta, phi)
     assert np.all(np.isfinite(m))
     assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
     assert m[1, 1] == -math.sqrt(0.3) * (np.exp(1j * theta) * np.exp(1j * phi))
@@ -73,15 +74,14 @@ def test_coin_of_phases_whose_sum_overflows_is_unitary(theta, phi):
 def test_default_coin_lower_right_is_that_of_the_summed_angle():
     # e^{i pi/2} e^{i pi/2} and e^{i pi} round alike, so the default coin is
     # what it was when the entry was formed from theta + phi
-    m = coin_unitary(CoinParams(0.5))
+    m = coin_unitary(0.5)
     assert m[1, 1] == -math.sqrt(0.5) * np.exp(1j * math.pi)
 
 
 def test_coin_unitary_is_unitary_over_random_parameters():
     rng = np.random.default_rng(42)
     for _ in range(200):
-        p = CoinParams(rng.random(), rng.uniform(-10, 10), rng.uniform(-10, 10))
-        m = coin_unitary(p)
+        m = coin_unitary(rng.random(), rng.uniform(-10, 10), rng.uniform(-10, 10))
         assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
         assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-12
 
@@ -166,8 +166,9 @@ def test_j_entangled_domain_check():
 
 
 def test_game_b_params_default_rhos():
-    b = GameBParams(rho4=0.4)
-    assert b == GameBParams(0.5, 0.5, 0.5, 0.4)
+    config = SimulationConfig(GHZ, PURE_B, rho4=0.4)
+    rhos = (config.rho0, config.rho1, config.rho2, config.rho3, config.rho4)
+    assert rhos == (0.5, 0.5, 0.5, 0.5, 0.4)
 
 
 # each branch's rho, with the neighbour pattern that selects it as its id
@@ -175,5 +176,5 @@ def test_game_b_params_default_rhos():
 @pytest.mark.parametrize("rho", [-0.1, 1.5, float("nan")])
 def test_game_b_params_domain_names_the_branch(branch, rho):
     with pytest.raises(ValueError) as excinfo:
-        GameBParams(**{branch: rho})
+        SimulationConfig(GHZ, PURE_B, **{branch: rho})
     assert str(excinfo.value) == f"{branch} must lie in [0, 1], got {rho}"

@@ -6,7 +6,6 @@ from oracle import position_distribution, stepped_position_povm, walk_inputs
 
 import qparrondo.discriminator as discriminator
 from qparrondo import (
-    CoinParams,
     GHZ,
     PURE_A,
     SEPARABLE,
@@ -189,7 +188,7 @@ def test_sampled_memory_does_not_grow_with_shots():
 
 def povm_error(rounds):
     """Largest entry of the momentum-space M(n) off the stepped oracle's."""
-    coin = coin_unitary(CoinParams(0.5))
+    coin = coin_unitary(0.5)
     povm = discriminator._position_povm(coin, rounds)
     return np.max(np.abs(povm - stepped_position_povm(coin, rounds)))
 

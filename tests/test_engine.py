@@ -1,7 +1,6 @@
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,8 +25,6 @@ from qparrondo import (
     RANDOM_MIX,
     SEPARABLE,
     W,
-    CoinParams,
-    GameBParams,
     SimulationConfig,
     init_walker_state,
     initial_coin_state,
@@ -37,7 +34,7 @@ from qparrondo import (
     run_averaged,
 )
 from qparrondo import engine
-from qparrondo.coins import coin_unitary
+from qparrondo.coins import HALF_PI, coin_unitary
 from qparrondo.engine import schedule_mask
 
 
@@ -123,9 +120,7 @@ def test_config_validation():
 
 def test_step_round_b_with_equal_branches_matches_a():
     config_a = SimulationConfig(initial=SEPARABLE, scheme=PURE_A)
-    config_b = SimulationConfig(
-        initial=SEPARABLE, scheme=PURE_B, game_b=GameBParams()
-    )
+    config_b = SimulationConfig(initial=SEPARABLE, scheme=PURE_B)
     a = true_state(initial_coin_state(SEPARABLE), [False], config_a)
     b = true_state(initial_coin_state(SEPARABLE), [True], config_b)
     assert np.max(np.abs(a - b)) < 1e-12
@@ -172,9 +167,7 @@ def test_run_simulation_deterministic():
 
 def test_rho4_unused_by_pure_a():
     base = SimulationConfig(initial=SEPARABLE, scheme=PURE_A)
-    alt = SimulationConfig(
-        initial=SEPARABLE, scheme=PURE_A, game_b=GameBParams(rho4=0.1)
-    )
+    alt = SimulationConfig(initial=SEPARABLE, scheme=PURE_A, rho4=0.1)
     assert np.array_equal(run_averaged(base).per_player, run_averaged(alt).per_player)
 
 
@@ -186,9 +179,7 @@ def test_pure_a_player_symmetry(initial):
 
 
 def test_norm_and_support_every_round():
-    config = SimulationConfig(
-        initial=SEPARABLE, scheme=periodic(2, 2), game_b=GameBParams(rho4=0.3)
-    )
+    config = SimulationConfig(initial=SEPARABLE, scheme=periodic(2, 2), rho4=0.3)
     rounds = 8
     schedule = schedule_mask(config.scheme, rounds, rng_for())
     coords = np.arange(-rounds, rounds + 1)
@@ -234,7 +225,7 @@ def test_run_averaged_mix_stderr_positive():
         initial=SEPARABLE,
         scheme=RANDOM_MIX,
         runs=6,
-        game_b=GameBParams(rho4=0.2),
+        rho4=0.2,
     )
     avg = run_averaged(config)
     assert avg.final_stderr > 0
@@ -242,11 +233,9 @@ def test_run_averaged_mix_stderr_positive():
 
 def test_one_round_matches_dense_oracle_both_labels():
     rho4 = 0.3
-    config = SimulationConfig(
-        initial=SEPARABLE, scheme=PURE_B, game_b=GameBParams(rho4=rho4)
-    )
-    fair = coin_unitary(CoinParams(0.5))
-    special = coin_unitary(CoinParams(rho4))
+    config = SimulationConfig(initial=SEPARABLE, scheme=PURE_B, rho4=rho4)
+    fair = coin_unitary(0.5)
+    special = coin_unitary(rho4)
     coin_state = initial_coin_state(SEPARABLE)
     st = init_walker_state(coin_state)
     dense_a = dense_step_oracle(dense_positions(st, 2), [fair] * 3)
@@ -258,19 +247,18 @@ def test_one_round_matches_dense_oracle_both_labels():
 
 
 # coins of the mixed-round test: non-default rhos and phases theta=0.7, phi=1.9
-MIXED_COIN_A = CoinParams(0.4, 0.7, 1.9)
-MIXED_GAME_B = GameBParams(0.6, 0.5, 0.3, 0.2)
+MIXED_COINS = dict(rho0=0.4, rho1=0.6, rho2=0.5, rho3=0.3, rho4=0.2, theta=0.7)
+MIXED_PHI = 1.9
 
 
 @pytest.fixture(scope="module")
 def mixed_round_ops():
     """Per-player coin operators of one round of each game with the
     mixed-round coins, keyed by plays_b, as ``kron_round`` takes them."""
-    a, b = MIXED_COIN_A, MIXED_GAME_B
+    rhos, theta = [MIXED_COINS[f"rho{k}"] for k in range(5)], MIXED_COINS["theta"]
     return {
-        False: [coin_unitary(a)] * 3,
-        True: [tuple(coin_unitary(CoinParams(rho, a.theta, a.phi))
-                     for rho in (b.rho1, b.rho2, b.rho3, b.rho4))] * 3,
+        False: [coin_unitary(rhos[0], theta, MIXED_PHI)] * 3,
+        True: [tuple(coin_unitary(rho, theta, MIXED_PHI) for rho in rhos[1:])] * 3,
     }
 
 
@@ -279,14 +267,12 @@ def test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_ops):
     # the count window grows every round; each round is checked against
     # the Kronecker round on the fixed lattice -3..3, its factors applied
     # piece by piece
-    config = SimulationConfig(
-        initial=initial, scheme=PURE_B, coin_a=MIXED_COIN_A, game_b=MIXED_GAME_B
-    )
+    config = SimulationConfig(initial=initial, scheme=PURE_B, **MIXED_COINS)
     schedule = (True, False, True)
     st = init_walker_state(initial_coin_state(initial))
     for t, plays_b in enumerate(schedule, start=1):
         dense = kron_round(dense_positions(st, 3), mixed_round_ops[plays_b])
-        st = true_state(initial_coin_state(initial), schedule[:t], config)
+        st = true_state(initial_coin_state(initial), schedule[:t], config, MIXED_PHI)
         assert np.max(np.abs(dense_positions(st, 3) - dense)) < 1e-10
 
 
@@ -308,11 +294,11 @@ def test_three_mixed_rounds_in_one_plane_slabs_match_dense_oracle(
     test_three_mixed_rounds_match_dense_oracle(initial, mixed_round_ops)
 
 
-# (coin_a, game_b) of walk_payoffs: the default phases, and theta=0.7,
+# (config fields, phi) of walk_payoffs: the default phases, and theta=0.7,
 # phi=1.9, where no coin has a real multiple
 WALK_COINS = {
-    "real": (CoinParams(0.4), GameBParams(rho4=0.3)),
-    "complex": (MIXED_COIN_A, MIXED_GAME_B),
+    "real": (dict(rho0=0.4, rho4=0.3), HALF_PI),
+    "complex": (MIXED_COINS, MIXED_PHI),
 }
 
 
@@ -320,9 +306,8 @@ def walk_payoffs(initial, scheme, rounds, coins="complex"):
     """Per-round payoffs and a copy of the final state of one walk: the
     walk returns a view of its thread's workspace, which the next walk
     overwrites."""
-    coin_a, game_b = WALK_COINS[coins]
     config = SimulationConfig(
-        initial=initial, scheme=scheme, rounds=rounds, coin_a=coin_a, game_b=game_b
+        initial=initial, scheme=scheme, rounds=rounds, **WALK_COINS[coins][0]
     )
     mask = schedule_mask(scheme, rounds, rng_for())
     per_player = np.zeros((rounds + 1, 3))
@@ -416,21 +401,21 @@ def test_walk_does_not_depend_on_the_slab_size(monkeypatch, initial, scheme, rou
         assert np.max(np.abs(other_final - final)) < 1e-14
 
 
-@pytest.mark.parametrize("coin_a", [CoinParams(0.5), CoinParams(0.5, 0.3, 1.1)],
+@pytest.mark.parametrize("theta, phi", [(HALF_PI, HALF_PI), (0.3, 1.1)],
                          ids=["default", "complex"])
 @pytest.mark.parametrize("initial", [GHZ, W, SEPARABLE, j_entangled(0.7)],
                          ids=["ghz", "w", "sep", "j0.7"])
 @pytest.mark.parametrize("rounds", [24, 40])
-def test_pure_a_matches_three_1d_walks(initial, coin_a, rounds):
+def test_pure_a_matches_three_1d_walks(initial, theta, phi, rounds):
     # rounds past the 16th are played in several slabs
-    config = SimulationConfig(initial=initial, scheme=PURE_A, rounds=rounds, coin_a=coin_a)
-    expected = pure_a_positions(initial_coin_state(initial), coin_a, rounds)
+    config = SimulationConfig(initial=initial, scheme=PURE_A, rounds=rounds, theta=theta)
+    expected = pure_a_positions(initial_coin_state(initial), coin_unitary(0.5, theta, phi), rounds)
     assert np.max(np.abs(run_averaged(config).per_player - expected)) < 1e-12
 
 
 def test_pure_a_matches_three_1d_walks_in_one_plane_slabs():
     # from 64 rounds on every slab of a round is one i-plane
-    test_pure_a_matches_three_1d_walks(SEPARABLE, CoinParams(0.5, 0.3, 1.1), 70)
+    test_pure_a_matches_three_1d_walks(SEPARABLE, 0.3, 1.1, 70)
 
 
 def test_memory_bound_counts_one_state(monkeypatch):
@@ -488,7 +473,7 @@ def test_traced_workspace_stays_within_the_memory_bound(rounds):
 
 def test_run_averaged_equals_the_mean_of_its_runs_bitwise():
     config = SimulationConfig(
-        initial=SEPARABLE, scheme=RANDOM_MIX, runs=7, game_b=GameBParams(rho4=0.2)
+        initial=SEPARABLE, scheme=RANDOM_MIX, runs=7, rho4=0.2
     )
     runs = [walk_run(config, k) for k in range(config.runs)]
     gains = np.stack([per_player.mean(axis=1) for per_player in runs])
@@ -520,10 +505,10 @@ FRAME_STATES = {
 
 
 def shared_phases(theta, phi, rhos=(0.3, 0.8, 0.15, 0.6, 0.35)):
-    return CoinParams(rhos[0], theta, phi), GameBParams(*rhos[1:])
+    return {**{f"rho{k}": rho for k, rho in enumerate(rhos)}, "theta": theta}, phi
 
 
-# (coin_a, game_b): all five coins share coin A's (theta, phi)
+# (config fields, phi): all five coins share (theta, phi)
 FRAME_PHASES = {
     "default": shared_phases(np.pi / 2, np.pi / 2),
     "zero": shared_phases(0.0, 0.0),
@@ -535,13 +520,14 @@ FRAME_PHASES = {
 }
 
 
-def oracle_walk(coin_state, mask, config):
+def oracle_walk(coin_state, mask, config, phi):
     """The payoffs after every round and the final state of the rounds of
-    ``mask``, played by unframed_round on the true state."""
+    ``mask``, played by unframed_round on the true state with the coins'
+    phases (config.theta, ``phi``)."""
     state = init_walker_state(coin_state)
     expected = np.zeros((len(mask) + 1, 3))
     for t, plays_b in enumerate(mask, start=1):
-        state = unframed_round(state, plays_b, config)
+        state = unframed_round(state, plays_b, config, phi)
         expected[t] = expected[t - 1] + coin_weights(state) @ STEPS
     return expected, state
 
@@ -552,18 +538,18 @@ def oracle_walk(coin_state, mask, config):
 def test_framed_walk_matches_unframed_step_rounds(start, phases, scheme):
     # the engine tosses real operators from the gauged start; the oracle
     # tosses the full complex coins U(rho, theta, phi) on the true state
-    coin_a, game_b = FRAME_PHASES[phases]
+    coins, phi = FRAME_PHASES[phases]
     config = SimulationConfig(
-        initial=GHZ, scheme=parse_scheme(scheme), rounds=FRAME_ROUNDS,
-        coin_a=coin_a, game_b=game_b,
+        initial=GHZ, scheme=parse_scheme(scheme), rounds=FRAME_ROUNDS, **coins
     )
     mask = schedule_mask(config.scheme, FRAME_ROUNDS, rng_for(3))
-    expected, state = oracle_walk(FRAME_STATES[start], mask, config)
-    assert all(op.dtype == np.float64 for op in engine._round_operators(coin_a.rho, game_b))
+    expected, state = oracle_walk(FRAME_STATES[start], mask, config, phi)
+    walk_start, ops = walk_inputs(FRAME_STATES[start], config)
+    assert all(op.dtype == np.float64 for op in ops)
     per_player = np.zeros((FRAME_ROUNDS + 1, 3))
-    chi = engine._walk(*walk_inputs(FRAME_STATES[start], config), mask, per_player)
+    chi = engine._walk(walk_start, ops, mask, per_player)
     assert np.max(np.abs(per_player - expected)) < 1e-12
-    assert np.max(np.abs(ungauge(chi, config) - state)) < 1e-12
+    assert np.max(np.abs(ungauge(chi, config, phi) - state)) < 1e-12
 
 
 @pytest.mark.parametrize("coins", WALK_COINS)
@@ -574,37 +560,38 @@ def test_one_plane_slabs_in_a_nan_workspace_match_unframed_rounds(monkeypatch, r
     # change what a later slab tosses, and an amplitude that no copy or
     # face fill wrote would keep its NaN
     use_slab_sites(monkeypatch, 1)
-    coin_a, game_b = WALK_COINS[coins]
-    config = SimulationConfig(
-        initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, coin_a=coin_a, game_b=game_b
-    )
+    fields, phi = WALK_COINS[coins]
+    config = SimulationConfig(initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, **fields)
     mask = schedule_mask(RANDOM_MIX, rounds, rng_for(3))
-    expected, state = oracle_walk(FRAME_STATES["random"], mask, config)
+    expected, state = oracle_walk(FRAME_STATES["random"], mask, config, phi)
     engine._WORKSPACE.prepare(rounds)
     for buffer in (engine._WORKSPACE.buffer, engine._WORKSPACE.scratch):
         buffer.fill(np.nan)
     per_player = np.zeros((rounds + 1, 3))
     chi = engine._walk(*walk_inputs(FRAME_STATES["random"], config), mask, per_player)
     assert np.max(np.abs(per_player - expected)) < 1e-12
-    assert np.max(np.abs(ungauge(chi, config) - state)) < 1e-12
+    assert np.max(np.abs(ungauge(chi, config, phi) - state)) < 1e-12
 
 
 @pytest.mark.parametrize("phi", [0.0, 1.9, -7e307])
 def test_phi_moves_no_payoff(phi):
-    # a walk never reads phi: every payoff of every scheme is bitwise the
-    # same at any phi
-    coin_a, game_b = FRAME_PHASES["complex"]
+    # phi is no input of a walk: the true walk, whose coins U(rho, theta,
+    # phi) are tossed one player at a time, has run_averaged's payoffs at
+    # every phi, for every scheme
+    coins, _ = FRAME_PHASES["complex"]
     for scheme in SCHEMES.values():
-        config = SimulationConfig(initial=SEPARABLE, scheme=scheme, rounds=7, runs=3,
-                                  coin_a=coin_a, game_b=game_b)
-        moved = replace(config, coin_a=replace(coin_a, phi=phi))
-        assert np.array_equal(run_averaged(moved).per_player, run_averaged(config).per_player)
+        config = SimulationConfig(initial=SEPARABLE, scheme=scheme, rounds=7, runs=1, **coins)
+        # run 0's schedule, from the seed key (seed, 0)
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
+        mask = schedule_mask(scheme, config.rounds, rng)
+        expected, _ = oracle_walk(initial_coin_state(SEPARABLE), mask, config, phi)
+        assert np.max(np.abs(run_averaged(config).per_player - expected)) < 1e-12
 
 
 def test_round_operators_are_real_for_every_coin():
     rng = np.random.default_rng(5)
     for rhos in [(0.0,) * 5, (1.0,) * 5, (0.5,) * 5, *rng.random((20, 5))]:
-        for op in engine._round_operators(rhos[0], GameBParams(*rhos[1:])):
+        for op in engine._round_operators(*rhos):
             assert op.dtype == np.float64 and op.flags.c_contiguous
             assert np.max(np.abs(op.T @ op - np.eye(8))) < 1e-14
 

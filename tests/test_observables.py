@@ -11,8 +11,6 @@ from qparrondo import (
     PURE_B,
     RANDOM_MIX,
     SEPARABLE,
-    CoinParams,
-    GameBParams,
     GameVerdict,
     PayoffSeries,
     SimulationConfig,
@@ -93,8 +91,12 @@ def test_payoffs_match_position_oracle(initial, scheme):
         initial=initial,
         scheme=scheme,
         rounds=ORACLE_ROUNDS,
-        coin_a=CoinParams(0.3, 0.7, 1.9),
-        game_b=GameBParams(0.8, 0.15, 0.6, 0.35),
+        rho0=0.3,
+        rho1=0.8,
+        rho2=0.15,
+        rho3=0.6,
+        rho4=0.35,
+        theta=0.7,
         seed=11,
         runs=1,
     )
@@ -104,7 +106,8 @@ def test_payoffs_match_position_oracle(initial, scheme):
     schedule = schedule_mask(scheme, ORACLE_ROUNDS, rng)
     assert series.per_player[0].tolist() == [0.0, 0.0, 0.0]
     for t, plays_b in enumerate(schedule, start=1):
-        state = true_state(initial_coin_state(initial), schedule[:t], config)
+        # the true state of coins whose phi is 1.9
+        state = true_state(initial_coin_state(initial), schedule[:t], config, 1.9)
         assert abs(coin_weights(state).sum() - 1.0) < 1e-12
         oracle = expected_positions(state)
         assert np.max(np.abs(series.per_player[t] - oracle)) < 1e-12, (t, plays_b)

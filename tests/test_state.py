@@ -18,14 +18,13 @@ from oracle import (
 from qparrondo import (
     GHZ,
     SEPARABLE,
-    CoinParams,
     coin_unitary,
     init_walker_state,
     initial_coin_state,
 )
 from qparrondo.state import _shift_views
 
-FAIR = coin_unitary(CoinParams(0.5))
+FAIR = coin_unitary(0.5)
 FLIP = np.array([[0.0, 1j], [1j, 0.0]])
 
 EQ_STATE = np.array(
@@ -114,7 +113,7 @@ def test_apply_coin_rejects_bad_player(player):
 def test_coin_norm_preserved():
     rng = np.random.default_rng(3)
     st = init_walker_state(initial_coin_state(SEPARABLE))
-    m = coin_unitary(CoinParams(rng.random(), rng.uniform(0, 7), rng.uniform(0, 7)))
+    m = coin_unitary(rng.random(), rng.uniform(0, 7), rng.uniform(0, 7))
     out = apply_coin_matrix(st, 3, m)
     assert abs(state_norm(out) - state_norm(st)) < 1e-12
 
@@ -151,7 +150,7 @@ def test_controlled_coin_selects_branch_by_ring_neighbors():
 
 def test_controlled_coin_with_equal_branches_matches_single_coin():
     st = init_walker_state(initial_coin_state(SEPARABLE))
-    m = coin_unitary(CoinParams(0.3, 1.0, 2.0))
+    m = coin_unitary(0.3, 1.0, 2.0)
     for player in (1, 2, 3):
         conditional = apply_controlled_coin(st, player, m, m, m, m)
         plain = apply_coin_matrix(st, player, m)
@@ -211,8 +210,8 @@ def game_a_ops():
 
 
 def game_b_ops(rho4=0.3):
-    fair = coin_unitary(CoinParams(0.5))
-    special = coin_unitary(CoinParams(rho4))
+    fair = coin_unitary(0.5)
+    special = coin_unitary(rho4)
     return [(fair, fair, fair, special)] * 3
 
 

@@ -13,8 +13,6 @@ from qparrondo import (
     PURE_B,
     RANDOM_MIX,
     SEPARABLE,
-    CoinParams,
-    GameBParams,
     SimulationConfig,
     Verdict,
     emit_map_csv,
@@ -36,7 +34,7 @@ def base_config(initial=SEPARABLE, rho4=0.5):
         initial=initial,
         scheme=PURE_A,
         rounds=8,
-        game_b=GameBParams(rho4=rho4),
+        rho4=rho4,
         seed=0,
         runs=3,
     )
@@ -62,12 +60,11 @@ def test_sweep_rho4_domain_check():
 
 def test_sweep_rho4_keeps_the_other_branch_rhos():
     # only rho4 is swept; the WW branch keeps its own rho
-    game_b = GameBParams(rho1=0.2, rho4=0.9)
-    base = SimulationConfig(initial=GHZ, scheme=PURE_B, rounds=4, game_b=game_b)
+    base = SimulationConfig(initial=GHZ, scheme=PURE_B, rounds=4, rho1=0.2, rho4=0.9)
     (record,) = sweep_rho4(base, values=[0.4], schemes=(PURE_B,))
-    played = replace(base, game_b=replace(game_b, rho4=0.4))
+    played = replace(base, rho4=0.4)
     assert record.gain == run_averaged(played).final_gain
-    fair_rho1 = replace(played, game_b=GameBParams(rho4=0.4))
+    fair_rho1 = replace(played, rho1=0.5)
     assert record.gain != run_averaged(fair_rho1).final_gain
 
 
@@ -120,7 +117,7 @@ def count_walks(monkeypatch) -> list[str]:
 def standalone_record(base, value, scheme, verdicts):
     """The record of one (rho4, scheme) from its own walk; ``verdicts``
     collects the pure-game verdicts of the point for the paradox flag."""
-    config = replace(base, scheme=scheme, game_b=GameBParams(rho4=value))
+    config = replace(base, scheme=scheme, rho4=value)
     series = run_averaged(config)
     verdict = classify_game(series).verdict
     verdicts[scheme.label] = verdict
@@ -159,22 +156,19 @@ def test_sweep_rho4_walks_pure_a_once(monkeypatch, schemes, walks):
 
 
 def test_pure_b_is_served_from_the_memo_when_only_phi_changes(monkeypatch):
-    # no walk reads phi: points that differ only there share every walk
-    base = replace(base_config(initial=GHZ), game_b=GameBParams(rho4=0.3))
-    phis = [math.pi / 2, 1.9, 0.3]
-
-    def config_for(phi, scheme):
-        return replace(base, scheme=scheme, coin_a=CoinParams(0.5, 0.7, phi))
-
+    # no walk reads phi: a phase map walks pure B once per theta and gives
+    # every phi of that theta the walk's gain
+    base = base_config(initial=GHZ, rho4=0.3)
     walked = count_walks(monkeypatch)
-    gains = [gain for _, _, gain, *_ in sweeps._sweep(phis, config_for, (PURE_B,))]
-    assert Counter(walked) == {"a": 1, "b": 1}
-    assert gains == [run_averaged(config_for(math.pi / 2, PURE_B)).final_gain] * 3
+    records = sweep_phase_map(base, step=math.pi / 2, schemes=(PURE_B,))
+    assert Counter(walked) == {"a": 4, "b": 4}
+    for r in records:
+        assert r.gain == run_averaged(replace(base, scheme=PURE_B, theta=r.theta)).final_gain
 
 
 def test_phase_map_walks_each_scheme_once_per_theta(monkeypatch):
     # 16 theta columns of a pi/8 map, each scheme one walk per column (the
-    # mix one per run), every phi of a column served from the memo
+    # mix one per run), its rows repeated for every phi of the column
     base = replace(base_config(initial=SEPARABLE, rho4=0.7), rounds=4)
     walked = count_walks(monkeypatch)
     records = sweep_phase_map(base, step=math.pi / 8)
@@ -286,7 +280,7 @@ def test_emit_series_csv_layout(tmp_path):
 def test_emit_series_csv_significant_digits(tmp_path):
     series = run_averaged(
         SimulationConfig(
-            initial=SEPARABLE, scheme=PURE_B, rounds=4, game_b=GameBParams(rho4=0.3)
+            initial=SEPARABLE, scheme=PURE_B, rounds=4, rho4=0.3
         )
     )
     path = tmp_path / "series.csv"
