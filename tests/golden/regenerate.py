@@ -58,6 +58,10 @@ CASES = {
         "run", "--initial", "separable", "--scheme", "mix", "--rounds", "40", "--theta", "0.7",
         "--rho4", "0.3",
     ],
+    # a J start at theta != pi/2 stays complex in the walk's gauge
+    "run-j0.7-p22-theta0.7": [
+        "run", *STARTS["j0.7"], "--scheme", "periodic:2,2", "--theta", "0.7", "--rho4", "0.3",
+    ],
     "sweep-rho4": ["sweep-rho4"],
     "sweep-rho4-w": ["sweep-rho4", "--initial", "w"],
     "sweep-omega": ["sweep-omega", "--rho4", "0.7"],
