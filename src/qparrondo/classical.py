@@ -184,7 +184,7 @@ def _win_table(params: OriginalParams | CooperativeParams) -> np.ndarray:
     return np.array([[a, a, a], [params.win_b1, params.win_b2, params.win_b2]])
 
 
-def _check_size(rounds: int, n: int, exact: bool) -> None:
+def _check_size(rounds: int, n: int, exact: bool, trials: int) -> None:
     """A run must fit in physical memory.
 
     The exact chain holds two float moments a round and, as it forms the
@@ -197,11 +197,11 @@ def _check_size(rounds: int, n: int, exact: bool) -> None:
     take 9 bytes, and the run's statistics 40 (int64 win sums,
     the two int64 words of the squared sums, float mean and standard
     error). The blocks in which the statistics are formed take at most
-    _CHUNK_BYTES. Its squared win total must fit in int64."""
+    _CHUNK_BYTES. Its win sums and squared win total must fit in int64."""
     need = rounds * 33 + 2 * _STACK_BYTES if exact else rounds * (14 * n + 61) + _CHUNK_BYTES
     _check_memory(need, f"the arrays of rounds {rounds} at {n} per round")
-    if not exact and (n * rounds) ** 2 >= 2**63:
-        raise ValueError(f"rounds {rounds} for {n} players overflows the int64 win sums")
+    if not exact and max(trials, n * rounds) * n * rounds >= 2**63:
+        raise ValueError(f"trials {trials} of rounds {rounds} for {n} players overflow int64 sums")
 
 
 def _transitions(
@@ -435,7 +435,7 @@ def run_classical(
         raise ValueError(f"seed must be >= 0, got {seed}")
     n = params.players if isinstance(params, CooperativeParams) else 1
     exact = n <= _EXACT_PLAYERS
-    _check_size(rounds, n, exact)
+    _check_size(rounds, n, exact, trials)
     if exact:
         return _chain_series(params, scheme, rounds, trials)
     table = _win_table(params)

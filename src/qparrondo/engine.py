@@ -128,7 +128,7 @@ class SimulationConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        need = _workspace_bytes(self.rounds)
+        need = _workspace_bytes(self.rounds, 2)  # one or two sources (run_averaged)
         what = f"rounds {self.rounds}"
         if self.scheme.is_random:
             # run_averaged keeps every run's (rounds+1, 3) payoffs and
@@ -187,12 +187,12 @@ def _round_operators(
         [controlled_coin_operator(player, m, m, m, m) for player in (1, 2, 3)],
         [controlled_coin_operator(player, *mats) for player in (1, 2, 3)],
     ):
-        operators.append(np.ascontiguousarray((ops[2] @ ops[1] @ ops[0]).real))
+        operators.append(ops[2] @ ops[1] @ ops[0])
     return tuple(operators)
 
 
-# The sites one slab of a round spans: its toss output, 512 KiB of complex
-# amplitudes, is still in the L2 cache when the slab's coin weights and
+# The sites one slab of a round spans: its toss output, 256 KiB per real
+# source, is still in the L2 cache when the slab's coin weights and
 # shifted copy read it back. A slab is a run of whole i-planes, one plane
 # once a plane alone holds more sites; slabs of one plane each at every size
 # ran slower in 16-round walks.
@@ -230,105 +230,93 @@ _VIEW_BYTES = 2048
 
 
 @lru_cache(maxsize=256)
-def _workspace_bytes(rounds: int) -> int:
-    """Bytes of the workspace of a walk of ``rounds`` rounds: the final
-    state's 8 (rounds+1)^3 complex128 amplitudes, which every round is
-    shifted within, the toss scratch of its largest slab, and the views of
-    every round (_VIEW_BYTES). Cached: every config checks it, and a sweep
-    builds thousands of configs of one length."""
+def _workspace_bytes(rounds: int, sources: int) -> int:
+    """Bytes of the workspace of a walk of ``rounds`` rounds from
+    ``sources`` real sources: the final state's 8 (rounds+1)^3 float64
+    amplitudes per source, which every round is shifted within, the toss
+    scratch of its largest slab, and the views of every round (_VIEW_BYTES).
+    Cached: every config checks it, and a sweep builds thousands of configs
+    of one length."""
     amplitudes = 8 * ((rounds + 1) ** 3 + _scratch_sites(rounds))
-    return amplitudes * 16 + (_slab_count(rounds) + rounds + 4) * _VIEW_BYTES
+    return amplitudes * 8 * sources + (_slab_count(rounds) + rounds + 4) * _VIEW_BYTES
 
 
-def _round_views(buffer: np.ndarray, scratch: np.ndarray, weights: np.ndarray, n: int) -> tuple:
-    """Every view round t = n - 1 of a walk needs, over the flat complex
-    buffers ``buffer`` (the state: row c of its (8, -1) reshape holds coin
-    component c, packed, (n, n, n) before the round and (n+1, n+1, n+1)
-    after it) and ``scratch`` (a slab's toss output): the shift's faces,
-    and for each slab of ``_slab_planes(n)`` i-planes, from the top one
-    down, the float64 toss input and output, the (8, 1, 2w) and (8, 2w, 1)
-    operands of its coin weights, its row of ``weights``, and the shift's
-    target and source."""
-    planes, plane = _slab_planes(n), n * n
+def _round_views(buffer, scratch, weights, n: int, sources: int) -> tuple:
+    """Every view round t = n - 1 of a walk of ``sources`` real sources
+    needs, over the flat float64 buffers ``buffer`` (the state: row c of its
+    (8, -1) reshape holds coin component c, packed, (n, n, n, sources)
+    before the round and (n+1, n+1, n+1, sources) after it) and ``scratch``
+    (a slab's toss output): the shift's faces, and for each slab of
+    ``_slab_planes(n)`` i-planes, from the top one down, the toss input and
+    output, the (8, 1, w) and (8, w, 1) operands of its coin weights, its row
+    of ``weights``, and the shift's target and source."""
+    planes, run = _slab_planes(n), n * n * sources
     rows = buffer.reshape(8, -1)
-    source = rows[:, : n * plane].view(np.float64)
-    faces, target = _shift_views(buffer, n, rows.shape[1])
+    faces, target = _shift_views(buffer, n, rows.shape[1], sources)
     slabs = []
     for weight, i in zip(weights, range(0, n, planes)):
         j = min(i + planes, n)
-        toss = scratch[: 8 * (j - i) * plane].reshape(8, (j - i) * plane)
-        real = toss.view(np.float64)
-        slabs.append((
-            source[:, 2 * i * plane : 2 * j * plane],
-            real,
-            real[:, None, :],
-            real[:, :, None],
-            weight,
-            target[:, :, :, i:j],
-            toss.reshape(2, 2, 2, j - i, n, n),
-        ))
+        toss = scratch[: 8 * (j - i) * run].reshape(8, (j - i) * run)
+        slabs.append((rows[:, i * run : j * run], toss, toss[:, None, :], toss[:, :, None], weight,
+                      target[:, :, :, i:j], toss.reshape(2, 2, 2, j - i, n, n * sources)))
     return faces, slabs[::-1]
 
 
 class _Workspace(threading.local):
-    """One thread's walk buffers, kept between walks of T rounds: one flat
-    complex buffer of 8 (T+1)^3 amplitudes that holds the state, coin
-    component c from entry c (T+1)^3 on, the toss scratch of the walk's
-    largest slab, the (slabs, 8, 1, 1) coin-weight table of all its rounds
-    with the first slab of each round (``starts``), and the views of every
-    round over them. A walk of another length replaces them."""
+    """One thread's walk buffers, kept between walks of T rounds from S real
+    sources: one flat float64 buffer of 8 (T+1)^3 S amplitudes that holds
+    the state, coin component c from entry c (T+1)^3 S on, the toss scratch
+    of the walk's largest slab, the (slabs, 8, 1, 1) coin-weight table of
+    all its rounds with the first slab of each round (``starts``), and the
+    views of every round over them. A walk of another (T, S) replaces them."""
 
-    rounds = -1
-    buffer: np.ndarray | None = None
-    scratch: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    starts: np.ndarray | None = None
-    views: list | tuple = ()
+    shape, views = (), ()
+    buffer = scratch = weights = starts = None
 
-    def prepare(self, rounds: int) -> list:
-        if rounds != self.rounds:
+    def prepare(self, rounds: int, sources: int) -> list:
+        if (rounds, sources) != self.shape:
             # drop the old buffers before allocating the new ones, so that
             # at most one state is live
             self.buffer = self.scratch = self.weights = self.starts = None
-            self.views, self.rounds = (), -1
-            self.buffer = np.empty(8 * (rounds + 1) ** 3, dtype=complex)
-            self.scratch = np.empty(8 * _scratch_sites(rounds), dtype=complex)
+            self.views, self.shape = (), ()
+            self.buffer = np.empty(8 * (rounds + 1) ** 3 * sources)
+            self.scratch = np.empty(8 * _scratch_sites(rounds) * sources)
             counts = [-(-n // _slab_planes(n)) for n in range(1, rounds + 1)]
             self.starts = np.cumsum([0, *counts[:-1]])
             self.weights = np.empty((sum(counts), 8, 1, 1))
             self.views = [
-                _round_views(self.buffer, self.scratch, self.weights[start : start + count], t + 1)
-                for t, (start, count) in enumerate(zip(self.starts, counts))
+                _round_views(self.buffer, self.scratch, self.weights[k : k + count], t + 1, sources)
+                for t, (k, count) in enumerate(zip(self.starts, counts))
             ]
-            self.rounds = rounds
+            self.shape = (rounds, sources)
         return self.views
 
 
 _WORKSPACE = _Workspace()
 
 
-def _walk(start: np.ndarray, ops: tuple, mask: np.ndarray, per_player: np.ndarray) -> np.ndarray:
+def _walk(sources: np.ndarray, ops: tuple, mask: np.ndarray, per_player: np.ndarray) -> np.ndarray:
     """Play the schedule ``mask`` (True where a round plays B, as from
-    ``schedule_mask``) from the 8 coin amplitudes ``start`` at the origin,
-    each round tossed by the real 8x8 ``ops[0]`` (A) or ``ops[1]`` (B), as
-    ``_round_operators`` returns them, and return the final state; row t of
+    ``schedule_mask``) from the S real walks whose (8, S) coin amplitudes
+    ``sources`` sit at the origin, each round tossed by the real 8x8
+    ``ops[0]`` (A) or ``ops[1]`` (B), as ``_round_operators`` returns them,
+    and return the final state, shape (8, n, n, n, S); row t of
     ``per_player``, shape (len(mask) + 1, 3), receives the expected
-    positions after round t, accumulated from row 0.
+    positions after round t, summed over the sources and accumulated from
+    row 0. A complex start s plays as the sources (Re s, Im s).
 
-    The walk runs in its thread's workspace: one flat buffer of the final
-    state's size, kept for the thread's next walk of the same length, with
-    coin component c of every round's state packed from entry c (T+1)^3 on.
+    The walk runs in its thread's ``_Workspace``, the sources innermost.
     Each round shifts the state within it slab by slab, from the top i-plane
     down, each slab a run of whole i-planes of about ``_SLAB_SITES`` sites:
-    the slab is tossed into a small scratch, the dot products of its coin
-    weights go into its own row of the workspace's weight table, and it is
-    copied to its shifted place while the scratch is still in cache. The
-    shift moves entry i n^2 + j n + k of a component to (i + b1)(n+1)^2 +
-    (j + b2)(n+1) + k + b3, no lower, so a copy lands on planes already
-    read. The copies and the face fills after them write every amplitude of
-    the next state, so nothing of an earlier walk survives. The final state
-    fills the buffer and is a view of it, valid until the thread's next
-    walk: a caller that keeps it copies it.
+    the slab's contiguous floats are tossed into a small scratch by one GEMM,
+    the dot products of its coin weights go into its own row of the weight
+    table, and it is copied to its shifted place while the scratch is still
+    in cache. The shift moves the S floats at entry i n^2 + j n + k of a
+    component to (i + b1)(n+1)^2 + (j + b2)(n+1) + k + b3, no lower, so a
+    copy lands on planes already read. The copies and the face fills after
+    them write every amplitude of the next state, so nothing of an earlier
+    walk survives. The final state fills the buffer and is a view of it,
+    valid until the thread's next walk: a caller that keeps it copies it.
 
     Round t moves axis i by +1 with the weight of the coin components whose
     bit i is |R> after the toss, and by -1 otherwise. The shift only moves
@@ -337,14 +325,11 @@ def _walk(start: np.ndarray, ops: tuple, mask: np.ndarray, per_player: np.ndarra
     summed over a round's slabs after the walk:
     <x_i>_t = <x_i>_{t-1} + sum_c w_c (2 b_i(c) - 1).
     """
-    views = _WORKSPACE.prepare(len(mask))
-    n = len(mask) + 1
-    _WORKSPACE.buffer[:: n**3] = start
+    views = _WORKSPACE.prepare(len(mask), sources.shape[1])
+    _WORKSPACE.buffer.reshape(8, -1)[:, : sources.shape[1]] = sources
     for (faces, slabs), plays_b in zip(views, mask.tolist()):
         op = ops[plays_b]
         for state, toss, rows, columns, weight, target, source in slabs:
-            # a real operator acts alike on the real and imaginary parts: one
-            # real GEMM on the interleaved float64 view of the amplitudes
             np.matmul(op, state, out=toss)
             np.matmul(rows, columns, out=weight)
             np.copyto(target, source)
@@ -353,7 +338,7 @@ def _walk(start: np.ndarray, ops: tuple, mask: np.ndarray, per_player: np.ndarra
     weights = np.add.reduceat(_WORKSPACE.weights.reshape(-1, 8), _WORKSPACE.starts, axis=0)
     per_player[1:] = weights @ _STEP_SIGNS
     np.cumsum(per_player, axis=0, out=per_player)
-    return _WORKSPACE.buffer.reshape(8, n, n, n)
+    return _WORKSPACE.buffer.reshape(8, *[len(mask) + 1] * 3, sources.shape[1])
 
 
 def run_averaged(config: SimulationConfig) -> PayoffSeries:
@@ -381,6 +366,17 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
     # finite phase overflows, and phi is no input.
     start = init_walker_state(initial_coin_state(config.initial)).reshape(8)
     start *= np.exp(1j * config.theta) ** _R_COUNTS
+    # A start s with |s.s| = 1 (W's misses by 2.2e-16) is e^{ia} r, r real,
+    # as W at every theta and J(omega) at theta = pi/2 are: it plays the one
+    # source r = Re(e^{-ia} s), else (Re s, Im s). With e^{-ia} s = r + iq,
+    # r.q = 0, |q|^2 = (1 - |s.s|) / 2; a payoff sums the sources' own, each
+    # moved a round by at most its weight, so dropping q moves any payoff by
+    # at most rounds x tol (tol = 1e-15), 1.6e-14 at 16 rounds.
+    square = start @ start
+    if abs(square) >= 1 - 1e-15:
+        sources = (start / np.sqrt(square / abs(square))).real[:, None]
+    else:
+        sources = np.stack([start.real, start.imag], axis=1)
     ops = _round_operators(config.rho0, config.rho1, config.rho2, config.rho3, config.rho4)
     # SimulationConfig's memory check counts this array and the gains
     per_player = np.zeros((runs, config.rounds + 1, 3))
@@ -389,7 +385,7 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
         # never imports numpy.random)
         rng = (np.random.default_rng(np.random.SeedSequence((config.seed, k)))
                if config.scheme.is_random else None)
-        _walk(start, ops, schedule_mask(config.scheme, config.rounds, rng), per_player[k])
+        _walk(sources, ops, schedule_mask(config.scheme, config.rounds, rng), per_player[k])
     gains = per_player.mean(axis=2)
     if runs > 1:
         stderr = gains.std(axis=0, ddof=1) / np.sqrt(runs)

@@ -4,9 +4,9 @@ unframed round built from them, a dense Kronecker round on a small
 position lattice (assembled, or applied factor piece by factor piece by
 ``kron_round``), pure A's payoffs from three 1D walks and the
 discriminator's step-count operators walked round by round; and
-``walk_inputs``, the explicit start and round operators that engine._walk
-plays for a config, and ``true_state``, its walk taken out of its phase
-gauge.
+``walk_inputs``, the explicit real sources and round operators that
+engine._walk plays for a config, and ``true_state``, its walk taken out of
+its phase gauge.
 
 The engine composes a round's three tosses into one real 8x8 operator,
 moves the coins' phases into its start and a site phase, and shifts in
@@ -133,12 +133,12 @@ def slice_shift(state: np.ndarray) -> np.ndarray:
 
 def apply_position_update(state: np.ndarray, *, out: np.ndarray) -> np.ndarray:
     """The engine's shift (``state._shift_views``) applied to a whole
-    (8, n, n, n) state: zeros on the three faces the copy leaves, then one
-    strided copy of all eight components, into the leading 8 (n+1)^3
-    entries of the flat complex buffer ``out``, returned in their
+    (8, n, n, n) state as one source: zeros on the three faces the copy
+    leaves, then one strided copy of all eight components, into the leading
+    8 (n+1)^3 entries of the flat complex buffer ``out``, returned in their
     (8, n+1, n+1, n+1) shape. The tests hold it to ``slice_shift``."""
     n = state.shape[1]
-    faces, target = _shift_views(out, n, (n + 1) ** 3)
+    faces, target = _shift_views(out, n, (n + 1) ** 3, 1)
     for face in faces:
         face.fill(0)
     np.copyto(target, state.reshape(2, 2, 2, n, n, n))
@@ -225,24 +225,40 @@ def ungauge(chi: np.ndarray, config, phi: float = HALF_PI) -> np.ndarray:
     return coin[:, None, None, None] * site * chi
 
 
-def walk_inputs(coin_state: np.ndarray, config) -> tuple[np.ndarray, tuple]:
-    """engine._walk's ``start`` and ``ops`` for ``coin_state`` under
-    ``config``, as run_averaged builds them: the validated coin vector in
-    the walk's gauge, D(theta) psi0, which multiplies component c by
-    e^{i theta r(c)}, and the real round operators of games A and B."""
+def split(start: np.ndarray) -> np.ndarray:
+    """The complex coin vector ``start`` as engine._walk's two real sources
+    (Re, Im), shape (8, 2)."""
+    return np.stack([start.real, start.imag], axis=1)
+
+
+def joined(final: np.ndarray) -> np.ndarray:
+    """The complex state of engine._walk's final state from the sources
+    (Re, Im) of ``split``."""
+    return final[..., 0] + 1j * final[..., 1]
+
+
+def gauged_start(coin_state: np.ndarray, config) -> np.ndarray:
+    """The validated coin vector in the walk's gauge, D(theta) psi0, which
+    multiplies component c by e^{i theta r(c)}."""
     phases = np.exp(1j * config.theta) ** np.sum(COIN_BITS, axis=1)
-    start = init_walker_state(coin_state).reshape(8) * phases
+    return init_walker_state(coin_state).reshape(8) * phases
+
+
+def walk_inputs(coin_state: np.ndarray, config) -> tuple[np.ndarray, tuple]:
+    """engine._walk's ``sources`` and ``ops`` for ``coin_state`` under
+    ``config``: the two real sources (Re, Im) of the gauged start, which
+    serve every start, and the real round operators of games A and B."""
     rhos = (config.rho0, config.rho1, config.rho2, config.rho3, config.rho4)
-    return start, engine._round_operators(*rhos)
+    return split(gauged_start(coin_state, config)), engine._round_operators(*rhos)
 
 
 def true_state(coin_state: np.ndarray, mask, config, phi: float = HALF_PI) -> np.ndarray:
     """The true state after the rounds of ``mask`` (True plays B) from
     ``coin_state``, its coins with the phases (config.theta, ``phi``):
-    engine._walk's state, ungauged."""
+    engine._walk's state from the sources (Re, Im), joined and ungauged."""
     mask = np.asarray(mask, dtype=bool)
-    chi = engine._walk(*walk_inputs(coin_state, config), mask, np.zeros((len(mask) + 1, 3)))
-    return ungauge(chi, config, phi)
+    final = engine._walk(*walk_inputs(coin_state, config), mask, np.zeros((len(mask) + 1, 3)))
+    return ungauge(joined(final), config, phi)
 
 
 # --- dense Kronecker round -------------------------------------------------

@@ -680,6 +680,25 @@ def test_discriminate_shots_beyond_int64_rejected(capsys):
     assert "shots" in capsys.readouterr().err
 
 
+def test_monte_carlo_trials_overflowing_the_win_sums_rejected():
+    # 2^63 - 1 trials would run until killed: the size check refuses them
+    # before any draw, naming the flag. A subprocess bounds a regression.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(engine.__file__).parents[1])}
+    argv = ["classical", "--mode", "cooperative", "--players", "8", "--rounds", "4",
+            "--trials", str(2**63 - 1), "--pa", "0.5", "--p1", "0.3", "--p2", "0.5",
+            "--p3", "0.5", "--p4", "0.8"]
+    script = (
+        "import sys, time; from qparrondo.cli import cli_main; start = time.perf_counter(); "
+        "code = cli_main(sys.argv[1:]); print(code, time.perf_counter() - start)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+    code, seconds = done.stdout.split()
+    assert code == "2" and float(seconds) < 1, done.stderr
+    assert "trials 9223372036854775807" in done.stderr
+
+
 def test_discriminate_huge_shot_count_runs(capsys):
     argv = ["discriminate", "--initial", "w", "--mode", "sampled", "--shots", str(10**13)]
     assert cli_main(argv) == 0

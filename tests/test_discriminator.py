@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import position_distribution, stepped_position_povm, walk_inputs
+from oracle import joined, position_distribution, stepped_position_povm, walk_inputs
 
 import qparrondo.discriminator as discriminator
 from qparrondo import (
@@ -128,7 +128,7 @@ def engine_game_a(coin_state, rounds):
     per_player = np.zeros((rounds + 1, 3))
     start, ops = walk_inputs(coin_state, config)
     final = _walk(start, ops, schedule_mask(PURE_A, rounds, None), per_player)
-    return final, float(per_player[-1].sum())
+    return joined(final), float(per_player[-1].sum())
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)

@@ -9,8 +9,11 @@ from oracle import (
     coin_weights,
     dense_positions,
     dense_step_oracle,
+    gauged_start,
+    joined,
     kron_round,
     pure_a_positions,
+    split,
     state_norm,
     true_state,
     unframed_round,
@@ -302,16 +305,28 @@ WALK_COINS = {
 }
 
 
-def walk_payoffs(initial, scheme, rounds, coins="complex"):
-    """Per-round payoffs and a copy of the final state of one walk: the
-    walk returns a view of its thread's workspace, which the next walk
-    overwrites."""
+def one_source(coin_state, config):
+    """The one real source of a start real up to a global phase: its
+    gauged start rotated by the phase of sqrt(s.s), real part."""
+    start = gauged_start(coin_state, config)
+    square = start @ start
+    return (start / np.sqrt(square / abs(square))).real[:, None]
+
+
+def walk_payoffs(initial, scheme, rounds, coins="complex", sources=2):
+    """Per-round payoffs and a copy of the final state of one walk, from
+    the start's two sources (Re, Im) or, if ``sources`` is 1, from its one
+    real source: the walk returns a view of its thread's workspace, which
+    the next walk overwrites."""
     config = SimulationConfig(
         initial=initial, scheme=scheme, rounds=rounds, **WALK_COINS[coins][0]
     )
     mask = schedule_mask(scheme, rounds, rng_for())
     per_player = np.zeros((rounds + 1, 3))
-    final = engine._walk(*walk_inputs(initial_coin_state(initial), config), mask, per_player)
+    start, ops = walk_inputs(initial_coin_state(initial), config)
+    if sources == 1:
+        start = one_source(initial_coin_state(initial), config)
+    final = engine._walk(start, ops, mask, per_player)
     return per_player, final.copy()
 
 
@@ -349,11 +364,36 @@ def test_walk_in_a_workspace_poisoned_with_nan_equals_the_walk_played_first():
         assert np.array_equal(final, expected_final)
 
 
+@pytest.mark.parametrize("first", [1, 2])
+def test_walk_after_a_walk_of_other_sources_equals_the_walk_played_first(first):
+    # a workspace built for another number of sources is rebuilt: W's one
+    # real source after its two sources (Re, Im) of the same length, and
+    # the reverse
+    for rounds in (7, 20):
+        expected, expected_final = walk_payoffs(W, periodic(2, 1), rounds, sources=first)
+        walk_payoffs(W, PURE_B, rounds, sources=3 - first)
+        payoffs, final = walk_payoffs(W, periodic(2, 1), rounds, sources=first)
+        assert final.shape[-1] == first
+        assert np.array_equal(payoffs, expected)
+        assert np.array_equal(final, expected_final)
+
+
 @pytest.mark.parametrize("rounds", [(7, 12), (12, 12), (12, 20)])
 def test_two_threads_walking_at_once_equal_the_serial_walks(rounds):
     # each thread walks in its own workspace; a shortened switch interval
     # interleaves their rounds
-    plays = [(SEPARABLE, periodic(2, 1), rounds[0]), (GHZ, PURE_B, rounds[1])]
+    walk_in_two_threads([(SEPARABLE, periodic(2, 1), rounds[0]), (GHZ, PURE_B, rounds[1])])
+
+
+@pytest.mark.parametrize("rounds", [12, 20])
+def test_two_threads_walking_one_and_two_sources_equal_the_serial_walks(rounds):
+    walk_in_two_threads([(W, periodic(2, 1), rounds, "complex", 1), (W, PURE_B, rounds)])
+
+
+def walk_in_two_threads(plays):
+    """Play each of the two ``plays`` (walk_payoffs' arguments) 20 times in
+    a thread of its own, both at once, and check every walk against the
+    same play walked serially."""
     serial = [walk_payoffs(*play) for play in plays]
     results = [[], []]
     barrier = threading.Barrier(2, timeout=30)
@@ -433,7 +473,7 @@ def test_memory_bound_counts_one_state(monkeypatch):
 
 def test_memory_bound_counts_the_payoffs_of_every_mix_run(monkeypatch):
     rounds, runs = 9, 1000
-    need = engine._workspace_bytes(rounds) + runs * (rounds + 1) * 4 * 8
+    need = engine._workspace_bytes(rounds, 2) + runs * (rounds + 1) * 4 * 8
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
     SimulationConfig(initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, runs=runs)
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need - 1)
@@ -448,7 +488,7 @@ def test_memory_bound_counts_the_workspace_a_walk_allocates(monkeypatch, rounds)
     # its buffers, and the views of each of its slabs and rounds and of
     # the workspace itself
     workspace = engine._Workspace()
-    workspace.prepare(rounds)
+    workspace.prepare(rounds, 2)
     views = (len(workspace.weights) + rounds + 4) * engine._VIEW_BYTES
     need = workspace.buffer.nbytes + workspace.scratch.nbytes + views
     monkeypatch.setattr(engine, "_physical_memory_bytes", lambda: need)
@@ -461,14 +501,16 @@ def test_memory_bound_counts_the_workspace_a_walk_allocates(monkeypatch, rounds)
 @pytest.mark.parametrize("rounds", [1, 16, 100])
 def test_traced_workspace_stays_within_the_memory_bound(rounds):
     # everything prepare() allocates, the per-slab views that a 100-round
-    # workspace keeps (about 7 MB) among it, is counted by the check
-    tracemalloc.start()
-    try:
-        engine._Workspace().prepare(rounds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= engine._workspace_bytes(rounds)
+    # workspace keeps (about 7 MB) among it, is counted by the check, for
+    # walks of one and of two sources
+    for sources in (1, 2):
+        tracemalloc.start()
+        try:
+            engine._Workspace().prepare(rounds, sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= engine._workspace_bytes(rounds, sources), sources
 
 
 def test_run_averaged_equals_the_mean_of_its_runs_bitwise():
@@ -544,10 +586,10 @@ def test_framed_walk_matches_unframed_step_rounds(start, phases, scheme):
     )
     mask = schedule_mask(config.scheme, FRAME_ROUNDS, rng_for(3))
     expected, state = oracle_walk(FRAME_STATES[start], mask, config, phi)
-    walk_start, ops = walk_inputs(FRAME_STATES[start], config)
+    sources, ops = walk_inputs(FRAME_STATES[start], config)
     assert all(op.dtype == np.float64 for op in ops)
     per_player = np.zeros((FRAME_ROUNDS + 1, 3))
-    chi = engine._walk(walk_start, ops, mask, per_player)
+    chi = joined(engine._walk(sources, ops, mask, per_player))
     assert np.max(np.abs(per_player - expected)) < 1e-12
     assert np.max(np.abs(ungauge(chi, config, phi) - state)) < 1e-12
 
@@ -564,11 +606,11 @@ def test_one_plane_slabs_in_a_nan_workspace_match_unframed_rounds(monkeypatch, r
     config = SimulationConfig(initial=GHZ, scheme=RANDOM_MIX, rounds=rounds, **fields)
     mask = schedule_mask(RANDOM_MIX, rounds, rng_for(3))
     expected, state = oracle_walk(FRAME_STATES["random"], mask, config, phi)
-    engine._WORKSPACE.prepare(rounds)
+    engine._WORKSPACE.prepare(rounds, 2)
     for buffer in (engine._WORKSPACE.buffer, engine._WORKSPACE.scratch):
         buffer.fill(np.nan)
     per_player = np.zeros((rounds + 1, 3))
-    chi = engine._walk(*walk_inputs(FRAME_STATES["random"], config), mask, per_player)
+    chi = joined(engine._walk(*walk_inputs(FRAME_STATES["random"], config), mask, per_player))
     assert np.max(np.abs(per_player - expected)) < 1e-12
     assert np.max(np.abs(ungauge(chi, config, phi) - state)) < 1e-12
 
@@ -632,7 +674,7 @@ def test_walk_plays_any_orthogonal_pair_from_any_start(rounds):
     start /= np.linalg.norm(start)
     mask = rng.random(rounds) < 0.5
     per_player = np.zeros((rounds + 1, 3))
-    final = engine._walk(start, ops, mask, per_player)
+    final = joined(engine._walk(split(start), ops, mask, per_player))
     expected, state = shifted_rounds(start, ops, mask)
     assert np.max(np.abs(per_player - expected)) < 1e-12
     assert np.max(np.abs(final - state)) < 1e-12
@@ -653,3 +695,83 @@ def test_mix_builds_its_start_once_for_all_runs(monkeypatch):
     monkeypatch.setattr(engine, "init_walker_state", counted)
     run_averaged(SimulationConfig(initial=SEPARABLE, scheme=RANDOM_MIX, runs=10))
     assert len(built) == 1
+
+
+# --- the walk's real sources ----------------------------------------------
+
+
+def recorded_sources(monkeypatch) -> list:
+    """Record the sources of every walk that run_averaged plays."""
+    played, walk = [], engine._walk
+
+    def recorded(sources, *args):
+        played.append(sources.copy())
+        return walk(sources, *args)
+
+    monkeypatch.setattr(engine, "_walk", recorded)
+    return played
+
+
+@pytest.mark.parametrize("rounds", [16, 40])
+@pytest.mark.parametrize("scheme", ["a", "b", "periodic:2,2", "mix"])
+@pytest.mark.parametrize("initial", [W, j_entangled(0.7)], ids=["w", "j0.7"])
+def test_a_real_start_played_as_one_source_matches_its_two_parts(
+    monkeypatch, initial, scheme, rounds
+):
+    # W and J(0.7) at theta = pi/2 are real up to a global phase: the walk
+    # plays one source, within 1e-12 of the start played as (Re, Im); the
+    # mix's one run draws its schedule from the seed key (seed, 0)
+    config = SimulationConfig(
+        initial=initial, scheme=parse_scheme(scheme), rounds=rounds, runs=1, rho1=0.7, rho4=0.3
+    )
+    played = recorded_sources(monkeypatch)
+    series = run_averaged(config)
+    assert [sources.shape for sources in played] == [(8, 1)]
+    assert np.max(np.abs(series.per_player - walk_run(config, 0))) < 1e-12
+
+
+@pytest.mark.parametrize("initial, theta", [
+    (GHZ, HALF_PI), (SEPARABLE, HALF_PI), (j_entangled(0.7), 0.7), (j_entangled(0.7), 2.0),
+], ids=["ghz", "sep", "j0.7-theta0.7", "j0.7-theta2"])
+def test_a_complex_start_plays_its_two_parts(monkeypatch, initial, theta):
+    config = SimulationConfig(initial=initial, scheme=PURE_B, rho4=0.3, theta=theta)
+    played = recorded_sources(monkeypatch)
+    run_averaged(config)
+    assert len(played) == 1
+    assert np.array_equal(played[0], walk_inputs(initial_coin_state(initial), config)[0])
+
+
+@pytest.mark.parametrize("scheme", ["a", "b", "periodic:2,1", "mix"])
+def test_a_random_complex_start_plays_two_sources_and_matches_the_oracle(monkeypatch, scheme):
+    # run_averaged from the random start, against rounds of the full complex
+    # coins tossed one player at a time on the true state
+    coins, phi = FRAME_PHASES["complex"]
+    config = SimulationConfig(
+        initial=GHZ, scheme=parse_scheme(scheme), rounds=FRAME_ROUNDS, runs=1, **coins
+    )
+    monkeypatch.setattr(engine, "initial_coin_state", lambda initial: FRAME_STATES["random"])
+    played = recorded_sources(monkeypatch)
+    series = run_averaged(config)
+    assert [sources.shape for sources in played] == [(8, 2)]
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
+    mask = schedule_mask(config.scheme, FRAME_ROUNDS, rng)
+    expected, _ = oracle_walk(FRAME_STATES["random"], mask, config, phi)
+    assert np.max(np.abs(series.per_player - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [HALF_PI, 0.7])
+def test_separable_played_as_its_rotated_real_part_alone_moves_its_payoffs(theta):
+    # the reference has power: the separable start is not real up to a
+    # phase, and its rotated real part alone (its real part where s.s is 0)
+    # walks away from its payoffs
+    config = SimulationConfig(
+        initial=SEPARABLE, scheme=periodic(2, 2), rounds=16, rho4=0.3, theta=theta
+    )
+    expected = run_averaged(config).per_player
+    start = gauged_start(initial_coin_state(SEPARABLE), config)
+    square = start @ start
+    rotated = (start / np.sqrt(square / abs(square)) if abs(square) > 1e-12 else start).real
+    per_player = np.zeros((17, 3))
+    ops = walk_inputs(initial_coin_state(SEPARABLE), config)[1]
+    engine._walk(rotated[:, None], ops, schedule_mask(config.scheme, 16, None), per_player)
+    assert np.max(np.abs(per_player - expected)) > 1e-3

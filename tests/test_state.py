@@ -280,15 +280,20 @@ def test_position_update_equals_slice_shift_bitwise(n):
     into = apply_position_update(st, out=out)
     assert np.shares_memory(into, out)
     assert np.array_equal(into, expected)
-    # the walk's layout: component c packed from entry c * stride on, with
-    # NaN gaps between the components that the shift must not write
+    # the walk's layout: S real sources innermost, component c packed from
+    # entry c * stride on, with NaN gaps between the components that the
+    # shift must not write
     size = (n + 1) ** 3
-    stride = size + 2 * n + 3
-    out = np.full(8 * stride, np.nan, dtype=complex)
-    faces, target = _shift_views(out, n, stride)
-    for face in faces:
-        face.fill(0)
-    np.copyto(target, st.reshape(2, 2, 2, n, n, n))
-    components = out.reshape(8, stride)
-    assert np.array_equal(components[:, :size].reshape(expected.shape), expected)
-    assert np.isnan(components[:, size:]).all()
+    for sources in (1, 2, 3):
+        real = rng.normal(size=(8, n, n, n, sources))
+        stride = size * sources + 2 * n + 3
+        out = np.full(8 * stride, np.nan)
+        faces, target = _shift_views(out, n, stride, sources)
+        for face in faces:
+            face.fill(0)
+        np.copyto(target, real.reshape(2, 2, 2, n, n, n * sources))
+        components = out.reshape(8, stride)
+        shifted = components[:, : size * sources].reshape(8, n + 1, n + 1, n + 1, sources)
+        for s in range(sources):
+            assert np.array_equal(shifted[..., s], slice_shift(real[..., s]).real)
+        assert np.isnan(components[:, size * sources :]).all()

@@ -13,6 +13,7 @@ from qparrondo import (
     PURE_B,
     RANDOM_MIX,
     SEPARABLE,
+    W,
     SimulationConfig,
     Verdict,
     emit_map_csv,
@@ -178,6 +179,18 @@ def test_phase_map_walks_each_scheme_once_per_theta(monkeypatch):
     for r in records:
         columns.setdefault((r.theta, r.scheme), set()).add((r.gain, r.paradox))
     assert len(columns) == 16 * 4 and all(len(rows) == 1 for rows in columns.values())
+
+
+def test_w_phase_map_is_one_number_per_scheme():
+    # P(theta)^(x3) W = e^{i theta} W: theta moves no W payoff, so every
+    # theta row of a pi/8 map agrees (the README's claim), the mix included
+    base = SimulationConfig(initial=W, scheme=PURE_A, rho4=0.7)
+    gains = {}
+    for r in sweep_phase_map(base, step=math.pi / 8):
+        gains.setdefault(r.scheme, []).append(r.gain)
+    assert set(gains) == {"a", "b", "periodic:2,2", "mix"}
+    for scheme, values in gains.items():
+        assert len(values) == 256 and np.ptp(values) < 1e-12, scheme
 
 
 def test_repeated_schemes_and_values_walk_once(monkeypatch):
