@@ -376,7 +376,7 @@ def run_averaged(config: SimulationConfig) -> PayoffSeries:
     if abs(square) >= 1 - 1e-15:
         sources = (start / np.sqrt(square / abs(square))).real[:, None]
     else:
-        sources = np.stack([start.real, start.imag], axis=1)
+        sources = np.array([start.real, start.imag]).T
     ops = _round_operators(config.rho0, config.rho1, config.rho2, config.rho3, config.rho4)
     # SimulationConfig's memory check counts this array and the gains
     per_player = np.zeros((runs, config.rounds + 1, 3))
